@@ -11,8 +11,9 @@ import argparse
 import sys
 
 from .cdc import Cdc, IdVec, ferrers_of, multilevel
-from .errors import CdcError, ParseError, TooLarge
+from .errors import BadArguments, CdcError, ParseError, TooLarge
 from .ferrers import FdrmCode, FerrersDiagram, optimal_fdrmc
+from .gf import SUPPORTED_ORDERS
 from .linalg import MatGF, Subspace, rref
 from .rankmetric import LinearMatrixCode, rank_distribution
 from .theorems import (BoundResult, consistency_report, example_bound,
@@ -52,16 +53,32 @@ def _header_fields(line, expected, lineno):
     return fields
 
 
-def read_cdc(path: str) -> Cdc:
-    with open(path) as fh:
-        raw = fh.read().splitlines()
+def _read_lines(path):
+    try:
+        with open(path) as fh:
+            raw = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"cannot read file: {e}", line=1)
     if not raw:
         raise ParseError("empty file", line=1)
+    return raw
+
+
+def _check_order(q):
+    if q not in SUPPORTED_ORDERS:
+        raise ParseError(f"field order q={q} not in {SUPPORTED_ORDERS}", line=1)
+
+
+def read_cdc(path: str) -> Cdc:
+    raw = _read_lines(path)
     fields = _header_fields(raw[0], "cdc", 1)
     try:
         q, n, k, d, count = (int(fields[x]) for x in ("q", "n", "k", "d", "count"))
     except KeyError as e:
         raise ParseError(f"missing header field {e}", line=1)
+    except ValueError as e:
+        raise ParseError(f"bad header: {e}", line=1)
+    _check_order(q)
     members = []
     block, block_start = [], None
     for lineno, line in enumerate(raw[1:], 2):
@@ -97,7 +114,10 @@ def _parse_block(block, q, n, k, block_start):
     if R != M:
         raise ParseError("generator block is not in reduced echelon form",
                          line=block_start)
-    return Subspace.from_matrix(M)
+    try:
+        return Subspace.from_matrix(M)
+    except BadArguments as e:  # a zero row: the block has rank below k
+        raise ParseError(str(e), line=block_start)
 
 
 def write_fdrmc(code: FdrmCode, path: str):
@@ -115,10 +135,7 @@ def write_fdrmc(code: FdrmCode, path: str):
 
 
 def read_fdrmc(path: str) -> FdrmCode:
-    with open(path) as fh:
-        raw = fh.read().splitlines()
-    if not raw:
-        raise ParseError("empty file", line=1)
+    raw = _read_lines(path)
     fields = _header_fields(raw[0], "fdrmc", 1)
     try:
         q = int(fields["q"])
@@ -126,9 +143,13 @@ def read_fdrmc(path: str) -> FdrmCode:
         delta, dim = int(fields["delta"]), int(fields["dim"])
         cols = tuple(int(c) for c in fields["diagram"].split(",") if c)
         inverted = fields.get("orient", "forward") == "inverse"
-    except (KeyError, ValueError) as e:
+        dia = FerrersDiagram(cols, inverted=inverted)
+    except (KeyError, ValueError, BadArguments) as e:
         raise ParseError(f"bad header: {e}", line=1)
-    dia = FerrersDiagram(cols, inverted=inverted)
+    _check_order(q)
+    if (m, n) != (dia.m, dia.n):
+        raise ParseError(f"diagram is {dia.m} x {dia.n}, header says {m} x {n}",
+                         line=1)
     basis = []
     block, start = [], None
     for lineno, line in enumerate(raw[1:], 2):
@@ -139,6 +160,8 @@ def read_fdrmc(path: str) -> FdrmCode:
             if len(s) != n or any(not c.isdigit() for c in s):
                 raise ParseError(f"expected {n} digits", line=lineno)
             block.append([int(c) for c in s])
+            if any(x >= q for x in block[-1]):
+                raise ParseError(f"entry out of range for q={q}", line=lineno)
             if len(block) == m:
                 basis.append(MatGF(q, block))
                 block = []

@@ -2,26 +2,27 @@
 certification, exact maximum-size search on tiny Grassmannians, and
 diagram-code audits.
 
-Exhaustive pairwise checks go through membership bitmasks: the size of an
-intersection of two subspaces is the popcount of the AND of their member
-masks, which vectorizes well for q = 2.
+Exhaustive certification hashes subspaces instead of comparing pairs: two
+k-dimensional codewords are closer than d exactly when they share a
+(k - ceil(d/2) + 1)-dimensional one, so hashing those finds every violation
+in time linear in the number of codewords.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field as dc_field
-
-import numpy as np
+from itertools import combinations
 
 from .errors import TooLarge
 from .ferrers import FdrmCode, singleton_bound
+from .gf import field_new
 from .linalg import (enumerate_subspaces, gaussian_binomial, rank,
-                     subspace_distance)
+                     subspace_distance, vector_index)
 
 EXHAUSTIVE_PAIR_CAP = 10 ** 6
 SAMPLED_PAIRS = 10 ** 5
-MASK_UNIVERSE_CAP = 2 ** 20
 
 
 @dataclass
@@ -59,52 +60,65 @@ class VerifyReport:
         return out
 
 
-def _log_q(value, q):
-    d = 0
-    while value > 1:
-        value //= q
-        d += 1
-    return d
+def _collisions(members, t, first_only=False):
+    """Groups of codeword indices sharing a t-dimensional subspace (with
+    ``first_only``, stop at the first codeword that shares one).
+
+    For RREF generator G and RREF t x k matrix C, C G is already the RREF of
+    a t-subspace, as G is the identity on its pivots.  Its rows are member
+    vectors, so with every member vector packed into one int and shifted
+    into each of the t row fields of a key, a key is t table lookups.
+    """
+    q, n, k = members[0].q, members[0].n, members[0].k
+    f = field_new(q)
+    width = (q ** n - 1).bit_length()
+    # digits[c] maps each entry x to the ASCII digit of c x, so that
+    # int(bytes(v[::-1]).translate(digits[c]), q) packs c v base q
+    digits = [bytes.maketrans(bytes(range(q)),
+                              bytes(48 + f.mul(c, x) for x in range(q)))
+              for c in range(q)]
+    # row r of each RREF t x k matrix C, with coefficients c, is entry
+    # r q^k + c of the key table, c read base q most significant first
+    # (the order of Subspace.vectors)
+    plan = [[r * q ** k + vector_index(row[::-1], q)
+             for r, row in enumerate(C.gen.data)]
+            for C in enumerate_subspaces(q, k, t)]
+    owner, groups = {}, {}
+    for i, U in enumerate(members):
+        if f.p == 2:  # base-2^e digits are e-bit fields; adding is XOR
+            vecs = [0]
+            for row in U.gen.data:
+                raw = bytes(row[::-1])
+                scaled = [int(raw.translate(tab), q) for tab in digits]
+                vecs = [v ^ s for v in vecs for s in scaled]
+        else:
+            vecs = [int(bytes(v[::-1]).translate(digits[1]), q)
+                    for v in U.vectors()]
+        get = [v << (r * width) for r in range(t) for v in vecs].__getitem__
+        keys = [sum(map(get, rows)) for rows in plan]
+        for key in owner.keys() & keys:
+            groups.setdefault(key, [owner[key]]).append(i)
+        if groups and first_only:
+            break
+        owner.update(dict.fromkeys(keys, i))
+    return list(groups.values())
 
 
-def _mask_check_numpy(masks, q, k, declared, nbits):
-    """All-pairs popcount of mask ANDs, blockwise; q = 2 only."""
-    words = (nbits + 63) // 64
-    arr = np.zeros((len(masks), words), dtype=np.uint64)
-    for i, m in enumerate(masks):
-        arr[i] = np.frombuffer(m.to_bytes(words * 8, "little"), dtype=np.uint64)
-    thresh = q ** (k - (declared + 1) // 2)
-    max_pc = 1
-    violations = []
-    block = max(1, (1 << 22) // max(1, len(masks) * words))
-    for lo in range(0, len(masks), block):
-        hi = min(lo + block, len(masks))
-        pc = np.bitwise_count(arr[lo:hi, None, :] & arr[None, :, :]).sum(axis=2)
-        pc = pc.astype(np.int64)
-        for r in range(hi - lo):
-            pc[r, : lo + r + 1] = 0  # keep strictly upper pairs
-        max_pc = max(max_pc, int(pc.max(initial=0)))
-        bad = np.argwhere(pc > thresh)
-        for r, c in bad:
-            i, j = lo + int(r), int(c)
-            violations.append((i, j, 2 * (k - _log_q(int(pc[r, c]), q))))
-    return max_pc, violations
-
-
-def _mask_check_ints(masks, q, k, declared):
-    thresh = q ** (k - (declared + 1) // 2)
-    max_pc = 1
-    violations = []
-    n = len(masks)
-    for i in range(n):
-        mi = masks[i]
-        for j in range(i + 1, n):
-            pc = (mi & masks[j]).bit_count()
-            if pc > max_pc:
-                max_pc = pc
-            if pc > thresh:
-                violations.append((i, j, 2 * (k - _log_q(pc, q))))
-    return max_pc, violations
+def _certify(members, k, declared):
+    """(minimum distance, violations).  Two codewords are closer than
+    ``declared`` exactly when they share a t0-dimensional subspace; without
+    such a pair, the largest t at which two collide gives 2 (k - t)."""
+    t0 = max(0, min(k + 1, k - (declared + 1) // 2 + 1))  # k + 1 has no keys
+    pairs = {pair for group in _collisions(members, t0)
+             for pair in combinations(group, 2)}
+    violations = [(i, j, subspace_distance(members[i], members[j]))
+                  for i, j in sorted(pairs)]
+    if violations:
+        return min(v[2] for v in violations), violations
+    for t in range(t0 - 1, 0, -1):
+        if _collisions(members, t, first_only=True):
+            return 2 * (k - t), []
+    return 2 * k, []
 
 
 def check_cdc(code, mode: str = "exhaustive", seed: int = 2024,
@@ -112,8 +126,8 @@ def check_cdc(code, mode: str = "exhaustive", seed: int = 2024,
               ) -> VerifyReport:
     """Certify the minimum pairwise subspace distance of a code.
 
-    Exhaustive mode checks every unordered pair (capped at max_pairs);
-    sampled mode draws a fixed, seed-deterministic set of pairs.
+    Exhaustive mode covers every pair (capped at max_pairs) by hashing shared
+    subspaces; sampled mode checks a seed-deterministic set of distinct pairs.
     """
     members = code.members
     M = len(members)
@@ -126,24 +140,7 @@ def check_cdc(code, mode: str = "exhaustive", seed: int = 2024,
     if mode == "exhaustive":
         if total_pairs > max_pairs:
             raise TooLarge(f"{total_pairs} pairs exceed cap {max_pairs}")
-        if code.q ** code.n <= MASK_UNIVERSE_CAP:
-            masks = [U.member_mask() for U in members]
-            if code.q == 2 and M > 256:
-                max_pc, violations = _mask_check_numpy(
-                    masks, code.q, code.k, declared, code.q ** code.n)
-            else:
-                max_pc, violations = _mask_check_ints(
-                    masks, code.q, code.k, declared)
-            min_dist = 2 * (code.k - _log_q(max_pc, code.q))
-        else:
-            min_dist = 2 * code.k
-            violations = []
-            for i in range(M):
-                for j in range(i + 1, M):
-                    d = subspace_distance(members[i], members[j])
-                    min_dist = min(min_dist, d)
-                    if d < declared:
-                        violations.append((i, j, d))
+        min_dist, violations = _certify(members, code.k, declared)
         return VerifyReport(target=target, mode="exhaustive",
                             min_distance_found=min_dist, declared=declared,
                             violations=violations, pairs_checked=total_pairs)
@@ -153,15 +150,13 @@ def check_cdc(code, mode: str = "exhaustive", seed: int = 2024,
     min_dist = 2 * code.k
     violations = []
     checked = min(pairs, total_pairs)
-    for _ in range(checked):
-        i = rng.randrange(M)
-        j = rng.randrange(M - 1)
-        if j >= i:
-            j += 1
+    for r in rng.sample(range(total_pairs), checked):
+        j = (math.isqrt(8 * r + 1) + 1) // 2  # unrank r = j(j-1)/2 + i
+        i = r - j * (j - 1) // 2
         d = subspace_distance(members[i], members[j])
         min_dist = min(min_dist, d)
         if d < declared:
-            violations.append((min(i, j), max(i, j), d))
+            violations.append((i, j, d))
     return VerifyReport(target=target, mode=f"sampled(seed={seed})",
                         min_distance_found=min_dist, declared=declared,
                         violations=violations, pairs_checked=checked)

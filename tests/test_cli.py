@@ -152,3 +152,60 @@ def test_check_kv_output(tmp_path, capsys):
     code, out, _ = run_cli(["check", "--in", str(f), "--kv"], capsys)
     assert code == 0
     assert "passed=true" in out and "min_distance=4" in out
+
+
+def assert_parse_error(args, capsys, line):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and f"line {line}:" in err
+    assert "Traceback" not in err
+
+
+def test_check_non_integer_header_field(tmp_path, capsys):
+    f = tmp_path / "bad.cdc"
+    f.write_text("cdc v1 q=2 n=x k=2 d=4 count=1\n\n1000\n0100\n")
+    assert_parse_error(["check", "--in", str(f)], capsys, 1)
+
+
+def test_check_missing_input_file(tmp_path, capsys):
+    assert_parse_error(["check", "--in", str(tmp_path / "absent.cdc")],
+                       capsys, 1)
+
+
+def test_check_unsupported_field_order(tmp_path, capsys):
+    f = tmp_path / "q6.cdc"
+    f.write_text("cdc v1 q=6 n=4 k=2 d=4 count=1\n\n1000\n0100\n")
+    assert_parse_error(["check", "--in", str(f)], capsys, 1)
+
+
+def test_audit_non_ascending_diagram(tmp_path, capsys):
+    f = tmp_path / "bad.fdrmc"
+    f.write_text("fdrmc v1 q=2 m=2 n=2 delta=1 dim=1 diagram=2,1 "
+                 "orient=forward\n\n11\n01\n")
+    assert_parse_error(["audit", "--in", str(f)], capsys, 1)
+
+
+def test_check_rank_deficient_block(tmp_path, capsys):
+    f = tmp_path / "zero.cdc"
+    f.write_text("cdc v1 q=2 n=4 k=2 d=4 count=1\n\n1000\n0000\n")
+    assert_parse_error(["check", "--in", str(f)], capsys, 3)
+
+
+def test_audit_entry_out_of_range(tmp_path, capsys):
+    f = tmp_path / "big.fdrmc"
+    f.write_text("fdrmc v1 q=2 m=2 n=2 delta=1 dim=1 diagram=1,2 "
+                 "orient=forward\n\n12\n01\n")
+    assert_parse_error(["audit", "--in", str(f)], capsys, 3)
+
+
+def test_audit_header_shape_disagrees_with_diagram(tmp_path, capsys):
+    f = tmp_path / "shape.fdrmc"
+    f.write_text("fdrmc v1 q=2 m=3 n=2 delta=1 dim=1 diagram=1,2 "
+                 "orient=forward\n\n01\n01\n01\n")
+    assert_parse_error(["audit", "--in", str(f)], capsys, 1)
+
+
+def test_check_undecodable_header(tmp_path, capsys):
+    f = tmp_path / "binary.cdc"
+    f.write_bytes(b"cdc v1 q=2 n=\xff4 k=2 d=4 count=1\n\n1000\n0100\n")
+    assert_parse_error(["check", "--in", str(f)], capsys, 1)
