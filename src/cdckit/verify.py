@@ -5,7 +5,9 @@ diagram-code audits.
 Exhaustive certification hashes subspaces instead of comparing pairs: two
 k-dimensional codewords are closer than d exactly when they share a
 (k - ceil(d/2) + 1)-dimensional one, so hashing those finds every violation
-in time linear in the number of codewords.
+in time linear in the number of codewords.  A code with fewer pairs than
+the hash tables would have entries (few codewords of large dimension) is
+checked pair by pair.
 """
 
 from __future__ import annotations
@@ -73,7 +75,8 @@ def _collisions(members, t, first_only=False):
     f = field_new(q)
     width = (q ** n - 1).bit_length()
     # digits[c] maps each entry x to the ASCII digit of c x, so that
-    # int(bytes(v[::-1]).translate(digits[c]), q) packs c v base q
+    # int(bytes(v[::-1]).translate(digits[c]), q) packs c v as vector_index
+    # does, with the loop in C
     digits = [bytes.maketrans(bytes(range(q)),
                               bytes(48 + f.mul(c, x) for x in range(q)))
               for c in range(q)]
@@ -92,8 +95,7 @@ def _collisions(members, t, first_only=False):
                 scaled = [int(raw.translate(tab), q) for tab in digits]
                 vecs = [v ^ s for v in vecs for s in scaled]
         else:
-            vecs = [int(bytes(v[::-1]).translate(digits[1]), q)
-                    for v in U.vectors()]
+            vecs = [vector_index(v, q) for v in U.vectors()]
         get = [v << (r * width) for r in range(t) for v in vecs].__getitem__
         keys = [sum(map(get, rows)) for rows in plan]
         for key in owner.keys() & keys:
@@ -104,21 +106,43 @@ def _collisions(members, t, first_only=False):
     return list(groups.values())
 
 
-def _certify(members, k, declared):
-    """(minimum distance, violations).  Two codewords are closer than
-    ``declared`` exactly when they share a t0-dimensional subspace; without
-    such a pair, the largest t at which two collide gives 2 (k - t)."""
+def _certify(members, k, declared, budget):
+    """(minimum distance, violations) over all pairs.  Two codewords are
+    closer than ``declared`` exactly when they share a t0-dimensional
+    subspace; without such a pair, the largest t at which two collide gives
+    2 (k - t).  Where hashing would build more than ``budget`` table
+    entries, the pairs are checked one by one instead."""
+    M, q = len(members), members[0].q
     t0 = max(0, min(k + 1, k - (declared + 1) // 2 + 1))  # k + 1 has no keys
+    # per codeword and level t: t row fields of q^k vectors, [k, t]_q keys
+    if M * sum(t * q ** k + gaussian_binomial(k, t, q)
+               for t in range(1, min(t0, k) + 1)) > budget:
+        return _scan_pairs(members, combinations(range(M), 2), k, declared)
     pairs = {pair for group in _collisions(members, t0)
              for pair in combinations(group, 2)}
-    violations = [(i, j, subspace_distance(members[i], members[j]))
-                  for i, j in sorted(pairs)]
-    if violations:
-        return min(v[2] for v in violations), violations
+    if pairs:
+        return _scan_pairs(members, sorted(pairs), k, declared)
     for t in range(t0 - 1, 0, -1):
         if _collisions(members, t, first_only=True):
             return 2 * (k - t), []
     return 2 * k, []
+
+
+def _scan_pairs(members, pairs, k, declared):
+    """(minimum distance, violations) over the given (i, j) pairs, by rank."""
+    min_dist, violations = 2 * k, []
+    for i, j in pairs:
+        d = subspace_distance(members[i], members[j])
+        min_dist = min(min_dist, d)
+        if d < declared:
+            violations.append((i, j, d))
+    return min_dist, violations
+
+
+def _unrank_pair(r):
+    """The pair (i, j), i < j, of rank r = j (j - 1) / 2 + i."""
+    j = (math.isqrt(8 * r + 1) + 1) // 2
+    return r - j * (j - 1) // 2, j
 
 
 def check_cdc(code, mode: str = "exhaustive", seed: int = 2024,
@@ -126,12 +150,13 @@ def check_cdc(code, mode: str = "exhaustive", seed: int = 2024,
               ) -> VerifyReport:
     """Certify the minimum pairwise subspace distance of a code.
 
-    Exhaustive mode covers every pair (capped at max_pairs) by hashing shared
-    subspaces; sampled mode checks a seed-deterministic set of distinct pairs.
+    Exhaustive mode covers every pair (capped at max_pairs): by hashing
+    shared subspaces, or pair by pair where hashing would build more table
+    entries than there are pairs.  Sampled mode checks a seed-deterministic
+    set of distinct pairs.
     """
-    members = code.members
+    members, k, declared = code.members, code.k, code.d
     M = len(members)
-    declared = code.d
     target = f"({code.n},{M},{code.d},{code.k})_{code.q}-CDC"
     if M < 2:
         return VerifyReport(target=target, mode=mode, min_distance_found=None,
@@ -140,26 +165,19 @@ def check_cdc(code, mode: str = "exhaustive", seed: int = 2024,
     if mode == "exhaustive":
         if total_pairs > max_pairs:
             raise TooLarge(f"{total_pairs} pairs exceed cap {max_pairs}")
-        min_dist, violations = _certify(members, code.k, declared)
-        return VerifyReport(target=target, mode="exhaustive",
-                            min_distance_found=min_dist, declared=declared,
-                            violations=violations, pairs_checked=total_pairs)
-    if mode != "sampled":
+        checked = total_pairs
+        min_dist, violations = _certify(members, k, declared, total_pairs)
+    elif mode == "sampled":
+        checked = min(pairs, total_pairs)
+        drawn = random.Random(seed).sample(range(total_pairs), checked)
+        min_dist, violations = _scan_pairs(members, map(_unrank_pair, drawn),
+                                           k, declared)
+        mode = f"sampled(seed={seed})"
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    rng = random.Random(seed)
-    min_dist = 2 * code.k
-    violations = []
-    checked = min(pairs, total_pairs)
-    for r in rng.sample(range(total_pairs), checked):
-        j = (math.isqrt(8 * r + 1) + 1) // 2  # unrank r = j(j-1)/2 + i
-        i = r - j * (j - 1) // 2
-        d = subspace_distance(members[i], members[j])
-        min_dist = min(min_dist, d)
-        if d < declared:
-            violations.append((i, j, d))
-    return VerifyReport(target=target, mode=f"sampled(seed={seed})",
-                        min_distance_found=min_dist, declared=declared,
-                        violations=violations, pairs_checked=checked)
+    return VerifyReport(target=target, mode=mode, min_distance_found=min_dist,
+                        declared=declared, violations=violations,
+                        pairs_checked=checked)
 
 
 def _max_clique(adj) -> int:

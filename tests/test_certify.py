@@ -1,11 +1,13 @@
 """The subspace-collision certifier against the pairwise oracle.
 
-``check_cdc`` finds violations by hashing shared subspaces; these properties
-compare it with ``subspace_distance`` over every pair of random small codes
-in every supported field, with duplicates and members that share a
-subspace of chosen dimension injected.
+``check_cdc`` finds violations by hashing shared subspaces, or pair by pair
+where hashing costs more; these properties compare both with
+``subspace_distance`` over every pair of random small codes in every
+supported field, with duplicates and members that share a subspace of
+chosen dimension injected.
 """
 
+import math
 from itertools import combinations
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from cdckit.cdc import Cdc
 from cdckit.linalg import MatGF, Subspace, rank, subspace_distance
 from cdckit.rankmetric import gabidulin, lift
-from cdckit.verify import check_cdc
+from cdckit.verify import _certify, check_cdc
 
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9)
 # ambient sizes per field small enough that q^k member vectors stay cheap
@@ -75,6 +77,10 @@ def test_certifier_matches_pairwise_oracle(q):
         assert rep.passed == (not violations)
         assert rep.pairs_checked == len(code.members) * (
             len(code.members) - 1) // 2
+        if len(code.members) > 1:  # both ways: hashing, and pair by pair
+            for budget in (math.inf, 0):
+                assert _certify(code.members, code.k, code.d, budget) == (
+                    found, violations)
     check()
 
 
@@ -89,6 +95,26 @@ def test_certifier_reports_every_pair_of_a_repeated_codeword():
     assert rep.min_distance_found == 0
     assert [(0, 2, 0), (0, last, 0), (2, last, 0)] == [
         v for v in rep.violations if v[2] == 0]
+
+
+def test_few_codewords_of_large_dimension_are_checked_pair_by_pair():
+    # hashing would build [10, 6]_2 = 53,743,987 keys per codeword for one
+    # pair; the pairwise check takes milliseconds
+    q, n, k = 2, 20, 10
+
+    def span(rows):
+        return Subspace(q, n, [[int(c == r) for c in range(n)] for r in rows])
+
+    apart = Cdc(q=q, n=n, k=k, d=10,
+                members=(span(range(10)), span(range(10, 20))))
+    rep = check_cdc(apart)
+    assert rep.passed and rep.min_distance_found == 20
+    assert rep.pairs_checked == 1
+    close = Cdc(q=q, n=n, k=k, d=10,
+                members=(span(range(10)), span(range(4, 14)), span(range(10))))
+    rep = check_cdc(close)
+    assert rep.violations == [(0, 1, 8), (0, 2, 0), (1, 2, 8)]
+    assert rep.min_distance_found == 0 and rep.pairs_checked == 3
 
 
 def test_sampled_pairs_are_distinct():
