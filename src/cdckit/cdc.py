@@ -549,8 +549,9 @@ def parallel_linkage(U1: Cdc, U2: Cdc, M1: LinearMatrixCode, M2: MatrixSet) -> C
     for W in M2.members:
         if _rank(W) > cap:
             raise ParameterMismatch(f"right filler rank exceeds {cap}")
+    words = list(M1.codewords())
     subs1 = [Subspace.from_matrix(Ua.gen.hstack(W))
-             for Ua in U1.members for W in M1.codewords()]
+             for Ua in U1.members for W in words]
     subs2 = [Subspace.from_matrix(W.hstack(Ub.gen))
              for Ub in U2.members for W in M2.members]
     n = U1.n + U2.n

@@ -14,7 +14,7 @@ from .cdc import Cdc, IdVec, ferrers_of, multilevel
 from .errors import BadArguments, CdcError, ParseError, TooLarge
 from .ferrers import FdrmCode, FerrersDiagram, optimal_fdrmc
 from .gf import SUPPORTED_ORDERS
-from .linalg import MatGF, Subspace, rref
+from .linalg import MatGF, Subspace
 from .rankmetric import LinearMatrixCode, rank_distribution
 from .theorems import (BoundResult, consistency_report, example_bound,
                        load_registry, table11_bound, th41_bound, th44_bound)
@@ -110,14 +110,14 @@ def _parse_block(block, q, n, k, block_start):
             raise ParseError(f"entry out of range for q={q}", line=lineno)
         rows.append(row)
     M = MatGF(q, rows)
-    R, _ = rref(M)
-    if R != M:
+    try:
+        U = Subspace.from_matrix(M)
+    except BadArguments as e:  # the block has rank below k
+        raise ParseError(str(e), line=block_start)
+    if U.gen != M:
         raise ParseError("generator block is not in reduced echelon form",
                          line=block_start)
-    try:
-        return Subspace.from_matrix(M)
-    except BadArguments as e:  # a zero row: the block has rank below k
-        raise ParseError(str(e), line=block_start)
+    return U
 
 
 def write_fdrmc(code: FdrmCode, path: str):

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (BadArguments, ConditionNotMet, DimensionMismatch,
                      TooLargeToEnumerate, VerificationFailed)
-from .gf import field_new
 from .linalg import MatGF, kernel_basis, rank
 from .rankmetric import (ENUM_CAP, LinearMatrixCode, MatrixSet,
                          gabidulin, grmc_lower_bound, verify_min_rank)
@@ -175,13 +175,16 @@ def _intersect_mrd(q, diagram, delta):
     return tuple(gab.combine(v) for v in coeff_vectors)
 
 
+@lru_cache(maxsize=None)
 def optimal_fdrmc(F: FerrersDiagram, delta: int, q: int, verify: bool = True) -> FdrmCode:
     """Construct a diagram-supported code meeting the dimension bound.
 
     Routes: the zero code when the bound vanishes, all dot positions when
     delta = 1, and the MRD support intersection otherwise.  The resulting
     dimension is checked against the bound; a shortfall raises
-    ConditionNotMet (the nonconstructive square-diagram territory).
+    ConditionNotMet (the nonconstructive square-diagram territory).  The
+    code is immutable, so each argument tuple is built and verified once
+    per process.
     """
     bound = singleton_bound(F, delta)
     if bound == 0:
@@ -354,19 +357,21 @@ def coset_list(pair: NestedPair, r=None):
     coefficients, so the first coset contains the zero matrix.  With a rank
     cap r, members above rank r are removed; emptied cosets stay in place.
     """
-    q = pair.q
+    q, inner = pair.q, pair.c1.code
     if pair.c2.size > ENUM_CAP:
         raise TooLargeToEnumerate(
             f"outer code size {pair.c2.size} exceeds cap {ENUM_CAP}")
-    inner = list(pair.c1.code.codewords())
+    # with the quotient coefficients leading, the outer code's codewords
+    # come coset by coset: q^dim(c1) runs of representative + inner codeword
+    outer = LinearMatrixCode(q, inner.m, inner.n, pair.quotient + inner.basis,
+                             inner.delta)
+    words = outer.codewords()
     out = []
-    for coeffs in itertools.product(range(q), repeat=len(pair.quotient)):
-        rep = _combine(q, pair.quotient, coeffs, pair.c1.code.m, pair.c1.code.n)
-        members = [rep + w for w in inner]
+    for _ in range(pair.coset_count):
+        members = list(itertools.islice(words, inner.size))
         if r is not None:
             members = [M for M in members if rank(M) <= r]
-        out.append(MatrixSet(q, pair.c1.code.m, pair.c1.code.n,
-                             tuple(members), pair.c1.delta))
+        out.append(MatrixSet(q, inner.m, inner.n, tuple(members), inner.delta))
     return out
 
 
@@ -381,18 +386,6 @@ def coset_list_inverse(pair: NestedPair, r=None):
     cosets = coset_list(pair, r=r)
     empties = sum(1 for c in cosets if not c.members)
     return cosets, empties
-
-
-def _combine(q, basis, coeffs, m, n):
-    f = field_new(q)
-    rows = [[0] * n for _ in range(m)]
-    for c, B in zip(coeffs, basis):
-        if c:
-            for i in range(m):
-                for j in range(n):
-                    if B.data[i][j]:
-                        rows[i][j] = f.add(rows[i][j], f.mul(c, B.data[i][j]))
-    return MatGF(q, rows)
 
 
 def gfrmc_lower_bound(F: FerrersDiagram, delta: int, r: int, q: int,

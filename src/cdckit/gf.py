@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from operator import getitem
 
 from .errors import BadArguments, DegreeTooLarge, UnsupportedOrder, VerificationFailed
 
@@ -84,6 +85,14 @@ class FieldCtx:
 
     def elements(self):
         return range(self.q)
+
+    def add_vec(self, u, v):
+        """Entrywise sum of two equal-length vectors, as a tuple."""
+        return tuple(map(getitem, map(self._add.__getitem__, u), v))
+
+    def scale_vec(self, c, v):
+        """The vector v times the scalar c, as a tuple."""
+        return tuple(map(self._mul[c].__getitem__, v))
 
     def _digits(self, a):
         out = []

@@ -8,9 +8,16 @@ output are 1-based.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from .errors import AmbientMismatch, BadArguments, BadShape
 from .gf import field_new
+
+
+@lru_cache(maxsize=None)
+def _entries(q):
+    """The valid entries 0..q-1 of a matrix over GF(q)."""
+    return frozenset(range(q))
 
 
 class MatGF:
@@ -20,13 +27,13 @@ class MatGF:
 
     def __init__(self, q, rows_data):
         self.q = q
-        data = tuple(tuple(r) for r in rows_data)
+        data = tuple(map(tuple, rows_data))
         self.data = data
         self.rows = len(data)
         self.cols = len(data[0]) if data else 0
-        if any(len(r) != self.cols for r in data):
+        if len(set(map(len, data))) > 1:
             raise BadShape("ragged rows")
-        if any(not (0 <= x < q) for r in data for x in r):
+        if not _entries(q).issuperset(itertools.chain.from_iterable(data)):
             raise BadArguments("entry outside field range")
         self._hash = None
 
@@ -111,7 +118,7 @@ class MatGF:
 def _eliminate(q, rows_data, reduced=True):
     """Gauss-Jordan over GF(q); returns (rows, pivot columns)."""
     f = field_new(q)
-    rows = [list(r) for r in rows_data]
+    rows = list(rows_data)
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -125,12 +132,11 @@ def _eliminate(q, rows_data, reduced=True):
         rows[r], rows[pr] = rows[pr], rows[r]
         inv = f.inv(rows[r][c])
         if inv != 1:
-            rows[r] = [f.mul(inv, x) for x in rows[r]]
+            rows[r] = f.scale_vec(inv, rows[r])
         lo = 0 if reduced else r + 1
         for i in range(lo, nrows):
             if i != r and rows[i][c]:
-                fac = rows[i][c]
-                rows[i] = [f.sub(x, f.mul(fac, y)) for x, y in zip(rows[i], rows[r])]
+                rows[i] = f.add_vec(rows[i], f.scale_vec(f.neg(rows[i][c]), rows[r]))
         pivots.append(c)
         r += 1
     return rows, tuple(pivots)
@@ -242,8 +248,8 @@ class Subspace:
         f = field_new(self.q)
         acc = [(0,) * self.n]
         for row in self.gen.data:
-            scaled = [tuple(f.mul(c, x) for x in row) for c in range(self.q)]
-            acc = [tuple(f.add(a, b) for a, b in zip(v, s)) for v in acc for s in scaled]
+            scaled = [f.scale_vec(c, row) for c in range(self.q)]
+            acc = [f.add_vec(v, s) for v in acc for s in scaled]
         return acc
 
     def member_mask(self) -> int:

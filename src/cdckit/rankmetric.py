@@ -4,9 +4,9 @@ given-rank lower bounds, rank-restricted subsets, and lifting to subspaces.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (BadArguments, BadShape, TooLargeToEnumerate,
                      VerificationFailed)
@@ -44,11 +44,41 @@ class LinearMatrixCode:
         return MatGF.zeros(self.q, self.m, self.n)
 
     def codewords(self):
-        """All codewords, in lexicographic order of coefficient vectors."""
+        """All codewords, in lexicographic order of coefficient vectors.
+
+        Incremental: ``prefix[i]`` is the sum of the first i terms c_j B_j.
+        Advancing the coefficient vector at position j changes
+        ``prefix[j + 1]`` by one multiple of B_j and makes every later prefix
+        equal to it (their coefficients restart at 0); the last coefficient
+        runs through the q multiples of the last basis matrix.  So each
+        codeword costs one add of flat m n vectors.
+        """
         if not self.is_enumerable():
             raise TooLargeToEnumerate(f"{self.size} codewords exceed cap {ENUM_CAP}")
-        for coeffs in itertools.product(range(self.q), repeat=self.dim):
-            yield self.combine(coeffs)
+        q, n, dim = self.q, self.n, self.dim
+        if dim == 0:
+            yield self.zero()
+            return
+        f = field_new(q)
+        starts = [i * n for i in range(self.m)]
+        multiples = [[f.scale_vec(c, B.flatten()) for c in range(q)]
+                     for B in self.basis]
+        prefix = [(0,) * (self.m * n)] * dim
+        coeffs = [0] * dim
+        while True:
+            base = prefix[-1]
+            for term in multiples[-1]:
+                flat = f.add_vec(base, term)
+                yield MatGF(q, [flat[s:s + n] for s in starts])
+            j = dim - 2
+            while j >= 0 and coeffs[j] == q - 1:
+                coeffs[j] = 0
+                j -= 1
+            if j < 0:
+                return
+            coeffs[j] += 1
+            step = f.add_vec(prefix[j], multiples[j][coeffs[j]])
+            prefix[j + 1:] = [step] * (dim - j - 1)
 
     def combine(self, coeffs) -> MatGF:
         f = field_new(self.q)
@@ -125,12 +155,15 @@ def verify_min_rank(code: LinearMatrixCode):
                 f"sampled nonzero rank {got} below claimed {code.delta}")
 
 
+@lru_cache(maxsize=None)
 def gabidulin(q: int, m: int, n: int, delta: int, verify: bool = True) -> LinearMatrixCode:
     """Linear MRD code of m x n matrices with min rank distance delta.
 
     Codewords expand evaluations of the degree-restricted q-power polynomials
     at the fixed polynomial basis points, so the code is deterministic and the
-    families for different delta at the same (q, m, n) are nested.
+    families for different delta at the same (q, m, n) are nested.  The code
+    is immutable, so each argument tuple is built and verified once per
+    process.
     """
     if delta < 1 or delta > min(m, n):
         raise BadShape(f"need 1 <= delta <= min(m, n), got delta={delta}, m={m}, n={n}")

@@ -134,16 +134,18 @@ def thm31_build(A: CdcList, B: CdcList, Ahat: CdcList, Bhat: CdcList) -> Cdc:
     zero21 = MatGF.zeros(q, k2, n1)
     s1 = min(len(A.codes), len(B.codes))
     for i in range(s1):
-        subs = [Subspace.from_matrix(Ua.gen.hstack(zero12)
-                                     .vstack(zero21.hstack(Ub.gen)))
-                for Ua in A.codes[i].members for Ub in B.codes[i].members]
+        tops = [Ua.gen.hstack(zero12) for Ua in A.codes[i].members]
+        bottoms = [zero21.hstack(Ub.gen) for Ub in B.codes[i].members]
+        subs = [Subspace.from_matrix(top.vstack(bottom))
+                for top in tops for bottom in bottoms]
         if subs:
             parts.append((f"diag[{i}]", Cdc(q=q, n=n, k=k, d=d, members=tuple(subs))))
     s2 = min(len(Ahat.codes), len(Bhat.codes))
     for j in range(s2):
-        subs = [Subspace.from_matrix(zero21.hstack(Vb.rrief_gen())
-                                     .vstack(Va.rrief_gen().hstack(zero12)))
-                for Va in Ahat.codes[j].members for Vb in Bhat.codes[j].members]
+        bottoms = [Va.rrief_gen().hstack(zero12) for Va in Ahat.codes[j].members]
+        tops = [zero21.hstack(Vb.rrief_gen()) for Vb in Bhat.codes[j].members]
+        subs = [Subspace.from_matrix(top.vstack(bottom))
+                for bottom in bottoms for top in tops]
         if subs:
             parts.append((f"antidiag[{j}]", Cdc(q=q, n=n, k=k, d=d, members=tuple(subs))))
     return union_cdcs(parts, d=d, provenance="parallel-cosets")

@@ -23,7 +23,7 @@ from .gf import field_new
 from .linalg import (enumerate_subspaces, gaussian_binomial, rank,
                      subspace_distance, vector_index)
 
-EXHAUSTIVE_PAIR_CAP = 10 ** 6
+EXHAUSTIVE_PAIR_CAP = 10 ** 6   # table entries hashed or pairs compared
 SAMPLED_PAIRS = 10 ** 5
 
 
@@ -106,17 +106,30 @@ def _collisions(members, t, first_only=False):
     return list(groups.values())
 
 
+def _key_level(k, declared):
+    """t0 = k - ceil(declared / 2) + 1: two codewords are closer than
+    ``declared`` exactly when they share a t0-dimensional subspace (k + 1,
+    for distance above 2k, has no keys)."""
+    return max(0, min(k + 1, k - (declared + 1) // 2 + 1))
+
+
+def _table_entries(members, k, declared):
+    """Table entries hashing builds at most: per codeword and level
+    t <= t0, t row fields of q^k vectors and [k, t]_q keys."""
+    q, t0 = members[0].q, _key_level(k, declared)
+    return len(members) * sum(t * q ** k + gaussian_binomial(k, t, q)
+                              for t in range(1, min(t0, k) + 1))
+
+
 def _certify(members, k, declared, budget):
     """(minimum distance, violations) over all pairs.  Two codewords are
     closer than ``declared`` exactly when they share a t0-dimensional
     subspace; without such a pair, the largest t at which two collide gives
     2 (k - t).  Where hashing would build more than ``budget`` table
     entries, the pairs are checked one by one instead."""
-    M, q = len(members), members[0].q
-    t0 = max(0, min(k + 1, k - (declared + 1) // 2 + 1))  # k + 1 has no keys
-    # per codeword and level t: t row fields of q^k vectors, [k, t]_q keys
-    if M * sum(t * q ** k + gaussian_binomial(k, t, q)
-               for t in range(1, min(t0, k) + 1)) > budget:
+    M = len(members)
+    t0 = _key_level(k, declared)
+    if _table_entries(members, k, declared) > budget:
         return _scan_pairs(members, combinations(range(M), 2), k, declared)
     pairs = {pair for group in _collisions(members, t0)
              for pair in combinations(group, 2)}
@@ -150,10 +163,10 @@ def check_cdc(code, mode: str = "exhaustive", seed: int = 2024,
               ) -> VerifyReport:
     """Certify the minimum pairwise subspace distance of a code.
 
-    Exhaustive mode covers every pair (capped at max_pairs): by hashing
-    shared subspaces, or pair by pair where hashing would build more table
-    entries than there are pairs.  Sampled mode checks a seed-deterministic
-    set of distinct pairs.
+    Exhaustive mode covers every pair: by hashing shared subspaces, or pair
+    by pair where hashing would build more table entries than there are
+    pairs.  ``max_pairs`` caps that work, the smaller of the two counts.
+    Sampled mode checks a seed-deterministic set of distinct pairs.
     """
     members, k, declared = code.members, code.k, code.d
     M = len(members)
@@ -163,8 +176,10 @@ def check_cdc(code, mode: str = "exhaustive", seed: int = 2024,
                             declared=declared)
     total_pairs = M * (M - 1) // 2
     if mode == "exhaustive":
-        if total_pairs > max_pairs:
-            raise TooLarge(f"{total_pairs} pairs exceed cap {max_pairs}")
+        work = min(_table_entries(members, k, declared), total_pairs)
+        if work > max_pairs:
+            raise TooLarge(f"certificate needs {work} table entries or "
+                           f"pairs, above cap {max_pairs}")
         checked = total_pairs
         min_dist, violations = _certify(members, k, declared, total_pairs)
     elif mode == "sampled":

@@ -209,3 +209,16 @@ def test_check_undecodable_header(tmp_path, capsys):
     f = tmp_path / "binary.cdc"
     f.write_bytes(b"cdc v1 q=2 n=\xff4 k=2 d=4 count=1\n\n1000\n0100\n")
     assert_parse_error(["check", "--in", str(f)], capsys, 1)
+
+
+def test_check_lifted_mrd_above_the_pair_cap(tmp_path, capsys):
+    # 8,386,560 pairs, more than the 10^6 cap, but hashing builds only
+    # 4096 * 161 = 659,456 table entries
+    from cdckit.cli import write_cdc
+    from cdckit.rankmetric import gabidulin, lift
+    f = tmp_path / "lifted.cdc"
+    write_cdc(lift(gabidulin(2, 4, 4, 2)), str(f))
+    code, out, err = run_cli(["check", "--in", str(f)], capsys)
+    assert code == 0 and err == ""
+    assert out.startswith("PASS (8,4096,4,4)_2-CDC mode=exhaustive "
+                          "min_distance=4 ")

@@ -1,0 +1,76 @@
+"""Incremental codeword enumeration, memoised MRD and diagram codes, and
+matrix entry validation."""
+
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cdckit import ferrers, rankmetric
+from cdckit.errors import BadArguments, BadShape
+from cdckit.ferrers import FerrersDiagram, optimal_fdrmc
+from cdckit.gf import SUPPORTED_ORDERS
+from cdckit.linalg import MatGF
+from cdckit.rankmetric import LinearMatrixCode, gabidulin
+
+
+@st.composite
+def small_codes(draw, q):
+    """Random bases, dependent ones included: dim <= 4, m, n <= 3."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    basis = draw(st.lists(st.lists(row, min_size=m, max_size=m), max_size=4))
+    return LinearMatrixCode(q, m, n, tuple(MatGF(q, B) for B in basis), 1)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_codewords_match_combine_in_order(q):
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(small_codes(q))
+    def check(code):
+        assert list(code.codewords()) == [
+            code.combine(c) for c in product(range(q), repeat=code.dim)]
+    check()
+
+
+def counting(monkeypatch, module):
+    calls = []
+    real = module.verify_min_rank
+
+    def verify_min_rank(code):
+        calls.append(code)
+        return real(code)
+    monkeypatch.setattr(module, "verify_min_rank", verify_min_rank)
+    return calls
+
+
+def test_gabidulin_is_built_and_verified_once(monkeypatch):
+    gabidulin.cache_clear()
+    calls = counting(monkeypatch, rankmetric)
+    first = gabidulin(2, 4, 4, 2)
+    assert gabidulin(2, 4, 4, 2) is first
+    assert calls == [first]
+
+
+def test_optimal_fdrmc_is_built_and_verified_once(monkeypatch):
+    optimal_fdrmc.cache_clear()
+    calls = counting(monkeypatch, ferrers)
+    F = FerrersDiagram((1, 2, 4))
+    first = optimal_fdrmc(F, 2, 2)
+    assert optimal_fdrmc(F, 2, 2) is first
+    assert calls == [first.code]
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_matgf_rejects_entries_outside_the_field(q):
+    assert MatGF(q, [[0, q - 1], [1, 0]]).data == ((0, q - 1), (1, 0))
+    for bad in (-1, q):
+        with pytest.raises(BadArguments):
+            MatGF(q, [[0, 1], [bad, 0]])
+
+
+def test_matgf_rejects_ragged_rows():
+    with pytest.raises(BadShape):
+        MatGF(2, [[0, 1], [1]])
+    with pytest.raises(BadShape):
+        MatGF(3, [[0], [1, 2]])
