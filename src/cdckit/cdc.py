@@ -364,6 +364,15 @@ def sort_runs_desc(runs):
     return tuple(sorted(merged.items(), key=lambda t: t[0], reverse=True))
 
 
+def _largest_first(codes):
+    """The codes stably sorted by size, largest first, and their
+    (size, count) runs."""
+    codes = tuple(sorted(codes, key=lambda c: c.size, reverse=True))
+    runs = tuple((s, len(list(g)))
+                 for s, g in itertools.groupby(c.size for c in codes))
+    return codes, runs
+
+
 def pair_runs(a_runs, b_runs):
     """Greatest pairing total: sort both descending, pair index by index."""
     return zip_runs(sort_runs_desc(a_runs), sort_runs_desc(b_runs))
@@ -456,16 +465,9 @@ def build_coset_cdc_lists(cwc: CwcSet, delta1: int, delta2: int, q: int,
         else:
             codes.append(union_cdcs(parts, d=2 * delta1,
                                     provenance=f"coset-column[{j}]"))
-    codes.sort(key=lambda c: c.size, reverse=True)
-    runs = []
-    for c in codes:
-        if runs and runs[-1][0] == c.size:
-            runs[-1][1] += 1
-        else:
-            runs.append([c.size, 1])
+    codes, runs = _largest_first(codes)
     out = CdcList(q=q, n=n, k=k, intra_d=2 * delta1, inter_d=2 * delta2,
-                  sizes=tuple((s, c) for s, c in runs), codes=tuple(codes),
-                  restricted_rank=r)
+                  sizes=runs, codes=codes, restricted_rank=r)
     out.validate_codes()
     return out
 
@@ -478,17 +480,9 @@ def concat_cdc_lists(lists) -> CdcList:
            (first.q, first.n, first.k, first.intra_d, first.inter_d):
             raise ParameterMismatch("cannot concatenate mismatched lists")
     if any(L.codes is not None for L in lists):
-        codes = [c for L in lists for c in (L.codes or ())]
-        codes.sort(key=lambda c: c.size, reverse=True)
-        runs = []
-        for c in codes:
-            if runs and runs[-1][0] == c.size:
-                runs[-1][1] += 1
-            else:
-                runs.append([c.size, 1])
+        codes, runs = _largest_first(c for L in lists for c in (L.codes or ()))
         return CdcList(q=first.q, n=first.n, k=first.k, intra_d=first.intra_d,
-                       inter_d=first.inter_d,
-                       sizes=tuple((s, c) for s, c in runs), codes=tuple(codes))
+                       inter_d=first.inter_d, sizes=runs, codes=codes)
     runs = sort_runs_desc([run for L in lists for run in L.sizes])
     return CdcList(q=first.q, n=first.n, k=first.k, intra_d=first.intra_d,
                    inter_d=first.inter_d, sizes=runs)

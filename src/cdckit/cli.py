@@ -12,7 +12,7 @@ import sys
 
 from .cdc import Cdc, IdVec, ferrers_of, multilevel
 from .errors import BadArguments, CdcError, ParseError, TooLarge
-from .ferrers import FdrmCode, FerrersDiagram, optimal_fdrmc
+from .ferrers import FdrmCode, FerrersDiagram, optimal_fdrmc, singleton_bound
 from .gf import SUPPORTED_ORDERS
 from .linalg import MatGF, Subspace
 from .rankmetric import LinearMatrixCode, rank_distribution
@@ -69,6 +69,32 @@ def _check_order(q):
         raise ParseError(f"field order q={q} not in {SUPPORTED_ORDERS}", line=1)
 
 
+def _read_blocks(raw, q, n, rows):
+    """Yield the blank-line separated blocks after the header line, each
+    ``rows`` lines of n digits below q, as (first line number, rows) pairs."""
+    block, start = [], None
+    for lineno, line in enumerate(raw[1:], 2):
+        s = line.strip()
+        if not s:
+            if block:
+                raise ParseError(f"block has {len(block)} of {rows} rows",
+                                 line=lineno)
+            continue
+        if len(s) != n or not (s.isascii() and s.isdigit()):
+            raise ParseError(f"expected {n} digits", line=lineno)
+        row = [int(c) for c in s]
+        if max(row) >= q:
+            raise ParseError(f"entry out of range for q={q}", line=lineno)
+        if not block:
+            start = lineno
+        block.append(row)
+        if len(block) == rows:
+            yield start, block
+            block = []
+    if block:
+        raise ParseError(f"truncated block of {len(block)} rows", line=start)
+
+
 def read_cdc(path: str) -> Cdc:
     raw = _read_lines(path)
     fields = _header_fields(raw[0], "cdc", 1)
@@ -79,36 +105,15 @@ def read_cdc(path: str) -> Cdc:
     except ValueError as e:
         raise ParseError(f"bad header: {e}", line=1)
     _check_order(q)
-    members = []
-    block, block_start = [], None
-    for lineno, line in enumerate(raw[1:], 2):
-        if line.strip():
-            if not block:
-                block_start = lineno
-            block.append((lineno, line.strip()))
-            if len(block) == k:
-                members.append(_parse_block(block, q, n, k, block_start))
-                block = []
-        elif block:
-            raise ParseError(f"block has {len(block)} of {k} rows", line=lineno)
-    if block:
-        raise ParseError(f"truncated block of {len(block)} rows",
-                         line=block[0][0])
+    members = [_parse_block(q, rows, start)
+               for start, rows in _read_blocks(raw, q, n, k)]
     if len(members) != count:
         raise ParseError(f"header promises {count} codewords, found {len(members)}",
                          line=1)
     return Cdc(q=q, n=n, k=k, d=d, members=tuple(members), provenance="file")
 
 
-def _parse_block(block, q, n, k, block_start):
-    rows = []
-    for lineno, line in block:
-        if len(line) != n or any(not c.isdigit() for c in line):
-            raise ParseError(f"expected {n} digits", line=lineno)
-        row = [int(c) for c in line]
-        if any(x >= q for x in row):
-            raise ParseError(f"entry out of range for q={q}", line=lineno)
-        rows.append(row)
+def _parse_block(q, rows, block_start):
     M = MatGF(q, rows)
     try:
         U = Subspace.from_matrix(M)
@@ -142,38 +147,24 @@ def read_fdrmc(path: str) -> FdrmCode:
         m, n = int(fields["m"]), int(fields["n"])
         delta, dim = int(fields["delta"]), int(fields["dim"])
         cols = tuple(int(c) for c in fields["diagram"].split(",") if c)
-        inverted = fields.get("orient", "forward") == "inverse"
-        dia = FerrersDiagram(cols, inverted=inverted)
+        orient = fields.get("orient", "forward")
+        dia = FerrersDiagram(cols, inverted=orient == "inverse")
     except (KeyError, ValueError, BadArguments) as e:
         raise ParseError(f"bad header: {e}", line=1)
     _check_order(q)
+    if delta < 1:
+        raise ParseError(f"delta={delta} is not positive", line=1)
+    if orient not in ("forward", "inverse"):
+        raise ParseError(f"orient={orient} is neither forward nor inverse",
+                         line=1)
     if (m, n) != (dia.m, dia.n):
         raise ParseError(f"diagram is {dia.m} x {dia.n}, header says {m} x {n}",
                          line=1)
-    basis = []
-    block, start = [], None
-    for lineno, line in enumerate(raw[1:], 2):
-        if line.strip():
-            if not block:
-                start = lineno
-            s = line.strip()
-            if len(s) != n or any(not c.isdigit() for c in s):
-                raise ParseError(f"expected {n} digits", line=lineno)
-            block.append([int(c) for c in s])
-            if any(x >= q for x in block[-1]):
-                raise ParseError(f"entry out of range for q={q}", line=lineno)
-            if len(block) == m:
-                basis.append(MatGF(q, block))
-                block = []
-        elif block:
-            raise ParseError(f"block has {len(block)} of {m} rows", line=lineno)
-    if block:
-        raise ParseError("truncated matrix block", line=start)
+    basis = tuple(MatGF(q, rows) for _, rows in _read_blocks(raw, q, n, m))
     if len(basis) != dim:
         raise ParseError(f"header promises dim={dim}, found {len(basis)} matrices",
                          line=1)
-    inner = LinearMatrixCode(q, dia.m, dia.n, tuple(basis), delta)
-    from .ferrers import singleton_bound
+    inner = LinearMatrixCode(q, dia.m, dia.n, basis, delta)
     return FdrmCode(diagram=dia, code=inner, delta=delta,
                     optimal=dim == singleton_bound(dia, delta))
 

@@ -61,10 +61,6 @@ class TooLargeToEnumerate(TooLarge):
     """Code too large for full enumeration."""
 
 
-class EmptyAfterRestriction(CdcError):
-    """A rank restriction removed every member of a coset."""
-
-
 class GuardFailed(CdcError):
     """A distance guard on identifying vectors failed."""
 

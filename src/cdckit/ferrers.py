@@ -135,13 +135,18 @@ class FdrmCode:
         return self.code.size
 
 
+def support_leaks(diagram: FerrersDiagram, basis):
+    """(t, i, j) for each nonzero entry (i, j) of basis matrix t that lies
+    outside the diagram, in basis then row-major order."""
+    for t, B in enumerate(basis):
+        for i, row in enumerate(B.data):
+            for j, x in enumerate(row):
+                if x and not diagram.cell_is_dot(i, j):
+                    yield t, i, j
+
+
 def _check_support(diagram: FerrersDiagram, basis) -> bool:
-    for B in basis:
-        for i in range(B.rows):
-            for j in range(B.cols):
-                if B.data[i][j] and not diagram.cell_is_dot(i, j):
-                    return False
-    return True
+    return next(support_leaks(diagram, basis), None) is None
 
 
 def _all_dots_basis(q, diagram):

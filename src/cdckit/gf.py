@@ -27,20 +27,6 @@ _BASE_MODULI = {
 }
 
 
-def _factor(n):
-    out = []
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            if not out or out[-1] != d:
-                out.append(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 @dataclass(frozen=True)
 class FieldCtx:
     """Arithmetic context for GF(q), q = p^e."""
@@ -54,18 +40,16 @@ class FieldCtx:
     log: tuple[int, ...] = dc_field(repr=False)
     _add: tuple[tuple[int, ...], ...] = dc_field(repr=False)
     _mul: tuple[tuple[int, ...], ...] = dc_field(repr=False)
+    _neg: tuple[int, ...] = dc_field(repr=False)
 
     def add(self, a, b):
         return self._add[a][b]
 
     def sub(self, a, b):
-        return self._add[a][self.neg(b)]
+        return self._add[a][self._neg[b]]
 
     def neg(self, a):
-        if self.p == 2 or a == 0:
-            return a
-        digits = [(-d) % self.p for d in self._digits(a)]
-        return self._undigits(digits)
+        return self._neg[a]
 
     def mul(self, a, b):
         return self._mul[a][b]
@@ -94,34 +78,24 @@ class FieldCtx:
         """The vector v times the scalar c, as a tuple."""
         return tuple(map(self._mul[c].__getitem__, v))
 
-    def _digits(self, a):
-        out = []
-        for _ in range(self.e):
-            out.append(a % self.p)
-            a //= self.p
-        return out
 
-    def _undigits(self, digits):
-        v = 0
-        for d in reversed(digits):
-            v = v * self.p + d
-        return v
-
-
-def _poly_mulmod(a, b, modulus, p):
-    """Multiply coefficient lists over GF(p) and reduce by a monic modulus."""
+def _poly_mulmod(f: FieldCtx, a, b, modulus):
+    """Multiply coefficient lists (constant term first) over GF(q) and reduce
+    by a monic modulus; the result has at most deg(modulus) coefficients."""
+    add, mul, neg = f._add, f._mul, f._neg
     res = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
+            row = mul[ai]
             for j, bj in enumerate(b):
-                res[i + j] = (res[i + j] + ai * bj) % p
+                res[i + j] = add[res[i + j]][row[bj]]
     deg = len(modulus) - 1
     for i in range(len(res) - 1, deg - 1, -1):
         c = res[i]
         if c:
-            res[i] = 0
+            row = mul[neg[c]]
             for j in range(deg):
-                res[i - deg + j] = (res[i - deg + j] - c * modulus[j]) % p
+                res[i - deg + j] = add[res[i - deg + j]][row[modulus[j]]]
     return res[:deg]
 
 
@@ -175,7 +149,7 @@ def field_new(q: int) -> FieldCtx:
     def mul_raw(a, b):
         if e == 1:
             return (a * b) % p
-        return undigits(_poly_mulmod(digits(a), digits(b), modulus, p))
+        return undigits(_poly_mulmod(field_new(p), digits(a), digits(b), modulus))
 
     # smallest element of full multiplicative order is the table generator
     generator = None
@@ -207,7 +181,8 @@ def field_new(q: int) -> FieldCtx:
     mul_t = tuple(tuple(mul_raw(a, b) for b in range(q)) for a in range(q))
 
     ctx = FieldCtx(q=q, p=p, e=e, modulus=modulus, generator=generator,
-                   exp=tuple(exp), log=tuple(log), _add=add_t, _mul=mul_t)
+                   exp=tuple(exp), log=tuple(log), _add=add_t, _mul=mul_t,
+                   _neg=tuple(row.index(0) for row in add_t))
     _verify_axioms(ctx)
     return ctx
 
@@ -222,36 +197,19 @@ def _ext_poly_is_irreducible(base: FieldCtx, coeffs):
     m = len(coeffs) - 1
     q = base.q
 
-    def pmulmod(a, b):
-        res = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    res[i + j] = base.add(res[i + j], base.mul(ai, bj))
-        for i in range(len(res) - 1, m - 1, -1):
-            c = res[i]
-            if c:
-                res[i] = 0
-                for j in range(m):
-                    res[i - m + j] = base.sub(res[i - m + j], base.mul(c, coeffs[j]))
-        out = res[:m]
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return out
+    def ptrim(a):
+        while len(a) > 1 and a[-1] == 0:
+            a.pop()
+        return a
 
     def ppowmod(a, k):
         result = [1]
         while k:
             if k & 1:
-                result = pmulmod(result, a)
-            a = pmulmod(a, a)
+                result = ptrim(_poly_mulmod(base, result, a, coeffs))
+            a = ptrim(_poly_mulmod(base, a, a, coeffs))
             k >>= 1
         return result
-
-    def ptrim(a):
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-        return a
 
     def pgcd(a, b):
         a, b = ptrim(list(a)), ptrim(list(b))
@@ -288,7 +246,6 @@ class ExtFieldCtx:
     base: FieldCtx
     m: int
     modulus: tuple[int, ...]
-    _reduction: tuple[tuple[int, ...], ...] = dc_field(repr=False)
 
     @property
     def order(self):
@@ -332,22 +289,7 @@ class ExtFieldCtx:
         return tuple(b.mul(c, a) for a in x)
 
     def mul(self, x, y):
-        b = self.base
-        m = self.m
-        res = [0] * (2 * m - 1)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    if yj:
-                        res[i + j] = b.add(res[i + j], b.mul(xi, yj))
-        out = list(res[:m])
-        for i in range(m, 2 * m - 1):
-            c = res[i]
-            if c:
-                red = self._reduction[i - m]
-                for j in range(m):
-                    out[j] = b.add(out[j], b.mul(c, red[j]))
-        return tuple(out)
+        return tuple(_poly_mulmod(self.base, x, y, self.modulus))
 
     def pow(self, x, k):
         result = self.one()
@@ -393,21 +335,7 @@ def ext_new(q: int, m: int) -> ExtFieldCtx:
                 break
         if coeffs is None:
             raise VerificationFailed(f"no irreducible polynomial found for q={q}, m={m}")
-
-    # reduction rows: t^(m+i) expressed in the polynomial basis
-    b = base
-    reduction = []
-    row = [b.neg(c) for c in coeffs[:m]]  # t^m
-    reduction.append(tuple(row))
-    for _ in range(m - 2):
-        shifted = [0] + row[:-1]
-        c = row[-1]
-        if c:
-            for j in range(m):
-                shifted[j] = b.add(shifted[j], b.mul(c, b.neg(coeffs[j])))
-        row = shifted
-        reduction.append(tuple(row))
-    return ExtFieldCtx(base=base, m=m, modulus=coeffs, _reduction=tuple(reduction))
+    return ExtFieldCtx(base=base, m=m, modulus=coeffs)
 
 
 def frobenius(ctx: ExtFieldCtx, x, i: int):

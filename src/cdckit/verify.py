@@ -5,9 +5,9 @@ diagram-code audits.
 Exhaustive certification hashes subspaces instead of comparing pairs: two
 k-dimensional codewords are closer than d exactly when they share a
 (k - ceil(d/2) + 1)-dimensional one, so hashing those finds every violation
-in time linear in the number of codewords.  A code with fewer pairs than
-the hash tables would have entries (few codewords of large dimension) is
-checked pair by pair.
+in time linear in the number of codewords.  A code whose hash tables would
+exceed the work cap (few codewords of large dimension) is checked pair by
+pair.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations
 
 from .errors import TooLarge
-from .ferrers import FdrmCode, singleton_bound
+from .ferrers import FdrmCode, singleton_bound, support_leaks
 from .gf import field_new
 from .linalg import (enumerate_subspaces, gaussian_binomial, rank,
                      subspace_distance, vector_index)
@@ -164,8 +164,8 @@ def check_cdc(code, mode: str = "exhaustive", seed: int = 2024,
     """Certify the minimum pairwise subspace distance of a code.
 
     Exhaustive mode covers every pair: by hashing shared subspaces, or pair
-    by pair where hashing would build more table entries than there are
-    pairs.  ``max_pairs`` caps that work, the smaller of the two counts.
+    by pair where the hash tables would hold more than ``max_pairs``
+    entries.  ``max_pairs`` caps that work, the smaller of the two counts.
     Sampled mode checks a seed-deterministic set of distinct pairs.
     """
     members, k, declared = code.members, code.k, code.d
@@ -181,7 +181,7 @@ def check_cdc(code, mode: str = "exhaustive", seed: int = 2024,
             raise TooLarge(f"certificate needs {work} table entries or "
                            f"pairs, above cap {max_pairs}")
         checked = total_pairs
-        min_dist, violations = _certify(members, k, declared, total_pairs)
+        min_dist, violations = _certify(members, k, declared, max_pairs)
     elif mode == "sampled":
         checked = min(pairs, total_pairs)
         drawn = random.Random(seed).sample(range(total_pairs), checked)
@@ -259,12 +259,8 @@ def audit_fdrmc(code: FdrmCode) -> VerifyReport:
     """Audit support containment, the realized minimum rank distance, and
     dimension against the diagram's bound."""
     dia = code.diagram
-    violations = []
-    for t, B in enumerate(code.code.basis):
-        for i in range(B.rows):
-            for j in range(B.cols):
-                if B.data[i][j] and not dia.cell_is_dot(i, j):
-                    violations.append(("support", t, i, j))
+    violations = [("support", *cell)
+                  for cell in support_leaks(dia, code.code.basis)]
     min_rank = None
     pairs = 0
     if code.dim > 0:

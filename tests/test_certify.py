@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from cdckit.cdc import Cdc
 from cdckit.linalg import MatGF, Subspace, rank, subspace_distance
 from cdckit.rankmetric import gabidulin, lift
-from cdckit.verify import _certify, check_cdc
+from cdckit.verify import (EXHAUSTIVE_PAIR_CAP, _certify, _table_entries,
+                           check_cdc)
 
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9)
 # ambient sizes per field small enough that q^k member vectors stay cheap
@@ -129,3 +130,18 @@ def test_sampled_pairs_are_distinct():
     full = check_cdc(strict, mode="sampled", seed=7, pairs=10 ** 6)
     assert sorted(v[:2] for v in full.violations) == list(
         combinations(range(64), 2))
+
+
+def test_hashing_is_used_whenever_its_tables_fit_the_cap(monkeypatch):
+    # 64 codewords: 2,432 table entries against 2,016 pairs, both far below
+    # the cap, so a passing code is certified without comparing a pair
+    code = lift(gabidulin(2, 3, 3, 2))
+    assert 2016 < _table_entries(code.members, 3, 4) < EXHAUSTIVE_PAIR_CAP
+
+    def no_pairs(U, V):
+        raise AssertionError("compared a pair")
+
+    monkeypatch.setattr("cdckit.verify.subspace_distance", no_pairs)
+    rep = check_cdc(code)
+    assert rep.passed and rep.min_distance_found == 4
+    assert rep.pairs_checked == 2016

@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from cdckit.cli import main, read_cdc, read_fdrmc
 
 
@@ -222,3 +224,23 @@ def test_check_lifted_mrd_above_the_pair_cap(tmp_path, capsys):
     assert code == 0 and err == ""
     assert out.startswith("PASS (8,4096,4,4)_2-CDC mode=exhaustive "
                           "min_distance=4 ")
+
+
+def test_audit_entry_outside_the_diagram(tmp_path, capsys):
+    # diagram 1,2 has no dot in row 1 of column 0
+    f = tmp_path / "leak.fdrmc"
+    f.write_text("fdrmc v1 q=2 m=2 n=2 delta=1 dim=1 diagram=1,2 "
+                 "orient=forward\n\n01\n11\n")
+    code, out, err = run_cli(["audit", "--in", str(f)], capsys)
+    assert code == 1 and out.startswith("FAIL ") and err == ""
+    from cdckit.verify import audit_fdrmc
+    assert audit_fdrmc(read_fdrmc(str(f))).violations == [("support", 0, 1, 0)]
+
+
+@pytest.mark.parametrize("fields", ["delta=0 orient=forward",
+                                    "delta=1 orient=sideways"])
+def test_audit_bad_delta_or_orientation(tmp_path, capsys, fields):
+    f = tmp_path / "header.fdrmc"
+    f.write_text(f"fdrmc v1 q=2 m=2 n=2 dim=1 diagram=1,2 {fields}"
+                 "\n\n01\n01\n")
+    assert_parse_error(["audit", "--in", str(f)], capsys, 1)

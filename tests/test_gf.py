@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdckit.errors import DegreeTooLarge, UnsupportedOrder
 from cdckit.gf import (SUPPORTED_ORDERS, expand_rows, ext_new, field_new,
@@ -142,3 +143,53 @@ def test_frobenius_composition_sampled_large_field():
         for _ in range(6):
             y = frobenius(e, y, 1)
         assert y == x
+
+
+# smallest monic irreducible modulus of GF(q^m), ascending coefficients
+EXT_MODULI = {
+    2: [(0, 1), (1, 1, 1), (1, 1, 0, 1), (1, 1, 0, 0, 1)],
+    3: [(0, 1), (1, 0, 1), (1, 2, 0, 1), (2, 1, 0, 0, 1)],
+    4: [(0, 1), (2, 1, 1), (2, 0, 0, 1), (1, 2, 1, 0, 1)],
+    5: [(0, 1), (2, 0, 1), (1, 1, 0, 1), (2, 0, 0, 0, 1)],
+    7: [(0, 1), (1, 0, 1), (2, 0, 0, 1), (1, 1, 0, 0, 1)],
+    8: [(0, 1), (1, 1, 1), (2, 1, 0, 1), (1, 1, 0, 0, 1)],
+    9: [(0, 1), (4, 0, 1), (3, 1, 0, 1), (4, 0, 0, 0, 1)],
+}
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_ext_moduli_pinned(q):
+    assert [ext_new(q, m).modulus for m in range(1, 5)] == EXT_MODULI[q]
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_sub_and_neg_exhaustive(q):
+    f = field_new(q)
+    for a in range(q):
+        assert f.add(f.neg(a), a) == 0
+        for b in range(q):
+            assert f.add(f.sub(a, b), b) == a
+
+
+@pytest.mark.parametrize("m", range(1, 5))
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_ext_field_axioms(q, m):
+    e = ext_new(q, m)
+    zero, one = e.zero(), e.one()
+    element = st.tuples(*[st.integers(0, q - 1)] * m)
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(element, element, element)
+    def check(x, y, z):
+        assert e.add(x, zero) == x and e.mul(x, one) == x
+        assert e.mul(x, zero) == zero
+        assert e.add(x, y) == e.add(y, x) and e.mul(x, y) == e.mul(y, x)
+        assert e.add(e.add(x, y), z) == e.add(x, e.add(y, z))
+        assert e.mul(e.mul(x, y), z) == e.mul(x, e.mul(y, z))
+        assert e.mul(x, e.add(y, z)) == e.add(e.mul(x, y), e.mul(x, z))
+        assert e.add(e.sub(x, y), y) == x
+        if x != zero:
+            assert e.mul(x, e.inv(x)) == one
+        assert frobenius(e, e.add(x, y), 1) == \
+            e.add(frobenius(e, x, 1), frobenius(e, y, 1))
+    check()

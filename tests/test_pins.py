@@ -1,11 +1,15 @@
-"""Byte pins: the files written for the combined construction and for a
-multilevel CLI build must repeat bit for bit."""
+"""Byte pins: the files written for the combined construction, for a
+multilevel CLI build and for lifted MRD codes over GF(3), GF(4) and GF(9)
+must repeat bit for bit."""
 
 import hashlib
+
+import pytest
 
 from cdckit.cdc import Cdc, CwcSet, IdVec, build_coset_cdc_lists
 from cdckit.cli import main, write_cdc
 from cdckit.linalg import MatGF, Subspace
+from cdckit.rankmetric import gabidulin, lift
 from cdckit.theorems import thm32_build
 
 COMBINED_SHA = ("a6c3fdd0b5a32bc798f507eade37a62f"
@@ -41,3 +45,18 @@ def test_multilevel_cli_build_file_bytes(tmp_path, capsys):
                  "-q", "2", "--delta", "2", "--out", str(path)]) == 0
     assert capsys.readouterr().out.startswith("wrote 1033 codewords")
     assert sha256(path) == MULTILEVEL_SHA
+
+
+# lift(gabidulin(q, m, m, 2)) per (q, m); (4, 3) is also the benchmark's pin
+LIFTED_SHA = {
+    (4, 3): "239b3ed930a813b486f78401bd8fef9a437758757cb667dc26392e61a7b2691a",
+    (3, 3): "859e54cc5aa87093f03fd5d2c7a229e21fc1b1fb9e5c0ba06f8f76ab3ee34e30",
+    (9, 2): "c61cb1dc8552ea8a58e7938443b327cc4fe3369d15da50f6448ace4807094d06",
+}
+
+
+@pytest.mark.parametrize("q,m", sorted(LIFTED_SHA))
+def test_lifted_mrd_file_bytes(tmp_path, q, m):
+    path = tmp_path / "lifted.cdc"
+    write_cdc(lift(gabidulin(q, m, m, 2)), str(path))
+    assert sha256(path) == LIFTED_SHA[q, m]
