@@ -17,7 +17,7 @@ from .errors import (BadArguments, BadShape, DiagramMismatch,
                      ParameterMismatch, VerificationFailed)
 from .ferrers import (FdrmCode, FerrersDiagram, coset_list, nested_pair,
                       singleton_bound)
-from .linalg import MatGF, Subspace
+from .linalg import MatGF, Subspace, rrief
 from .rankmetric import LinearMatrixCode, MatrixSet
 
 
@@ -64,7 +64,8 @@ def identifying_vector(U: Subspace) -> IdVec:
 
 def inverse_identifying_vector(U: Subspace) -> IdVec:
     bits = [0] * U.n
-    for p in U.rrief_pivots():
+    _, pivots = rrief(U.gen)
+    for p in pivots:
         bits[p] = 1
     return IdVec(tuple(bits), "inverse")
 
@@ -321,10 +322,6 @@ class CdcList:
     @property
     def length(self):
         return sum(c for _, c in self.sizes)
-
-    @property
-    def total_size(self):
-        return sum(s * c for s, c in self.sizes)
 
     def validate_codes(self):
         if self.codes is None:

@@ -14,7 +14,7 @@ from .cdc import Cdc, IdVec, ferrers_of, multilevel
 from .errors import BadArguments, CdcError, ParseError, TooLarge
 from .ferrers import FdrmCode, FerrersDiagram, optimal_fdrmc, singleton_bound
 from .gf import SUPPORTED_ORDERS
-from .linalg import MatGF, Subspace
+from .linalg import MatGF, Subspace, rank
 from .rankmetric import LinearMatrixCode, rank_distribution
 from .theorems import (BoundResult, consistency_report, example_bound,
                        load_registry, table11_bound, th41_bound, th44_bound)
@@ -105,6 +105,10 @@ def read_cdc(path: str) -> Cdc:
     except ValueError as e:
         raise ParseError(f"bad header: {e}", line=1)
     _check_order(q)
+    if not 1 <= k <= n:
+        raise ParseError(f"need 1 <= k <= n, got k={k}, n={n}", line=1)
+    if d < 1:
+        raise ParseError(f"d={d} is not positive", line=1)
     members = [_parse_block(q, rows, start)
                for start, rows in _read_blocks(raw, q, n, k)]
     if len(members) != count:
@@ -160,11 +164,17 @@ def read_fdrmc(path: str) -> FdrmCode:
     if (m, n) != (dia.m, dia.n):
         raise ParseError(f"diagram is {dia.m} x {dia.n}, header says {m} x {n}",
                          line=1)
-    basis = tuple(MatGF(q, rows) for _, rows in _read_blocks(raw, q, n, m))
+    basis, flat = [], []
+    for start, rows in _read_blocks(raw, q, n, m):
+        basis.append(MatGF(q, rows))
+        flat.append(basis[-1].flatten())
+        if rank(MatGF(q, flat)) < len(flat):
+            raise ParseError("basis matrix is zero or in the span of the "
+                             "earlier ones", line=start)
     if len(basis) != dim:
         raise ParseError(f"header promises dim={dim}, found {len(basis)} matrices",
                          line=1)
-    inner = LinearMatrixCode(q, dia.m, dia.n, basis, delta)
+    inner = LinearMatrixCode(q, dia.m, dia.n, tuple(basis), delta)
     return FdrmCode(diagram=dia, code=inner, delta=delta,
                     optimal=dim == singleton_bound(dia, delta))
 

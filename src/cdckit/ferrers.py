@@ -54,9 +54,6 @@ class FerrersDiagram:
     def is_empty(self) -> bool:
         return not self.cols
 
-    def is_full(self) -> bool:
-        return all(c == self.m for c in self.cols)
-
     def row_profile(self):
         """Dots per row, top to bottom (non-increasing)."""
         return tuple(sum(1 for c in self.cols if c > i) for i in range(self.m))
@@ -69,13 +66,6 @@ class FerrersDiagram:
     def cells(self):
         return [(i, j) for i in range(self.m) for j in range(self.n)
                 if self.cell_is_dot(i, j)]
-
-    def display(self) -> str:
-        out = []
-        for i in range(self.m):
-            out.append(" ".join("*" if self.cell_is_dot(i, j) else "."
-                                for j in range(self.n)))
-        return "\n".join(out)
 
     def __str__(self):
         tag = "^" if self.inverted else ""
@@ -181,7 +171,7 @@ def _intersect_mrd(q, diagram, delta):
 
 
 @lru_cache(maxsize=None)
-def optimal_fdrmc(F: FerrersDiagram, delta: int, q: int, verify: bool = True) -> FdrmCode:
+def optimal_fdrmc(F: FerrersDiagram, delta: int, q: int) -> FdrmCode:
     """Construct a diagram-supported code meeting the dimension bound.
 
     Routes: the zero code when the bound vanishes, all dot positions when
@@ -217,8 +207,7 @@ def optimal_fdrmc(F: FerrersDiagram, delta: int, q: int, verify: bool = True) ->
     code = LinearMatrixCode(q, F.m, F.n, basis, delta)
     if not _check_support(F, basis):
         raise VerificationFailed("basis leaks outside the diagram support")
-    if verify:
-        verify_min_rank(code)
+    verify_min_rank(code)
     return FdrmCode(diagram=F, code=code, delta=delta, optimal=True)
 
 
@@ -319,14 +308,6 @@ class NestedPair:
         return self.q ** len(self.quotient)
 
 
-def _span_contains(q, span_basis, M) -> bool:
-    if not span_basis:
-        return M.is_zero()
-    flat = [B.flatten() for B in span_basis]
-    r0 = rank(MatGF(q, flat))
-    return rank(MatGF(q, flat + [M.flatten()])) == r0
-
-
 def nested_pair(F: FerrersDiagram, delta1: int, delta2: int, q: int) -> NestedPair:
     """Build nested optimal codes on F for distances delta1 > delta2."""
     if not delta1 > delta2 > 0:
@@ -336,9 +317,10 @@ def nested_pair(F: FerrersDiagram, delta1: int, delta2: int, q: int) -> NestedPa
     else:
         c1 = optimal_fdrmc(F, delta1, q)
     c2 = optimal_fdrmc(F, delta2, q)
-    for B in c1.code.basis:
-        if not _span_contains(q, c2.code.basis, B):
-            raise ConditionNotMet("inner code is not contained in the outer code")
+    # c2's basis is independent, so c1 lies in c2 iff stacking adds no rank
+    stacked = [B.flatten() for B in c2.code.basis + c1.code.basis]
+    if rank(MatGF(q, stacked)) != c2.dim:
+        raise ConditionNotMet("inner code is not contained in the outer code")
     # deterministic completion of c1's basis to c2's
     quotient = []
     current = list(c1.code.basis)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from operator import getitem
 
-from .errors import BadArguments, DegreeTooLarge, UnsupportedOrder, VerificationFailed
+from .errors import DegreeTooLarge, UnsupportedOrder, VerificationFailed
 
 SUPPORTED_ORDERS = (2, 3, 4, 5, 7, 8, 9)
 
@@ -61,11 +61,6 @@ class FieldCtx:
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))
-
-    def pow(self, a, k):
-        if a == 0:
-            return 0 if k else 1
-        return self.exp[(self.log[a] * k) % (self.q - 1)]
 
     def elements(self):
         return range(self.q)
@@ -151,11 +146,12 @@ def field_new(q: int) -> FieldCtx:
             return (a * b) % p
         return undigits(_poly_mulmod(field_new(p), digits(a), digits(b), modulus))
 
-    # smallest element of full multiplicative order is the table generator
+    # smallest element of full multiplicative order is the table generator;
+    # in a field every order divides q - 1, so a longer walk means a bad mul
     generator = None
     for g in range(1, q):
         x, order = g, 1
-        while x != 1:
+        while x != 1 and order < q:
             x = mul_raw(x, g)
             order += 1
         if order == q - 1:
@@ -266,12 +262,6 @@ class ExtFieldCtx:
             out.append(tuple(e))
         return tuple(out)
 
-    def element(self, coeffs):
-        coeffs = tuple(coeffs)
-        if len(coeffs) != self.m:
-            raise BadArguments("coefficient vector of wrong length")
-        return coeffs
-
     def elements(self):
         return (tuple(reversed(t)) for t in
                 itertools.product(self.base.elements(), repeat=self.m))
@@ -283,10 +273,6 @@ class ExtFieldCtx:
     def sub(self, x, y):
         b = self.base
         return tuple(b.sub(a, c) for a, c in zip(x, y))
-
-    def scalar_mul(self, c, x):
-        b = self.base
-        return tuple(b.mul(c, a) for a in x)
 
     def mul(self, x, y):
         return tuple(_poly_mulmod(self.base, x, y, self.modulus))

@@ -45,10 +45,6 @@ class MatGF:
     def identity(cls, q, n):
         return cls(q, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.data[i][j]
-
     def __eq__(self, other):
         return (isinstance(other, MatGF) and self.q == other.q
                 and self.data == other.data)
@@ -76,14 +72,6 @@ class MatGF:
         f = self._ctx()
         return MatGF(self.q, [[f.sub(a, b) for a, b in zip(ra, rb)]
                               for ra, rb in zip(self.data, other.data)])
-
-    def __neg__(self):
-        f = self._ctx()
-        return MatGF(self.q, [[f.neg(a) for a in r] for r in self.data])
-
-    def scale(self, c):
-        f = self._ctx()
-        return MatGF(self.q, [[f.mul(c, a) for a in r] for r in self.data])
 
     def transpose(self):
         return MatGF(self.q, list(zip(*self.data)) if self.data else [])
@@ -208,13 +196,12 @@ class Subspace:
         if M.cols != n:
             raise AmbientMismatch(f"generator has {M.cols} columns, ambient is {n}")
         R, pivots = rref(M)
-        rows = [r for r in R.data if any(r)]
-        if len(rows) != M.rows:
+        if len(pivots) != M.rows:
             raise BadArguments("generator rows are linearly dependent")
         self.q = q
         self.n = n
-        self.k = len(rows)
-        self.gen = MatGF(q, rows)
+        self.k = R.rows
+        self.gen = R
         self.pivots = pivots
         self._hash = None
         self._mask = None
@@ -234,14 +221,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(q={self.q}, n={self.n}, k={self.k}, pivots={self.pivots})"
-
-    def rrief_gen(self):
-        R, _ = rrief(self.gen)
-        return R
-
-    def rrief_pivots(self):
-        _, pivots = rrief(self.gen)
-        return pivots
 
     def vectors(self):
         """All q^k member vectors, as tuples."""

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (BadArguments, BadShape, TooLargeToEnumerate,
                      VerificationFailed)
@@ -80,6 +80,12 @@ class LinearMatrixCode:
             step = f.add_vec(prefix[j], multiples[j][coeffs[j]])
             prefix[j + 1:] = [step] * (dim - j - 1)
 
+    @cached_property
+    def ranks(self) -> tuple:
+        """The rank of every codeword, in ``codewords()`` order (the zero
+        matrix first).  Cached on the code, so each code is ranked once."""
+        return tuple(map(rank, self.codewords()))
+
     def combine(self, coeffs) -> MatGF:
         f = field_new(self.q)
         rows = [[0] * self.n for _ in range(self.m)]
@@ -120,14 +126,6 @@ def _basis_independent(q, basis) -> bool:
     return rank(flat) == len(basis)
 
 
-def _min_nonzero_rank_exhaustive(code: LinearMatrixCode) -> int:
-    best = min(code.m, code.n) + 1
-    for W in code.codewords():
-        if not W.is_zero():
-            best = min(best, rank(W))
-    return best
-
-
 def _min_nonzero_rank_sampled(code: LinearMatrixCode) -> int:
     rng = random.Random(SAMPLE_SEED)
     best = min(code.m, code.n)
@@ -144,7 +142,7 @@ def verify_min_rank(code: LinearMatrixCode):
     if code.dim == 0:
         return
     if code.size <= EXHAUSTIVE_RANK_CAP:
-        got = _min_nonzero_rank_exhaustive(code)
+        got = min((r for r in code.ranks if r), default=min(code.m, code.n) + 1)
         if got < code.delta:
             raise VerificationFailed(
                 f"min nonzero rank {got} below claimed {code.delta}")
@@ -238,7 +236,7 @@ def restrict_ranks(code: LinearMatrixCode, t2: int) -> MatrixSet:
     """Subset of codewords with rank at most t2 (includes the zero matrix)."""
     if not code.is_enumerable():
         raise TooLargeToEnumerate(f"code size {code.size} exceeds cap {ENUM_CAP}")
-    members = tuple(W for W in code.codewords() if rank(W) <= t2)
+    members = tuple(W for W, r in zip(code.codewords(), code.ranks) if r <= t2)
     return MatrixSet(code.q, code.m, code.n, members, code.delta)
 
 

@@ -21,7 +21,7 @@ from .cdc import (Cdc, CdcList, CwcSet, IdVec, build_coset_cdc_lists,
 from .errors import (BadArguments, GuardFailed, NotInRegistry, ParameterMismatch,
                      RankRestrictionViolated, VerificationFailed)
 from .ferrers import singleton_bound
-from .linalg import MatGF, Subspace, rank
+from .linalg import MatGF, Subspace, rank, rrief
 from .rankmetric import gabidulin, rank_distribution, restrict_ranks
 
 
@@ -84,8 +84,7 @@ def lifted_mrd_size(q: int, n: int, d: int, k: int) -> int:
 
 def _content_rank(U: Subspace) -> int:
     """Rank of the RRIEF generator with pivot columns removed."""
-    gen = U.rrief_gen()
-    pivots = set(U.rrief_pivots())
+    gen, pivots = rrief(U.gen)
     cols = [j for j in range(U.n) if j not in pivots]
     if not cols:
         return 0
@@ -142,8 +141,8 @@ def thm31_build(A: CdcList, B: CdcList, Ahat: CdcList, Bhat: CdcList) -> Cdc:
             parts.append((f"diag[{i}]", Cdc(q=q, n=n, k=k, d=d, members=tuple(subs))))
     s2 = min(len(Ahat.codes), len(Bhat.codes))
     for j in range(s2):
-        bottoms = [Va.rrief_gen().hstack(zero12) for Va in Ahat.codes[j].members]
-        tops = [zero21.hstack(Vb.rrief_gen()) for Vb in Bhat.codes[j].members]
+        bottoms = [rrief(Va.gen)[0].hstack(zero12) for Va in Ahat.codes[j].members]
+        tops = [zero21.hstack(rrief(Vb.gen)[0]) for Vb in Bhat.codes[j].members]
         subs = [Subspace.from_matrix(top.vstack(bottom))
                 for bottom in bottoms for top in tops]
         if subs:

@@ -20,7 +20,7 @@ from itertools import combinations
 from .errors import TooLarge
 from .ferrers import FdrmCode, singleton_bound, support_leaks
 from .gf import field_new
-from .linalg import (enumerate_subspaces, gaussian_binomial, rank,
+from .linalg import (enumerate_subspaces, gaussian_binomial,
                      subspace_distance, vector_index)
 
 EXHAUSTIVE_PAIR_CAP = 10 ** 6   # table entries hashed or pairs compared
@@ -266,8 +266,7 @@ def audit_fdrmc(code: FdrmCode) -> VerifyReport:
     if code.dim > 0:
         if not code.code.is_enumerable():
             raise TooLarge("code too large to audit exhaustively")
-        min_rank = min(m for m in (rank(W) for W in code.code.codewords()
-                                   if not W.is_zero()))
+        min_rank = min(r for r in code.code.ranks if r)
         pairs = code.size - 1
         if min_rank < code.delta:
             violations.append(("distance", min_rank))

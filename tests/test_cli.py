@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -141,9 +142,11 @@ def test_build_count_only_fallback(tmp_path, capsys, monkeypatch):
 
 
 def test_usage_error_exit_code():
+    # the child imports cdckit from wherever this process does
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     proc = subprocess.run(
         [sys.executable, "-m", "cdckit.cli", "bound", "-q", "2"],
-        capture_output=True)
+        capture_output=True, env=env)
     assert proc.returncode == 2
 
 
@@ -244,3 +247,21 @@ def test_audit_bad_delta_or_orientation(tmp_path, capsys, fields):
     f.write_text(f"fdrmc v1 q=2 m=2 n=2 dim=1 diagram=1,2 {fields}"
                  "\n\n01\n01\n")
     assert_parse_error(["audit", "--in", str(f)], capsys, 1)
+
+
+@pytest.mark.parametrize("header, body", [
+    ("k=2 d=-3 count=1", "\n1000\n0100\n"), ("k=5 d=4 count=0", ""),
+    ("k=0 d=4 count=1", "\n1000\n0100\n")])
+def test_check_header_dimension_and_distance(tmp_path, capsys, header, body):
+    f = tmp_path / "header.cdc"
+    f.write_text(f"cdc v1 q=2 n=4 {header}\n{body}")
+    assert_parse_error(["check", "--in", str(f)], capsys, 1)
+
+
+@pytest.mark.parametrize("head, blocks, line", [
+    ("m=2 n=2 dim=1 diagram=1,2", "\n00\n00\n", 3),
+    ("m=1 n=2 dim=2 diagram=1,1", "\n11\n\n11\n", 5)])
+def test_audit_dependent_basis(tmp_path, capsys, head, blocks, line):
+    f = tmp_path / "dependent.fdrmc"
+    f.write_text(f"fdrmc v1 q=2 {head} delta=1 orient=forward\n{blocks}")
+    assert_parse_error(["audit", "--in", str(f)], capsys, line)

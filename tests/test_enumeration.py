@@ -10,8 +10,9 @@ from cdckit import ferrers, rankmetric
 from cdckit.errors import BadArguments, BadShape
 from cdckit.ferrers import FerrersDiagram, optimal_fdrmc
 from cdckit.gf import SUPPORTED_ORDERS
-from cdckit.linalg import MatGF
-from cdckit.rankmetric import LinearMatrixCode, gabidulin
+from cdckit.linalg import MatGF, rank
+from cdckit.rankmetric import (LinearMatrixCode, gabidulin, rank_distribution,
+                               restrict_ranks)
 
 
 @st.composite
@@ -30,6 +31,7 @@ def test_codewords_match_combine_in_order(q):
     def check(code):
         assert list(code.codewords()) == [
             code.combine(c) for c in product(range(q), repeat=code.dim)]
+        assert code.ranks == tuple(map(rank, code.codewords()))
     check()
 
 
@@ -59,6 +61,17 @@ def test_optimal_fdrmc_is_built_and_verified_once(monkeypatch):
     first = optimal_fdrmc(F, 2, 2)
     assert optimal_fdrmc(F, 2, 2) is first
     assert calls == [first.code]
+
+
+def test_restrict_ranks_reuses_the_verified_ranks(monkeypatch):
+    gabidulin.cache_clear()
+    code = gabidulin(2, 4, 4, 2)
+    calls = []
+    monkeypatch.setattr(rankmetric, "rank",
+                        lambda M: calls.append(M) or rank(M))
+    low = restrict_ranks(code, 2)
+    assert len(calls) == 0
+    assert low.size == 1 + rank_distribution(2, 4, 4, 2, 2)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)

@@ -2,7 +2,8 @@ import itertools
 
 import pytest
 
-from cdckit.errors import BadArguments
+from cdckit import ferrers
+from cdckit.errors import BadArguments, ConditionNotMet
 from cdckit.ferrers import (FerrersDiagram, compose_fdrmc, coset_list,
                             coset_list_inverse, gfrmc_lower_bound, inverse,
                             nested_pair, nu, optimal_fdrmc, singleton_bound,
@@ -169,6 +170,16 @@ def test_nested_pair_zero_inner():
 def test_nested_pair_124():
     pair = nested_pair(FerrersDiagram((1, 2, 4)), 2, 1, 2)
     assert pair.c1.dim == 3 and pair.c2.dim == 7
+
+
+def test_nested_pair_rejects_an_inner_code_outside_the_outer(monkeypatch):
+    # swap the two distances: the dimension-4 code cannot lie in the
+    # dimension-2 one
+    real = ferrers.optimal_fdrmc
+    monkeypatch.setattr(ferrers, "optimal_fdrmc",
+                        lambda F, delta, q: real(F, 3 - delta, q))
+    with pytest.raises(ConditionNotMet):
+        nested_pair(FerrersDiagram((2, 2)), 2, 1, 2)
 
 
 def test_coset_list_full_square():

@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdckit.errors import DegreeTooLarge, UnsupportedOrder
+from cdckit import gf
+from cdckit.errors import DegreeTooLarge, UnsupportedOrder, VerificationFailed
 from cdckit.gf import (SUPPORTED_ORDERS, expand_rows, ext_new, field_new,
                        frobenius)
 from cdckit.linalg import rank
@@ -193,3 +194,12 @@ def test_ext_field_axioms(q, m):
         assert frobenius(e, e.add(x, y), 1) == \
             e.add(frobenius(e, x, 1), frobenius(e, y, 1))
     check()
+
+
+def test_defective_multiply_fails_instead_of_looping(monkeypatch):
+    # a multiply that returns zero never walks back to 1; the generator
+    # search must give up after q - 1 steps per candidate
+    monkeypatch.setattr(gf, "_poly_mulmod",
+                        lambda f, a, b, modulus: [0] * (len(modulus) - 1))
+    with pytest.raises(VerificationFailed):
+        field_new.__wrapped__(4)
