@@ -114,12 +114,9 @@ class EchelonLayout:
         for i in range(k):
             p = self.pivots[k - 1 - i] if inv else self.pivots[i]
             rows[i][p] = 1
-        for i in range(M.rows):
-            for j in range(M.cols):
-                v = M.data[i][j]
-                if not v:
-                    continue
-                if not dia.cell_is_dot(i, j):
+        for i, row in enumerate(M.data):
+            for j, v in enumerate(row):  # col_map avoids the pivot columns
+                if v and not dia.cell_is_dot(i, j):
                     raise DiagramMismatch("matrix entry outside the diagram")
                 rows[i][self.col_map[j]] = v
         return MatGF(M.q, rows)
@@ -272,13 +269,10 @@ def multilevel(entries, delta: int) -> Cdc:
 # ---------------------------------------------------------------------------
 
 def _echelon_pivots(B: MatGF):
-    pivots = []
-    for row in B.data:
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None:
-            raise NotRref("zero row in echelon matrix")
-        pivots.append(lead)
-    if any(pivots[i] >= pivots[i + 1] for i in range(len(pivots) - 1)):
+    pivots = [next((j for j, x in enumerate(row) if x), None) for row in B.data]
+    if None in pivots:
+        raise NotRref("zero row in echelon matrix")
+    if any(a >= b for a, b in zip(pivots, pivots[1:])):
         raise NotRref("leading entries are not strictly increasing")
     return pivots
 
@@ -292,12 +286,9 @@ def phi_embed(B: MatGF, F: MatGF) -> MatGF:
     k, n = B.rows, B.cols
     if F.cols != n - k:
         raise BadShape(f"filler has {F.cols} columns, expected {n - k}")
-    out = [[0] * n for _ in range(F.rows)]
-    nonpivots = [j for j in range(n) if j not in pivots]
-    for j_src, j_dst in enumerate(nonpivots):
-        for i in range(F.rows):
-            out[i][j_dst] = F.data[i][j_src]
-    return MatGF(B.q, out)
+    cols = iter(F.transpose().packed)
+    return MatGF.from_packed(B.q, F.rows, [0 if j in pivots else next(cols)
+                                           for j in range(n)]).transpose()
 
 
 # ---------------------------------------------------------------------------
@@ -537,9 +528,9 @@ def parallel_linkage(U1: Cdc, U2: Cdc, M1: LinearMatrixCode, M2: MatrixSet) -> C
         raise ParameterMismatch(f"right filler must be {k}x{U1.n} at distance {d // 2}")
     from .linalg import rank as _rank
     cap = k - d // 2
-    for W in M2.members:
-        if _rank(W) > cap:
-            raise ParameterMismatch(f"right filler rank exceeds {cap}")
+    ranks = M2.ranks if M2.ranks is not None else map(_rank, M2.members)
+    if max(ranks, default=0) > cap:
+        raise ParameterMismatch(f"right filler rank exceeds {cap}")
     words = list(M1.codewords())
     subs1 = [Subspace.from_matrix(Ua.gen.hstack(W))
              for Ua in U1.members for W in words]

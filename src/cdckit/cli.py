@@ -14,7 +14,7 @@ from .cdc import Cdc, IdVec, ferrers_of, multilevel
 from .errors import BadArguments, CdcError, ParseError, TooLarge
 from .ferrers import FdrmCode, FerrersDiagram, optimal_fdrmc, singleton_bound
 from .gf import SUPPORTED_ORDERS
-from .linalg import MatGF, Subspace, rank
+from .linalg import MatGF, Subspace, span_rank
 from .rankmetric import LinearMatrixCode, rank_distribution
 from .theorems import (BoundResult, consistency_report, example_bound,
                        load_registry, table11_bound, th41_bound, th44_bound)
@@ -29,13 +29,12 @@ BUILD_CAP = 10 ** 6
 
 def write_cdc(code: Cdc, path: str):
     """One header line, then one k x n digit block per codeword, sorted."""
-    members = sorted(code.members, key=lambda U: U.gen.data)
+    members = sorted(code.members, key=lambda U: U.gen.packed)
     lines = [f"cdc v1 q={code.q} n={code.n} k={code.k} d={code.d} "
              f"count={len(members)}"]
     for U in members:
         lines.append("")
-        for row in U.gen.data:
-            lines.append("".join(str(x) for x in row))
+        lines += U.gen.lines()
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -71,7 +70,7 @@ def _check_order(q):
 
 def _read_blocks(raw, q, n, rows):
     """Yield the blank-line separated blocks after the header line, each
-    ``rows`` lines of n digits below q, as (first line number, rows) pairs."""
+    ``rows`` lines of n digits below q, as (first line number, lines) pairs."""
     block, start = [], None
     for lineno, line in enumerate(raw[1:], 2):
         s = line.strip()
@@ -82,12 +81,11 @@ def _read_blocks(raw, q, n, rows):
             continue
         if len(s) != n or not (s.isascii() and s.isdigit()):
             raise ParseError(f"expected {n} digits", line=lineno)
-        row = [int(c) for c in s]
-        if max(row) >= q:
+        if max(s) >= str(q):
             raise ParseError(f"entry out of range for q={q}", line=lineno)
         if not block:
             start = lineno
-        block.append(row)
+        block.append(s)
         if len(block) == rows:
             yield start, block
             block = []
@@ -137,8 +135,7 @@ def write_fdrmc(code: FdrmCode, path: str):
              f"orient={orient}"]
     for B in code.code.basis:
         lines.append("")
-        for row in B.data:
-            lines.append("".join(str(x) for x in row))
+        lines += B.lines()
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -164,11 +161,10 @@ def read_fdrmc(path: str) -> FdrmCode:
     if (m, n) != (dia.m, dia.n):
         raise ParseError(f"diagram is {dia.m} x {dia.n}, header says {m} x {n}",
                          line=1)
-    basis, flat = [], []
+    basis = []
     for start, rows in _read_blocks(raw, q, n, m):
         basis.append(MatGF(q, rows))
-        flat.append(basis[-1].flatten())
-        if rank(MatGF(q, flat)) < len(flat):
+        if span_rank(q, basis) < len(basis):
             raise ParseError("basis matrix is zero or in the span of the "
                              "earlier ones", line=start)
     if len(basis) != dim:

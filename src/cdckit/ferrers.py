@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .errors import (BadArguments, ConditionNotMet, DimensionMismatch,
                      TooLargeToEnumerate, VerificationFailed)
-from .linalg import MatGF, kernel_basis, rank
+from .linalg import MatGF, kernel_basis, rank, span_rank
 from .rankmetric import (ENUM_CAP, LinearMatrixCode, MatrixSet,
                          gabidulin, grmc_lower_bound, verify_min_rank)
 
@@ -141,12 +141,10 @@ def _check_support(diagram: FerrersDiagram, basis) -> bool:
 
 def _all_dots_basis(q, diagram):
     """Unit matrix per dot, row-major over display cells."""
-    out = []
-    for (i, j) in diagram.cells():
-        rows = [[0] * diagram.n for _ in range(diagram.m)]
-        rows[i][j] = 1
-        out.append(MatGF(q, rows))
-    return tuple(out)
+    m, n = diagram.m, diagram.n
+    units = MatGF.identity(q, m * n).packed  # the flattened unit matrices
+    return tuple(MatGF.unflatten(q, m, n, units[i * n + j])
+                 for i, j in diagram.cells())
 
 
 def _zero_fdrm(diagram, delta, q) -> FdrmCode:
@@ -236,15 +234,9 @@ def compose_fdrmc(c1: FdrmCode, c2: FdrmCode, m3: int, n3: int) -> FdrmCode:
     composite = FerrersDiagram(tuple(cols))
     m, n = composite.m, composite.n
     basis = []
-    for B1, B2 in zip(c1.code.basis, c2.code.basis):
-        rows = [[0] * n for _ in range(m)]
-        for i in range(m1):
-            for j in range(n1):
-                rows[i][j] = B1.data[i][j]
-        for i in range(m2):
-            for j in range(n2):
-                rows[m3 + i][n1 + n3 - n2 + j] = B2.data[i][j]
-        basis.append(MatGF(q, rows))
+    for B1, B2 in zip(c1.code.basis, c2.code.basis):  # F2 is not empty
+        top = B1.hstack(MatGF.zeros(q, m1, n - n1)).vstack(MatGF.zeros(q, m3 - m1, n))
+        basis.append(top.vstack(MatGF.zeros(q, m2, n - n2).hstack(B2)))
     delta = c1.delta + c2.delta
     code = LinearMatrixCode(q, m, n, tuple(basis), delta)
     if basis and not _check_support(composite, basis):
@@ -318,16 +310,14 @@ def nested_pair(F: FerrersDiagram, delta1: int, delta2: int, q: int) -> NestedPa
         c1 = optimal_fdrmc(F, delta1, q)
     c2 = optimal_fdrmc(F, delta2, q)
     # c2's basis is independent, so c1 lies in c2 iff stacking adds no rank
-    stacked = [B.flatten() for B in c2.code.basis + c1.code.basis]
-    if rank(MatGF(q, stacked)) != c2.dim:
+    if span_rank(q, c2.code.basis + c1.code.basis) != c2.dim:
         raise ConditionNotMet("inner code is not contained in the outer code")
     # deterministic completion of c1's basis to c2's
     quotient = []
     current = list(c1.code.basis)
-    flat_rank = rank(MatGF(q, [B.flatten() for B in current])) if current else 0
+    flat_rank = span_rank(q, current)
     for B in c2.code.basis:
-        cand = [C.flatten() for C in current] + [B.flatten()]
-        r = rank(MatGF(q, cand))
+        r = span_rank(q, current + [B])
         if r > flat_rank:
             current.append(B)
             quotient.append(B)

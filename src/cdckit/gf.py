@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from operator import getitem
 
 from .errors import DegreeTooLarge, UnsupportedOrder, VerificationFailed
 
@@ -59,19 +58,8 @@ class FieldCtx:
             raise ZeroDivisionError("inverse of 0 in GF(%d)" % self.q)
         return self.exp[(-self.log[a]) % (self.q - 1)]
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def elements(self):
         return range(self.q)
-
-    def add_vec(self, u, v):
-        """Entrywise sum of two equal-length vectors, as a tuple."""
-        return tuple(map(getitem, map(self._add.__getitem__, u), v))
-
-    def scale_vec(self, c, v):
-        """The vector v times the scalar c, as a tuple."""
-        return tuple(map(self._mul[c].__getitem__, v))
 
 
 def _poly_mulmod(f: FieldCtx, a, b, modulus):
@@ -188,51 +176,22 @@ def field_new(q: int) -> FieldCtx:
 # ---------------------------------------------------------------------------
 
 def _ext_poly_is_irreducible(base: FieldCtx, coeffs):
-    """Ben-Or test: f of degree m is irreducible over GF(q) iff
-    gcd(x^(q^d) - x, f) = 1 for all d <= m/2."""
-    m = len(coeffs) - 1
-    q = base.q
+    """f of degree m >= 2 is irreducible over GF(q) iff t^(q^m) = t mod f,
+    so f is squarefree, and (Berlekamp) the map a -> a^q - a on
+    GF(q)[t] / f, whose kernel has one dimension per distinct factor of a
+    squarefree f, has rank m - 1."""
+    from .linalg import MatGF, rank
 
-    def ptrim(a):
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-        return a
-
-    def ppowmod(a, k):
-        result = [1]
-        while k:
-            if k & 1:
-                result = ptrim(_poly_mulmod(base, result, a, coeffs))
-            a = ptrim(_poly_mulmod(base, a, a, coeffs))
-            k >>= 1
-        return result
-
-    def pgcd(a, b):
-        a, b = ptrim(list(a)), ptrim(list(b))
-        while any(b):
-            while len(a) >= len(b):
-                shift = len(a) - len(b)
-                f = base.div(a[-1], b[-1])
-                for j in range(len(b)):
-                    a[shift + j] = base.sub(a[shift + j], base.mul(f, b[j]))
-                ptrim(a)
-                if not any(a):
-                    break
-            a, b = b, a
-        return ptrim(a)
-
-    x = [0, 1]
-    xq = [0, 1]
-    for _ in range(1, m // 2 + 1):
-        xq = ppowmod(xq, q)
-        diff = [base.sub(c, xc) for c, xc in
-                itertools.zip_longest(xq, x, fillvalue=0)]
-        if not any(diff):
-            return False
-        g = pgcd(list(coeffs), diff)
-        if len(g) > 1:
-            return False
-    return True
+    m, q = len(coeffs) - 1, base.q
+    ring = ExtFieldCtx(base=base, m=m, modulus=tuple(coeffs))
+    one, t = ring.basis()[:2]
+    if ring.pow(t, q ** m) != t:
+        return False
+    tq, power, frob = ring.pow(t, q), one, []
+    for e in ring.basis():  # rows (t^q)^i - t^i
+        frob.append(ring.sub(power, e))
+        power = ring.mul(power, tq)
+    return rank(MatGF(q, frob)) == m - 1
 
 
 @dataclass(frozen=True)
@@ -255,12 +214,8 @@ class ExtFieldCtx:
 
     def basis(self):
         """Polynomial basis 1, t, ..., t^(m-1)."""
-        out = []
-        for i in range(self.m):
-            e = [0] * self.m
-            e[i] = 1
-            out.append(tuple(e))
-        return tuple(out)
+        return tuple(tuple(int(i == j) for j in range(self.m))
+                     for i in range(self.m))
 
     def elements(self):
         return (tuple(reversed(t)) for t in
@@ -336,6 +291,4 @@ def expand_rows(ctx: ExtFieldCtx, v):
     """
     from .linalg import MatGF
 
-    n = len(v)
-    rows = [[v[j][i] for j in range(n)] for i in range(ctx.m)]
-    return MatGF(ctx.base.q, rows)
+    return MatGF(ctx.base.q, v).transpose()

@@ -1,5 +1,17 @@
 """Dense matrices over GF(q): echelon forms, rank, subspaces, Gaussian binomials.
 
+Every matrix row is one packed int.  An entry x of GF(q), q = p^e, is e
+lanes holding the base-p digits of x, digit i in lane i: 1-bit lanes added
+by XOR for p = 2, 4-bit lanes for odd p, added by one integer add after
+which p is taken off each lane that reached p (adding 8 - p sets its guard
+bit 8).  Entries are padded to 1, 2, 4 or 8 bits and column 0 is the most
+significant, so comparing packed rows as ints is the lexicographic order of
+their digits.  Scaling maps a row's bytes through a 256-entry table.  One
+Gauss-Jordan kernel, ``_eliminate``, serves ``rref``, ``rrief``, ``rank``
+and ``kernel_basis``.  Rows become digits only in ``MatGF.lines``, read by
+the file writers and the cached ``MatGF.data`` view, and in
+``member_mask``'s vector index.
+
 Subspaces are always stored by their RREF generator, so equality and hashing
 are entrywise.  Column indices are 0-based internally; file formats and CLI
 output are 1-based.
@@ -9,179 +21,268 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import xor
 
 from .errors import AmbientMismatch, BadArguments, BadShape
 from .gf import field_new
 
 
+class _Lanes:
+    """Lane constants of GF(q), derived from q = p^e, and row arithmetic."""
+
+    def __init__(self, q):
+        self.field = f = field_new(q)
+        self.p, w = f.p, 1 if f.p == 2 else 4  # lane width
+        self.W = 1 << (f.e * w - 1).bit_length()  # entry width
+        self.emask = (1 << self.W) - 1
+        self.code = code = [sum(x // f.p ** i % f.p << i * w for i in range(f.e))
+                            for x in range(q)]
+        self.elem = [code.index(c) if c in code else 0 for c in range(1 << self.W)]
+        self.inv = [f.inv(x) if x else 0 for x in self.elem]  # code -> 1 / x
+        self._tables, self._consts = {}, {}
+        # as text a row is its int in base 16, or base 2 below 4-bit
+        # entries; an entry of 1 or 4 bits is one digit there, and other
+        # entries are read byte by byte
+        self.base, self.fmt = (16, "x") if self.W >= 4 else (2, "b")
+        self.text = {k: format(c, f"0{self.W // 4 or self.W}{self.fmt}")
+                     for x, c in enumerate(code) for k in (x, str(x))}
+        self.byte_digits = None if self.W in (1, 4) else [
+            "".join(str(self.elem[b >> s & self.emask])
+                    for s in range(8 - self.W, -1, -self.W)) for b in range(256)]
+
+    def pack(self, row):
+        """The packed int of a row of elements or of decimal digit
+        characters; KeyError for anything else."""
+        return int("".join(map(self.text.__getitem__, row)) or "0", self.base)
+
+    def digits(self, v, n):
+        """The n entries of packed row v as a string of decimal digits."""
+        s = format(v, self.fmt) if self.byte_digits is None else "".join(
+            map(self.byte_digits.__getitem__, v.to_bytes((n * self.W + 7) // 8, "big")))
+        s = s.zfill(n)
+        return s[len(s) - n:]
+
+    def scale(self, c, v):
+        """The packed row v times the field element c."""
+        if c <= 1:
+            return v if c else 0
+        if c not in self._tables:
+            mul, code, elem = self.field._mul[c], self.code, self.elem
+            self._tables[c] = bytes(
+                sum(code[mul[elem[b >> s & self.emask]]] << s
+                    for s in range(0, 8, self.W)) for b in range(256))
+        return int.from_bytes(v.to_bytes((v.bit_length() + 7) // 8, "big")
+                              .translate(self._tables[c]), "big")
+
+    def _swar(self, n):
+        """For rows of n entries: 8 - p and the guard bit 8 in every lane,
+        and the subtraction of rows."""
+        if n not in self._consts:
+            p, ones = self.p, int("1" * (n * self.W // 4) or "0", 16)
+            K, G, P = (8 - p) * ones, 8 * ones, p * ones
+
+            def minus(a, b):  # P - b has lanes 1..p, which sums reduce like digits
+                s = a + P - b
+                return s - ((s + K & G) >> 3) * p
+            self._consts[n] = K, G, minus
+        return self._consts[n]
+
+    def sums(self, xs, ys, n):
+        """[x + y for x in xs for y in ys] on packed rows of n entries."""
+        if self.p == 2:
+            return [x ^ y for x in xs for y in ys]
+        p, (K, G, _) = self.p, self._swar(n)
+        return [s - ((s + K & G) >> 3) * p for s in [x + y for x in xs for y in ys]]
+
+    def minus(self, n):
+        """Subtraction of packed rows of n entries."""
+        return xor if self.p == 2 else self._swar(n)[2]
+
+
 @lru_cache(maxsize=None)
-def _entries(q):
-    """The valid entries 0..q-1 of a matrix over GF(q)."""
-    return frozenset(range(q))
+def lanes(q) -> _Lanes:
+    """The lane constants of GF(q), built once, on first use."""
+    return _Lanes(q)
 
 
 class MatGF:
-    """Immutable dense matrix over GF(q)."""
+    """Immutable dense matrix over GF(q), one packed int per row."""
 
-    __slots__ = ("q", "rows", "cols", "data", "_hash")
+    __slots__ = ("q", "rows", "cols", "packed", "_data", "_hash")
 
     def __init__(self, q, rows_data):
-        self.q = q
         data = tuple(map(tuple, rows_data))
-        self.data = data
-        self.rows = len(data)
-        self.cols = len(data[0]) if data else 0
         if len(set(map(len, data))) > 1:
             raise BadShape("ragged rows")
-        if not _entries(q).issuperset(itertools.chain.from_iterable(data)):
-            raise BadArguments("entry outside field range")
-        self._hash = None
+        try:
+            self.packed = tuple(map(lanes(q).pack, data))
+        except KeyError:
+            raise BadArguments("entry outside field range") from None
+        self.q, self.rows, self.cols = q, len(data), len(data[0]) if data else 0
+        self._data = self._hash = None
+
+    @classmethod
+    def from_packed(cls, q, cols, packed):
+        """The matrix with these packed rows of ``cols`` entries each."""
+        M = object.__new__(cls)
+        M.q, M.cols, M.packed = q, cols, tuple(packed)
+        M.rows, M._data, M._hash = len(M.packed), None, None
+        return M
 
     @classmethod
     def zeros(cls, q, rows, cols):
-        return cls(q, [[0] * cols for _ in range(rows)])
+        return cls.from_packed(q, cols, (0,) * rows)
 
     @classmethod
     def identity(cls, q, n):
-        return cls(q, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls.from_packed(q, n, [1 << i * lanes(q).W for i in range(n)][::-1])
+
+    def lines(self):
+        """The rows as strings of decimal digits."""
+        digits, n = lanes(self.q).digits, self.cols
+        return [digits(v, n) for v in self.packed]
+
+    @property
+    def data(self):
+        """The entries as a tuple of row tuples, unpacked on first use."""
+        if self._data is None:
+            self._data = tuple(tuple(map(int, s)) for s in self.lines())
+        return self._data
 
     def __eq__(self, other):
         return (isinstance(other, MatGF) and self.q == other.q
-                and self.data == other.data)
+                and self.cols == other.cols and self.packed == other.packed)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.q, self.data))
+            self._hash = hash((self.q, self.cols, self.packed))
         return self._hash
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.data)
         return f"MatGF(q={self.q}, [{body}])"
 
-    def _ctx(self):
-        return field_new(self.q)
-
-    def __add__(self, other):
-        self._check_same_shape(other)
-        f = self._ctx()
-        return MatGF(self.q, [[f.add(a, b) for a, b in zip(ra, rb)]
-                              for ra, rb in zip(self.data, other.data)])
+    def __add__(self, other):  # a + b = a - (p - 1) b
+        L = lanes(self.q)
+        return self - MatGF.from_packed(self.q, other.cols,
+                                        [L.scale(L.p - 1, v) for v in other.packed])
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        f = self._ctx()
-        return MatGF(self.q, [[f.sub(a, b) for a, b in zip(ra, rb)]
-                              for ra, rb in zip(self.data, other.data)])
+        sub = lanes(self.q).minus(self.cols)
+        return MatGF.from_packed(self.q, self.cols, map(sub, self.packed, other.packed))
 
     def transpose(self):
-        return MatGF(self.q, list(zip(*self.data)) if self.data else [])
+        L, n = lanes(self.q), self.cols
+        out = [0] * n
+        for r in self.packed:
+            out = [v << L.W | r >> (n - 1 - j) * L.W & L.emask
+                   for j, v in enumerate(out)]
+        return MatGF.from_packed(self.q, self.rows, out)
 
     def hstack(self, other):
         if self.rows != other.rows or self.q != other.q:
             raise BadShape("hstack shape mismatch")
-        return MatGF(self.q, [ra + rb for ra, rb in zip(self.data, other.data)])
+        s = other.cols * lanes(self.q).W
+        return MatGF.from_packed(self.q, self.cols + other.cols,
+                                 [a << s | b for a, b in zip(self.packed, other.packed)])
 
     def vstack(self, other):
         if self.cols != other.cols or self.q != other.q:
             raise BadShape("vstack shape mismatch")
-        return MatGF(self.q, self.data + other.data)
+        return MatGF.from_packed(self.q, self.cols, self.packed + other.packed)
 
     def reverse_cols(self):
-        return MatGF(self.q, [tuple(reversed(r)) for r in self.data])
+        return MatGF(self.q, [r[::-1] for r in self.lines()])
 
     def reverse_rows(self):
-        return MatGF(self.q, list(reversed(self.data)))
+        return MatGF.from_packed(self.q, self.cols, self.packed[::-1])
 
     def is_zero(self):
-        return all(x == 0 for r in self.data for x in r)
+        return not any(self.packed)
 
     def flatten(self):
-        return tuple(x for r in self.data for x in r)
+        """All entries, row after row, as one packed int."""
+        s = self.cols * lanes(self.q).W
+        return sum(r << (self.rows - 1 - i) * s for i, r in enumerate(self.packed))
+
+    @classmethod
+    def unflatten(cls, q, rows, cols, v):
+        """The rows x cols matrix whose ``flatten()`` is v."""
+        s = cols * lanes(q).W
+        return cls.from_packed(q, cols, [v >> (rows - 1 - i) * s & (1 << s) - 1
+                                         for i in range(rows)])
 
     def _check_same_shape(self, other):
         if (self.q, self.rows, self.cols) != (other.q, other.rows, other.cols):
             raise BadShape("shape/field mismatch")
 
 
-def _eliminate(q, rows_data, reduced=True):
-    """Gauss-Jordan over GF(q); returns (rows, pivot columns)."""
-    f = field_new(q)
-    rows = list(rows_data)
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == nrows:
-            break
-        pr = next((i for i in range(r, nrows) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = f.inv(rows[r][c])
-        if inv != 1:
-            rows[r] = f.scale_vec(inv, rows[r])
-        lo = 0 if reduced else r + 1
-        for i in range(lo, nrows):
-            if i != r and rows[i][c]:
-                rows[i] = f.add_vec(rows[i], f.scale_vec(f.neg(rows[i][c]), rows[r]))
-        pivots.append(c)
-        r += 1
-    return rows, tuple(pivots)
+def _eliminate(q, n, rows, reduced=True):
+    """Gauss-Jordan over GF(q) on packed rows of n entries; returns (rows,
+    pivot columns), echelon rows first and zero rows last.  Without
+    ``reduced``, entries above the pivots are left as they fall.
+
+    Each row in turn loses its leading entry to the pivot row leading at
+    the same column, until it leads at a new column and becomes a pivot row
+    there; a row's leading column is read off its bit length.
+    """
+    L = lanes(q)
+    W, emask, elem, scale, sub = L.W, L.emask, L.elem, L.scale, L.minus(n)
+    piv = {}  # bit offset of a pivot entry -> its row, the pivot entry 1
+    for v in rows:
+        while v:
+            s = (v.bit_length() - 1) // W * W
+            c = v >> s & emask
+            if s not in piv:
+                piv[s] = v if c == 1 else scale(L.inv[c], v)
+                break
+            v = sub(v, piv[s] if c == 1 else scale(elem[c], piv[s]))
+    shifts = sorted(piv, reverse=True)
+    for i in range(len(shifts) - 1, 0, -1) if reduced else ():  # rightmost first
+        s = shifts[i]
+        for t in shifts[:i]:
+            c = piv[t] >> s & emask
+            if c:
+                piv[t] = sub(piv[t], piv[s] if c == 1 else scale(elem[c], piv[s]))
+    return ([piv[s] for s in shifts] + [0] * (len(rows) - len(piv)),
+            tuple([n - 1 - s // W for s in shifts]))
 
 
 def rref(M: MatGF):
     """Reduced row echelon form; row space preserved, pivots ascending."""
-    rows, pivots = _eliminate(M.q, M.data)
-    return MatGF(M.q, rows), pivots
+    rows, pivots = _eliminate(M.q, M.cols, M.packed)
+    return MatGF.from_packed(M.q, M.cols, rows), pivots
 
 
 def rrief(M: MatGF):
     """Reduced row inverse echelon form: pivot of each row strictly left of
     the row above; pivot columns are unit vectors; row space preserved."""
-    rev, pivots = _eliminate(M.q, [tuple(reversed(r)) for r in M.data])
+    rev, pivots = rref(M.reverse_cols())
     n = M.cols
-    return MatGF(M.q, [tuple(reversed(r)) for r in rev]), tuple(n - 1 - p for p in pivots)
+    return rev.reverse_cols(), tuple(n - 1 - p for p in pivots)
 
 
 def rank(M: MatGF) -> int:
-    if M.q == 2:
-        return _rank2([_pack2(r) for r in M.data])
-    _, pivots = _eliminate(M.q, M.data, reduced=False)
-    return len(pivots)
+    return len(_eliminate(M.q, M.cols, M.packed, reduced=False)[1])
 
 
-def _pack2(row):
-    v = 0
-    for i, x in enumerate(row):
-        if x:
-            v |= 1 << i
-    return v
-
-
-def _rank2(packed):
-    rank_ = 0
-    rows = [v for v in packed if v]
-    while rows:
-        pivot = rows[0]
-        low = pivot & -pivot
-        rank_ += 1
-        rows = [v ^ pivot if v & low else v for v in rows[1:]]
-        rows = [v for v in rows if v]
-    return rank_
+def span_rank(q, matrices) -> int:
+    """Dimension of the span of equal-shape matrices, taken as vectors."""
+    n = matrices[0].rows * matrices[0].cols if matrices else 0
+    return rank(MatGF.from_packed(q, n, [B.flatten() for B in matrices]))
 
 
 def kernel_basis(M: MatGF):
     """Basis of the right null space {x : M x = 0}, deterministic order."""
     f = field_new(M.q)
     R, pivots = rref(M)
-    free = [c for c in range(M.cols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(M.cols) if c not in pivots):
         vec = [0] * M.cols
         vec[fc] = 1
-        for i, pc in enumerate(pivots):
-            vec[pc] = f.neg(R.data[i][fc])
+        for row, pc in zip(R.data, pivots):
+            vec[pc] = f.neg(row[fc])
         basis.append(tuple(vec))
     return basis
 
@@ -198,13 +299,8 @@ class Subspace:
         R, pivots = rref(M)
         if len(pivots) != M.rows:
             raise BadArguments("generator rows are linearly dependent")
-        self.q = q
-        self.n = n
-        self.k = R.rows
-        self.gen = R
-        self.pivots = pivots
-        self._hash = None
-        self._mask = None
+        self.q, self.n, self.k, self.gen, self.pivots = q, n, R.rows, R, pivots
+        self._hash = self._mask = None
 
     @classmethod
     def from_matrix(cls, M: MatGF):
@@ -212,40 +308,43 @@ class Subspace:
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.q == other.q
-                and self.n == other.n and self.gen.data == other.gen.data)
+                and self.n == other.n and self.gen.packed == other.gen.packed)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self.q, self.n, self.gen.data))
+            self._hash = hash((self.q, self.n, self.gen.packed))
         return self._hash
 
     def __repr__(self):
         return f"Subspace(q={self.q}, n={self.n}, k={self.k}, pivots={self.pivots})"
 
     def vectors(self):
-        """All q^k member vectors, as tuples."""
-        f = field_new(self.q)
-        acc = [(0,) * self.n]
-        for row in self.gen.data:
-            scaled = [f.scale_vec(c, row) for c in range(self.q)]
-            acc = [f.add_vec(v, s) for v in acc for s in scaled]
-        return acc
+        """All q^k member vectors, as packed rows: 0, then c times each of
+        ``points()`` for c = 1 .. q - 1."""
+        scale, points = lanes(self.q).scale, self.points()
+        return [0] + [scale(c, v) for c in range(1, self.q) for v in points]
+
+    def points(self):
+        """The members whose first nonzero coefficient on the generator rows
+        is 1, one per 1-dimensional subspace: by that coefficient's row,
+        then by the later coefficients read base q."""
+        L, rows, span, out = lanes(self.q), self.gen.packed, [0], []
+        for i in range(self.k - 1, -1, -1):  # span: of the rows after i
+            out[:0] = L.sums(rows[i:i + 1], span, self.n)
+            if i:
+                span = L.sums([L.scale(c, rows[i]) for c in range(self.q)],
+                              span, self.n)
+        return out
 
     def member_mask(self) -> int:
         """Bitmask over vector indices of GF(q)^n marking the q^k members."""
         if self._mask is None:
+            digits, q, n = lanes(self.q).digits, self.q, self.n
             m = 0
             for v in self.vectors():
-                m |= 1 << vector_index(v, self.q)
+                m |= 1 << int(digits(v, n), q)
             self._mask = m
         return self._mask
-
-
-def vector_index(v, q) -> int:
-    idx = 0
-    for x in reversed(v):
-        idx = idx * q + x
-    return idx
 
 
 def subspace_distance(U: Subspace, V: Subspace) -> int:
@@ -271,14 +370,11 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 def enumerate_subspaces(q, n, k):
     """All k-dimensional subspaces of GF(q)^n, by RREF generator."""
     if k == 0:
-        yield _empty_subspace(q, n)
+        yield Subspace(q, n, MatGF.zeros(q, 0, n))
         return
     for pivots in itertools.combinations(range(n), k):
-        free_cells = []
-        for i, p in enumerate(pivots):
-            for c in range(p + 1, n):
-                if c not in pivots:
-                    free_cells.append((i, c))
+        free_cells = [(i, c) for i, p in enumerate(pivots)
+                      for c in range(p + 1, n) if c not in pivots]
         for fill in itertools.product(range(q), repeat=len(free_cells)):
             rows = [[0] * n for _ in range(k)]
             for i, p in enumerate(pivots):
@@ -287,12 +383,3 @@ def enumerate_subspaces(q, n, k):
                 rows[i][c] = val
             yield Subspace(q, n, rows)
 
-
-def _empty_subspace(q, n):
-    s = object.__new__(Subspace)
-    s.q, s.n, s.k = q, n, 0
-    s.gen = MatGF(q, [])
-    s.pivots = ()
-    s._hash = None
-    s._mask = None
-    return s

@@ -5,13 +5,13 @@ given-rank lower bounds, rank-restricted subsets, and lifting to subspaces.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .errors import (BadArguments, BadShape, TooLargeToEnumerate,
                      VerificationFailed)
-from .gf import expand_rows, ext_new, field_new, frobenius
-from .linalg import MatGF, gaussian_binomial, rank
+from .gf import expand_rows, ext_new, frobenius
+from .linalg import MatGF, gaussian_binomial, lanes, rank, span_rank
 
 ENUM_CAP = 2 ** 20          # hard cap for full code enumeration
 EXHAUSTIVE_RANK_CAP = 2 ** 16   # full min-rank verification below this size
@@ -44,41 +44,45 @@ class LinearMatrixCode:
         return MatGF.zeros(self.q, self.m, self.n)
 
     def codewords(self):
-        """All codewords, in lexicographic order of coefficient vectors.
+        """All codewords, in lexicographic order of coefficient vectors."""
+        q, m, n = self.q, self.m, self.n
+        for w in self.words:
+            yield MatGF.unflatten(q, m, n, w)
+
+    @cached_property
+    def words(self) -> tuple:
+        """Every codeword's packed ``flatten()``, in ``codewords()`` order.
 
         Incremental: ``prefix[i]`` is the sum of the first i terms c_j B_j.
         Advancing the coefficient vector at position j changes
         ``prefix[j + 1]`` by one multiple of B_j and makes every later prefix
         equal to it (their coefficients restart at 0); the last coefficient
         runs through the q multiples of the last basis matrix.  So each
-        codeword costs one add of flat m n vectors.
+        codeword costs one packed add.  Cached on the code, so each code is
+        enumerated once.
         """
         if not self.is_enumerable():
             raise TooLargeToEnumerate(f"{self.size} codewords exceed cap {ENUM_CAP}")
-        q, n, dim = self.q, self.n, self.dim
+        q, dim, mn = self.q, self.dim, self.m * self.n
         if dim == 0:
-            yield self.zero()
-            return
-        f = field_new(q)
-        starts = [i * n for i in range(self.m)]
-        multiples = [[f.scale_vec(c, B.flatten()) for c in range(q)]
+            return (0,)
+        L = lanes(q)
+        multiples = [[L.scale(c, B.flatten()) for c in range(q)]
                      for B in self.basis]
-        prefix = [(0,) * (self.m * n)] * dim
+        prefix = [0] * dim
         coeffs = [0] * dim
+        out = []
         while True:
-            base = prefix[-1]
-            for term in multiples[-1]:
-                flat = f.add_vec(base, term)
-                yield MatGF(q, [flat[s:s + n] for s in starts])
+            out += L.sums(prefix[-1:], multiples[-1], mn)
             j = dim - 2
             while j >= 0 and coeffs[j] == q - 1:
                 coeffs[j] = 0
                 j -= 1
             if j < 0:
-                return
+                return tuple(out)
             coeffs[j] += 1
-            step = f.add_vec(prefix[j], multiples[j][coeffs[j]])
-            prefix[j + 1:] = [step] * (dim - j - 1)
+            step = L.sums([prefix[j]], [multiples[j][coeffs[j]]], mn)
+            prefix[j + 1:] = step * (dim - j - 1)
 
     @cached_property
     def ranks(self) -> tuple:
@@ -86,44 +90,40 @@ class LinearMatrixCode:
         matrix first).  Cached on the code, so each code is ranked once."""
         return tuple(map(rank, self.codewords()))
 
+    def is_independent(self) -> bool:
+        """Whether the basis matrices are linearly independent, so that
+        ``size`` counts distinct codewords."""
+        return span_rank(self.q, self.basis) == self.dim
+
     def combine(self, coeffs) -> MatGF:
-        f = field_new(self.q)
-        rows = [[0] * self.n for _ in range(self.m)]
+        L, v = lanes(self.q), [0]
         for c, B in zip(coeffs, self.basis):
-            if c:
-                for i in range(self.m):
-                    br = B.data[i]
-                    rr = rows[i]
-                    for j in range(self.n):
-                        if br[j]:
-                            rr[j] = f.add(rr[j], f.mul(c, br[j]))
-        return MatGF(self.q, rows)
+            v = L.sums(v, [L.scale(c, B.flatten())], self.m * self.n)
+        return MatGF.unflatten(self.q, self.m, self.n, v[0])
 
     def transpose(self) -> "LinearMatrixCode":
-        return LinearMatrixCode(self.q, self.n, self.m,
+        code = LinearMatrixCode(self.q, self.n, self.m,
                                 tuple(B.transpose() for B in self.basis), self.delta)
+        if "ranks" in self.__dict__:  # rank is invariant under transposition
+            code.__dict__["ranks"] = self.ranks
+        return code
 
 
 @dataclass(frozen=True)
 class MatrixSet:
-    """Explicit set of m x n matrices with a claimed minimum rank distance."""
+    """Explicit set of m x n matrices with a claimed minimum rank distance;
+    ``ranks``, when known, holds the members' ranks in order."""
 
     q: int
     m: int
     n: int
     members: tuple
     delta: int
+    ranks: tuple | None = field(default=None, compare=False, repr=False)
 
     @property
     def size(self) -> int:
         return len(self.members)
-
-
-def _basis_independent(q, basis) -> bool:
-    if not basis:
-        return True
-    flat = MatGF(q, [B.flatten() for B in basis])
-    return rank(flat) == len(basis)
 
 
 def _min_nonzero_rank_sampled(code: LinearMatrixCode) -> int:
@@ -138,19 +138,16 @@ def _min_nonzero_rank_sampled(code: LinearMatrixCode) -> int:
 
 
 def verify_min_rank(code: LinearMatrixCode):
-    """Check the claimed minimum rank distance, exhaustively when small."""
-    if code.dim == 0:
-        return
-    if code.size <= EXHAUSTIVE_RANK_CAP:
-        got = min((r for r in code.ranks if r), default=min(code.m, code.n) + 1)
-        if got < code.delta:
-            raise VerificationFailed(
-                f"min nonzero rank {got} below claimed {code.delta}")
-    else:
-        got = _min_nonzero_rank_sampled(code)
-        if got < code.delta:
-            raise VerificationFailed(
-                f"sampled nonzero rank {got} below claimed {code.delta}")
+    """Check that the basis is independent and the claimed minimum rank
+    distance holds, exhaustively when small."""
+    if not code.is_independent():
+        raise VerificationFailed("basis not linearly independent")
+    exhaustive = code.size <= EXHAUSTIVE_RANK_CAP
+    got = (min((r for r in code.ranks if r), default=min(code.m, code.n) + 1)
+           if exhaustive else _min_nonzero_rank_sampled(code))
+    if got < code.delta:
+        raise VerificationFailed(f"{'min' if exhaustive else 'sampled'} "
+                                 f"nonzero rank {got} below claimed {code.delta}")
 
 
 @lru_cache(maxsize=None)
@@ -176,10 +173,10 @@ def gabidulin(q: int, m: int, n: int, delta: int, verify: bool = True) -> Linear
             word = [ext.mul(b, fp) for fp in frob_pts]
             basis.append(expand_rows(ext, word))
     code = LinearMatrixCode(q, m, n, tuple(basis), delta)
-    if not _basis_independent(q, code.basis):
-        raise VerificationFailed("basis not linearly independent")
     if verify:
         verify_min_rank(code)
+    elif not code.is_independent():
+        raise VerificationFailed("basis not linearly independent")
     return code
 
 
@@ -234,10 +231,10 @@ def grmc_lower_bound(q: int, m: int, n: int, delta: int, t1: int, t2: int) -> in
 
 def restrict_ranks(code: LinearMatrixCode, t2: int) -> MatrixSet:
     """Subset of codewords with rank at most t2 (includes the zero matrix)."""
-    if not code.is_enumerable():
-        raise TooLargeToEnumerate(f"code size {code.size} exceeds cap {ENUM_CAP}")
-    members = tuple(W for W, r in zip(code.codewords(), code.ranks) if r <= t2)
-    return MatrixSet(code.q, code.m, code.n, members, code.delta)
+    q, m, n = code.q, code.m, code.n
+    low = [(w, r) for w, r in zip(code.words, code.ranks) if r <= t2]
+    return MatrixSet(q, m, n, tuple(MatGF.unflatten(q, m, n, w) for w, _ in low),
+                     code.delta, tuple(r for _, r in low))
 
 
 def lift(code, side: str = "left"):
@@ -249,14 +246,10 @@ def lift(code, side: str = "left"):
     from .cdc import Cdc
     from .linalg import Subspace
 
-    if isinstance(code, LinearMatrixCode):
-        if not code.is_enumerable():
-            raise TooLargeToEnumerate("cannot lift a non-enumerable code")
-        members = list(code.codewords())
-        q, m, n, delta = code.q, code.m, code.n, code.delta
-    else:
-        members = list(code.members)
-        q, m, n, delta = code.q, code.m, code.n, code.delta
+    # a code beyond ENUM_CAP raises TooLargeToEnumerate in codewords()
+    members = list(code.codewords() if isinstance(code, LinearMatrixCode)
+                   else code.members)
+    q, m, n, delta = code.q, code.m, code.n, code.delta
     if side not in ("left", "right"):
         raise BadArguments("side must be 'left' or 'right'")
     ident = MatGF.identity(q, m)

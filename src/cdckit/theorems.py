@@ -85,11 +85,8 @@ def lifted_mrd_size(q: int, n: int, d: int, k: int) -> int:
 def _content_rank(U: Subspace) -> int:
     """Rank of the RRIEF generator with pivot columns removed."""
     gen, pivots = rrief(U.gen)
-    cols = [j for j in range(U.n) if j not in pivots]
-    if not cols:
-        return 0
-    rows = [[gen.data[i][j] for j in cols] for i in range(gen.rows)]
-    return rank(MatGF(U.q, rows))
+    cols = [c for j, c in enumerate(gen.transpose().packed) if j not in pivots]
+    return rank(MatGF.from_packed(U.q, gen.rows, cols))
 
 
 def thm31_count(A: CdcList, B: CdcList, Ahat: CdcList, Bhat: CdcList) -> int:

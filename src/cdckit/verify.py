@@ -19,9 +19,8 @@ from itertools import combinations
 
 from .errors import TooLarge
 from .ferrers import FdrmCode, singleton_bound, support_leaks
-from .gf import field_new
-from .linalg import (enumerate_subspaces, gaussian_binomial,
-                     subspace_distance, vector_index)
+from .linalg import (enumerate_subspaces, gaussian_binomial, lanes,
+                     subspace_distance)
 
 EXHAUSTIVE_PAIR_CAP = 10 ** 6   # table entries hashed or pairs compared
 SAMPLED_PAIRS = 10 ** 5
@@ -68,35 +67,26 @@ def _collisions(members, t, first_only=False):
 
     For RREF generator G and RREF t x k matrix C, C G is already the RREF of
     a t-subspace, as G is the identity on its pivots.  Its rows are member
-    vectors, so with every member vector packed into one int and shifted
-    into each of the t row fields of a key, a key is t table lookups.
+    vectors whose first nonzero coefficient is 1, so with those packed
+    vectors (``Subspace.points``) shifted into each of the t row fields of a
+    key, a key is t table lookups.
     """
     q, n, k = members[0].q, members[0].n, members[0].k
-    f = field_new(q)
-    width = (q ** n - 1).bit_length()
-    # digits[c] maps each entry x to the ASCII digit of c x, so that
-    # int(bytes(v[::-1]).translate(digits[c]), q) packs c v as vector_index
-    # does, with the loop in C
-    digits = [bytes.maketrans(bytes(range(q)),
-                              bytes(48 + f.mul(c, x) for x in range(q)))
-              for c in range(q)]
-    # row r of each RREF t x k matrix C, with coefficients c, is entry
-    # r q^k + c of the key table, c read base q most significant first
-    # (the order of Subspace.vectors)
-    plan = [[r * q ** k + vector_index(row[::-1], q)
-             for r, row in enumerate(C.gen.data)]
+    width = n * lanes(q).W
+
+    def point(row):
+        """Index in Subspace.points of the coefficients in digit string row."""
+        i = row.index("1")
+        return (q ** k - q ** (k - i)) // (q - 1) + int(row[i + 1:] or "0", q)
+    # one slot of the key table per (row field r, point) in use
+    slots = {}
+    plan = [[slots.setdefault((r, point(row)), len(slots))
+             for r, row in enumerate(C.gen.lines())]
             for C in enumerate_subspaces(q, k, t)]
     owner, groups = {}, {}
     for i, U in enumerate(members):
-        if f.p == 2:  # base-2^e digits are e-bit fields; adding is XOR
-            vecs = [0]
-            for row in U.gen.data:
-                raw = bytes(row[::-1])
-                scaled = [int(raw.translate(tab), q) for tab in digits]
-                vecs = [v ^ s for v in vecs for s in scaled]
-        else:
-            vecs = [vector_index(v, q) for v in U.vectors()]
-        get = [v << (r * width) for r in range(t) for v in vecs].__getitem__
+        vecs = U.points()
+        get = [vecs[c] << r * width for r, c in slots].__getitem__
         keys = [sum(map(get, rows)) for rows in plan]
         for key in owner.keys() & keys:
             groups.setdefault(key, [owner[key]]).append(i)

@@ -87,3 +87,52 @@ def test_matgf_rejects_ragged_rows():
         MatGF(2, [[0, 1], [1]])
     with pytest.raises(BadShape):
         MatGF(3, [[0], [1, 2]])
+
+
+def test_transpose_carries_the_ranks(monkeypatch):
+    gabidulin.cache_clear()
+    code = gabidulin(2, 3, 4, 2)  # the transpose of the verified 4 x 3 code
+    calls = []
+    monkeypatch.setattr(rankmetric, "rank",
+                        lambda M: calls.append(M) or rank(M))
+    low = restrict_ranks(code, 2)
+    assert len(calls) == 0
+    assert low.size == 1 + rank_distribution(2, 3, 4, 2, 2)
+    assert low.ranks == tuple(map(rank, low.members))
+
+
+def test_parallel_linkage_reads_the_attached_ranks(monkeypatch):
+    from cdckit import linalg
+    from cdckit.cdc import Cdc, parallel_linkage
+    from cdckit.linalg import Subspace
+    U = Cdc(q=2, n=2, k=2, d=2,
+            members=(Subspace.from_matrix(MatGF.identity(2, 2)),))
+    M1 = gabidulin(2, 2, 2, 1)
+    M2 = restrict_ranks(gabidulin(2, 2, 2, 1), 1)
+    calls = []
+    monkeypatch.setattr(linalg, "rank", lambda M: calls.append(M) or rank(M))
+    code = parallel_linkage(U, U, M1, M2)
+    assert calls == [] and code.size == M1.size + M2.size
+
+
+def test_one_enumeration_per_code():
+    gabidulin.cache_clear()
+    code = gabidulin(2, 4, 4, 2)
+    words = code.words
+    assert len(words) == code.size == len(code.ranks)
+    low = restrict_ranks(code, 2)
+    assert [W.flatten() for W in code.codewords()] == list(words)
+    assert code.words is words
+    assert set(W.flatten() for W in low.members) <= set(words)
+
+
+def test_verify_min_rank_rejects_a_dependent_basis():
+    from cdckit.errors import VerificationFailed
+    from cdckit.rankmetric import verify_min_rank
+    B = MatGF(2, [[1, 0], [0, 1]])
+    for basis in ((MatGF.zeros(2, 2, 2),), (B, B)):
+        code = LinearMatrixCode(2, 2, 2, basis, 2)
+        assert not code.is_independent()
+        with pytest.raises(VerificationFailed):
+            verify_min_rank(code)
+    verify_min_rank(LinearMatrixCode(2, 2, 2, (B,), 2))

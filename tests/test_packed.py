@@ -1,0 +1,129 @@
+"""The packed-row kernel against a brute-force oracle, for every q.
+
+The oracle works on digit tuples with the ``FieldCtx`` tables only: it
+enumerates the row span of a small matrix by trying every coefficient
+vector.  ``rank``, ``rref``, ``rrief``, ``kernel_basis``, matrix addition
+and subtraction, ``Subspace.vectors`` and ``points`` and the packed
+reshaping methods are compared with it; their results are read back
+through ``MatGF.data``.
+"""
+
+from itertools import product
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cdckit.gf import SUPPORTED_ORDERS, field_new
+from cdckit.linalg import MatGF, Subspace, kernel_basis, rank, rref, rrief
+
+EXAMPLES = settings(max_examples=15, derandomize=True, deadline=None)
+
+
+@st.composite
+def matrices(draw, q, max_rows=3, max_cols=4):
+    rows, cols = draw(st.integers(1, max_rows)), draw(st.integers(1, max_cols))
+    entry = st.integers(0, q - 1)
+    # biased towards 0 and q - 1, the lane values where carries happen
+    entry = st.one_of(st.sampled_from((0, q - 1)), entry)
+    return [draw(st.lists(entry, min_size=cols, max_size=cols))
+            for _ in range(rows)]
+
+
+def span(f, rows):
+    """Every combination of the rows, as a set of digit tuples."""
+    return {combine(f, coeffs, rows)
+            for coeffs in product(range(f.q), repeat=len(rows))}
+
+
+def lead(row, reverse=False):
+    """Column of the first (or last) nonzero entry, None for a zero row."""
+    cols = [j for j, x in enumerate(row) if x]
+    return (cols[-1] if reverse else cols[0]) if cols else None
+
+
+def check_echelon(R, pivots, reverse=False):
+    """R's first len(pivots) rows lead (trail, with ``reverse``) at their
+    pivot with entry 1, pivot columns are unit vectors, the rest is zero."""
+    k = len(pivots)
+    assert all(not any(row) for row in R[k:])
+    for i, (row, p) in enumerate(zip(R, pivots)):
+        assert lead(row, reverse) == p and row[p] == 1
+        assert all(R[j][p] == 0 for j in range(len(R)) if j != i)
+    steps = list(zip(pivots, pivots[1:]))
+    assert all(a > b if reverse else a < b for a, b in steps)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_kernel_matches_span_oracle(q):
+    f = field_new(q)
+
+    @EXAMPLES
+    @given(matrices(q))
+    def check(rows):
+        M = MatGF(q, rows)
+        assert M.data == tuple(map(tuple, rows))
+        members = span(f, rows)
+        r = rank(M)
+        assert q ** r == len(members)
+        for echelon, reverse in ((rref, False), (rrief, True)):
+            R, pivots = echelon(M)
+            assert len(pivots) == r
+            assert (R.rows, R.cols) == (M.rows, M.cols)
+            assert span(f, R.data) == members
+            check_echelon(R.data, pivots, reverse)
+        basis = kernel_basis(M)
+        assert len(basis) == M.cols - r
+        for x in basis:
+            assert all(dot(f, row, x) == 0 for row in rows)
+        if basis:
+            assert len(span(f, basis)) == q ** len(basis)
+        if r == M.rows:
+            U = Subspace.from_matrix(M)
+            unpack = [MatGF.from_packed(q, M.cols, [v]).data[0]
+                      for v in U.vectors()]
+            assert len(unpack) == q ** r and set(unpack) == members
+            gen = U.gen.data
+            monic = [combine(f, (0,) * i + (1,) + tail, gen) for i in range(r)
+                     for tail in product(range(q), repeat=r - 1 - i)]
+            assert [MatGF.from_packed(q, M.cols, [v]).data[0]
+                    for v in U.points()] == monic
+    check()
+
+
+def dot(f, row, x):
+    out = 0
+    for a, b in zip(row, x):
+        out = f.add(out, f.mul(a, b))
+    return out
+
+
+def combine(f, coeffs, rows):
+    v = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        v = [f.add(a, f.mul(c, b)) for a, b in zip(v, row)]
+    return tuple(v)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_add_sub_and_reshaping_match_the_field_tables(q):
+    f = field_new(q)
+
+    @settings(EXAMPLES, max_examples=10)
+    @given(st.data())
+    def check(data):
+        a = data.draw(matrices(q))
+        b = [data.draw(st.lists(st.integers(0, q - 1), min_size=len(row),
+                                max_size=len(row))) for row in a]
+        A, B = MatGF(q, a), MatGF(q, b)
+        assert (A + B).data == tuple(tuple(map(f.add, ra, rb))
+                                     for ra, rb in zip(a, b))
+        assert (A - B).data == tuple(tuple(map(f.sub, ra, rb))
+                                     for ra, rb in zip(a, b))
+        assert A.transpose().data == tuple(zip(*a))
+        assert A.hstack(B).data == tuple(tuple(ra + rb) for ra, rb in zip(a, b))
+        assert A.vstack(B).data == tuple(map(tuple, a + b))
+        assert A.reverse_cols().data == tuple(tuple(r[::-1]) for r in a)
+        assert MatGF.unflatten(q, A.rows, A.cols, A.flatten()) == A
+        assert A.lines() == ["".join(map(str, r)) for r in a]
+        assert MatGF(q, A.lines()) == A
+    check()

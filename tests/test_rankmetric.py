@@ -1,6 +1,10 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdckit.errors import BadShape, TooLargeToEnumerate
+from cdckit.gf import SUPPORTED_ORDERS
 from cdckit.linalg import rank
 from cdckit.rankmetric import (LinearMatrixCode, gabidulin, grmc_lower_bound,
                                lift, rank_distribution, restrict_ranks)
@@ -121,3 +125,25 @@ def test_lift_right_side():
     code = lift(gabidulin(2, 2, 2, 2), side="right")
     assert code.size == 4
     assert check_cdc(code).min_distance_found == 4
+
+
+# every (m, n, delta) with at most 2^14 codewords, per field order
+CENSUS_CODES = {q: [(m, n, d) for m in range(1, 6) for n in range(1, 6)
+                    for d in range(1, min(m, n) + 1)
+                    if q ** (max(m, n) * (min(m, n) - d + 1)) <= 2 ** 14]
+                for q in SUPPORTED_ORDERS}
+
+
+@pytest.mark.parametrize("q", sorted(CENSUS_CODES))
+def test_rank_distribution_matches_the_enumerated_census(q):
+    """Gabidulin 1985's rank distribution of an MRD code against the ranks
+    of the enumerated codewords."""
+    @settings(max_examples=8, derandomize=True, deadline=None)
+    @given(st.sampled_from(CENSUS_CODES[q]))
+    def check(shape):
+        m, n, delta = shape
+        census = Counter(gabidulin(q, m, n, delta).ranks)
+        assert {r: rank_distribution(q, m, n, delta, r)
+                for r in range(min(m, n) + 1)} == {
+            r: census[r] for r in range(min(m, n) + 1)}
+    check()
