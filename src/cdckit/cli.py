@@ -14,7 +14,7 @@ from .cdc import Cdc, IdVec, ferrers_of, multilevel
 from .errors import BadArguments, CdcError, ParseError, TooLarge
 from .ferrers import FdrmCode, FerrersDiagram, optimal_fdrmc, singleton_bound
 from .gf import SUPPORTED_ORDERS
-from .linalg import MatGF, Subspace, span_rank
+from .linalg import MatGF, Subspace, lanes, span_rank
 from .rankmetric import LinearMatrixCode, rank_distribution
 from .theorems import (BoundResult, consistency_report, example_bound,
                        load_registry, table11_bound, th41_bound, th44_bound)
@@ -48,6 +48,8 @@ def _header_fields(line, expected, lineno):
         if "=" not in p:
             raise ParseError(f"bad header field {p!r}", line=lineno)
         key, val = p.split("=", 1)
+        if key in fields:
+            raise ParseError(f"repeated header field {key!r}", line=lineno)
         fields[key] = val
     return fields
 
@@ -70,7 +72,10 @@ def _check_order(q):
 
 def _read_blocks(raw, q, n, rows):
     """Yield the blank-line separated blocks after the header line, each
-    ``rows`` lines of n digits below q, as (first line number, lines) pairs."""
+    ``rows`` lines of n digits below q, as (first line number, packed rows)
+    pairs."""
+    L = lanes(q)
+    pack, digits = L.pack, L.digit_chars
     block, start = [], None
     for lineno, line in enumerate(raw[1:], 2):
         s = line.strip()
@@ -79,13 +84,13 @@ def _read_blocks(raw, q, n, rows):
                 raise ParseError(f"block has {len(block)} of {rows} rows",
                                  line=lineno)
             continue
-        if len(s) != n or not (s.isascii() and s.isdigit()):
-            raise ParseError(f"expected {n} digits", line=lineno)
-        if max(s) >= str(q):
+        if len(s) != n or s.strip(digits):  # not n digits below q
+            if len(s) != n or not (s.isascii() and s.isdigit()):
+                raise ParseError(f"expected {n} digits", line=lineno)
             raise ParseError(f"entry out of range for q={q}", line=lineno)
         if not block:
             start = lineno
-        block.append(s)
+        block.append(pack(s))
         if len(block) == rows:
             yield start, block
             block = []
@@ -107,7 +112,7 @@ def read_cdc(path: str) -> Cdc:
         raise ParseError(f"need 1 <= k <= n, got k={k}, n={n}", line=1)
     if d < 1:
         raise ParseError(f"d={d} is not positive", line=1)
-    members = [_parse_block(q, rows, start)
+    members = [_parse_block(q, n, rows, start)
                for start, rows in _read_blocks(raw, q, n, k)]
     if len(members) != count:
         raise ParseError(f"header promises {count} codewords, found {len(members)}",
@@ -115,8 +120,8 @@ def read_cdc(path: str) -> Cdc:
     return Cdc(q=q, n=n, k=k, d=d, members=tuple(members), provenance="file")
 
 
-def _parse_block(q, rows, block_start):
-    M = MatGF(q, rows)
+def _parse_block(q, n, rows, block_start):
+    M = MatGF.from_packed(q, n, rows)
     try:
         U = Subspace.from_matrix(M)
     except BadArguments as e:  # the block has rank below k
@@ -163,7 +168,7 @@ def read_fdrmc(path: str) -> FdrmCode:
                          line=1)
     basis = []
     for start, rows in _read_blocks(raw, q, n, m):
-        basis.append(MatGF(q, rows))
+        basis.append(MatGF.from_packed(q, n, rows))
         if span_rank(q, basis) < len(basis):
             raise ParseError("basis matrix is zero or in the span of the "
                              "earlier ones", line=start)

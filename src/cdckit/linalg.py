@@ -6,11 +6,16 @@ by XOR for p = 2, 4-bit lanes for odd p, added by one integer add after
 which p is taken off each lane that reached p (adding 8 - p sets its guard
 bit 8).  Entries are padded to 1, 2, 4 or 8 bits and column 0 is the most
 significant, so comparing packed rows as ints is the lexicographic order of
-their digits.  Scaling maps a row's bytes through a 256-entry table.  One
-Gauss-Jordan kernel, ``_eliminate``, serves ``rref``, ``rrief``, ``rank``
-and ``kernel_basis``.  Rows become digits only in ``MatGF.lines``, read by
-the file writers and the cached ``MatGF.data`` view, and in
-``member_mask``'s vector index.
+their digits.  Scaling maps a row's bytes through a 256-entry table.  A
+row of decimal digits is packed by one ``str.translate`` to its text in
+base 16 (base 2 below 4-bit entries) and one ``int``.  One Gauss-Jordan
+kernel, ``_eliminate``, serves ``rref``, ``rrief``, ``rank`` and
+``kernel_basis``.  ``rref`` skips it for rows already in RREF, which it
+tells in O(rows) int operations from the rows' bit lengths and the mask of
+the pivot entries: lifts ``[I | W]``, echelon skeletons filled by the
+constructions and the blocks of a valid file all are.  Rows become digits
+only in ``MatGF.lines``, read by the file writers and the cached
+``MatGF.data`` view, and in ``member_mask``'s vector index.
 
 Subspaces are always stored by their RREF generator, so equality and hashing
 are entrywise.  Column indices are 0-based internally; file formats and CLI
@@ -41,19 +46,21 @@ class _Lanes:
         self.inv = [f.inv(x) if x else 0 for x in self.elem]  # code -> 1 / x
         self._tables, self._consts = {}, {}
         # as text a row is its int in base 16, or base 2 below 4-bit
-        # entries; an entry of 1 or 4 bits is one digit there, and other
-        # entries are read byte by byte
+        # entries; ``text`` maps a decimal digit to its entry's text there,
+        # and entries other than of 1 or 4 bits are read back byte by byte
         self.base, self.fmt = (16, "x") if self.W >= 4 else (2, "b")
-        self.text = {k: format(c, f"0{self.W // 4 or self.W}{self.fmt}")
-                     for x, c in enumerate(code) for k in (x, str(x))}
+        self.digit_chars = "0123456789"[:q]
+        self.text = str.maketrans({
+            str(x): format(c, f"0{self.W // 4 or self.W}{self.fmt}")
+            for x, c in enumerate(code)})
         self.byte_digits = None if self.W in (1, 4) else [
             "".join(str(self.elem[b >> s & self.emask])
                     for s in range(8 - self.W, -1, -self.W)) for b in range(256)]
 
     def pack(self, row):
-        """The packed int of a row of elements or of decimal digit
-        characters; KeyError for anything else."""
-        return int("".join(map(self.text.__getitem__, row)) or "0", self.base)
+        """The packed int of a row given as a string of decimal digits
+        below q; the caller checks the digits."""
+        return int(row.translate(self.text) or "0", self.base)
 
     def digits(self, v, n):
         """The n entries of packed row v as a string of decimal digits."""
@@ -114,11 +121,13 @@ class MatGF:
         data = tuple(map(tuple, rows_data))
         if len(set(map(len, data))) > 1:
             raise BadShape("ragged rows")
-        try:
-            self.packed = tuple(map(lanes(q).pack, data))
-        except KeyError:
-            raise BadArguments("entry outside field range") from None
-        self.q, self.rows, self.cols = q, len(data), len(data[0]) if data else 0
+        L, cols = lanes(q), len(data[0]) if data else 0
+        lines = ["".join(map(str, r)) for r in data]
+        # one digit below q per entry: stripping those digits leaves nothing
+        if any(len(s) != cols or s.strip(L.digit_chars) for s in lines):
+            raise BadArguments("entry outside field range")
+        self.packed = tuple(map(L.pack, lines))
+        self.q, self.rows, self.cols = q, len(data), cols
         self._data = self._hash = None
 
     @classmethod
@@ -249,8 +258,35 @@ def _eliminate(q, n, rows, reduced=True):
             tuple([n - 1 - s // W for s in shifts]))
 
 
+def _rref_pivots(q, n, rows):
+    """The pivot columns of packed rows of n entries that are already in
+    RREF, else None.  Leading entries are at strictly increasing columns,
+    zero rows come last, and the pivot entries of a row are 1 at its own
+    pivot and 0 elsewhere."""
+    L = lanes(q)
+    W, shifts, pivot_mask = L.W, [], 0  # shifts: bit offsets of the pivots
+    for v in rows:
+        if not v:
+            break
+        s = (v.bit_length() - 1) // W * W
+        if shifts and s >= shifts[-1]:
+            return None
+        shifts.append(s)
+        pivot_mask |= L.emask << s
+    if any(rows[len(shifts):]):
+        return None
+    for v, s in zip(rows, shifts):
+        if v & pivot_mask != 1 << s:
+            return None
+    return tuple([n - 1 - s // W for s in shifts])
+
+
 def rref(M: MatGF):
-    """Reduced row echelon form; row space preserved, pivots ascending."""
+    """Reduced row echelon form; row space preserved, pivots ascending.
+    A matrix already in RREF is returned as it is."""
+    pivots = _rref_pivots(M.q, M.cols, M.packed)
+    if pivots is not None:
+        return M, pivots
     rows, pivots = _eliminate(M.q, M.cols, M.packed)
     return MatGF.from_packed(M.q, M.cols, rows), pivots
 

@@ -93,12 +93,35 @@ def test_build_check_round_trip(tmp_path, capsys):
     assert out1.read_bytes() == out3.read_bytes()
 
 
-def test_check_rejects_non_rref_block(tmp_path, capsys):
+NOT_RREF = "generator block is not in reduced echelon form"
+
+
+def non_rref_blocks():
+    """(q, blocks, message) for files whose last block is not in RREF: the
+    file's only block, at line 3, or one after a valid block, at line 6."""
+    valid = "1000\n0100\n"
+    for q in (2, 3, 4, 9):
+        yield pytest.param(q, ["0101\n1010\n"], f"line 3: {NOT_RREF}",
+                           id=f"rows-out-of-order-q{q}")
+        yield pytest.param(q, [valid, "1100\n0100\n"], f"line 6: {NOT_RREF}",
+                           id=f"echelon-not-reduced-q{q}")
+        yield pytest.param(
+            q, [valid, "1000\n0200\n"],
+            "line 7: entry out of range for q=2" if q == 2 else
+            f"line 6: {NOT_RREF}", id=f"pivot-2-q{q}")
+        yield pytest.param(q, [valid, "1000\n0000\n"],
+                           "line 6: generator rows are linearly dependent",
+                           id=f"zero-last-row-q{q}")
+
+
+@pytest.mark.parametrize("q, blocks, message", non_rref_blocks())
+def test_check_rejects_non_rref_block(tmp_path, capsys, q, blocks, message):
     f = tmp_path / "bad.cdc"
-    f.write_text("cdc v1 q=2 n=4 k=2 d=4 count=1\n\n0101\n1010\n")
-    code, _, err = run_cli(["check", "--in", str(f)], capsys)
-    assert code == 2
-    assert "parse error" in err and "line 3" in err
+    f.write_text(f"cdc v1 q={q} n=4 k=2 d=2 count={len(blocks)}\n"
+                 + "".join("\n" + b for b in blocks))
+    code, out, err = run_cli(["check", "--in", str(f)], capsys)
+    assert code == 2 and out == ""
+    assert err == f"parse error: {message}\n"
 
 
 def test_check_fails_on_wrong_distance(tmp_path, capsys):
@@ -256,6 +279,18 @@ def test_check_header_dimension_and_distance(tmp_path, capsys, header, body):
     f = tmp_path / "header.cdc"
     f.write_text(f"cdc v1 q=2 n=4 {header}\n{body}")
     assert_parse_error(["check", "--in", str(f)], capsys, 1)
+
+
+@pytest.mark.parametrize("command, text", [
+    ("check", "cdc v1 q=2 n=4 k=2 d=2 count=1 q=3\n\n1000\n0100\n"),
+    ("audit", "fdrmc v1 q=2 m=2 n=2 delta=1 dim=1 diagram=1,2 "
+              "orient=forward delta=2\n\n01\n01\n")], ids=["cdc", "fdrmc"])
+def test_repeated_header_field(tmp_path, capsys, command, text):
+    f = tmp_path / "repeated"
+    f.write_text(text)
+    code, out, err = run_cli([command, "--in", str(f)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: line 1: repeated header field ")
 
 
 @pytest.mark.parametrize("head, blocks, line", [

@@ -5,7 +5,9 @@ enumerates the row span of a small matrix by trying every coefficient
 vector.  ``rank``, ``rref``, ``rrief``, ``kernel_basis``, matrix addition
 and subtraction, ``Subspace.vectors`` and ``points`` and the packed
 reshaping methods are compared with it; their results are read back
-through ``MatGF.data``.
+through ``MatGF.data``.  ``rref``'s shortcut for input already in RREF is
+compared with the digit-level definition of RREF, on echelon forms and on
+near misses of them.
 """
 
 from itertools import product
@@ -13,6 +15,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdckit.errors import BadArguments
 from cdckit.gf import SUPPORTED_ORDERS, field_new
 from cdckit.linalg import MatGF, Subspace, kernel_basis, rank, rref, rrief
 
@@ -33,6 +36,11 @@ def span(f, rows):
     """Every combination of the rows, as a set of digit tuples."""
     return {combine(f, coeffs, rows)
             for coeffs in product(range(f.q), repeat=len(rows))}
+
+
+def nonzero(rows):
+    """The nonzero rows, or one zero row: the same span from fewer rows."""
+    return [row for row in rows if any(row)] or rows[:1]
 
 
 def lead(row, reverse=False):
@@ -87,6 +95,56 @@ def test_kernel_matches_span_oracle(q):
                      for tail in product(range(q), repeat=r - 1 - i)]
             assert [MatGF.from_packed(q, M.cols, [v]).data[0]
                     for v in U.points()] == monic
+    check()
+
+
+def is_rref(rows):
+    """RREF by definition: zero rows last, each other row leading with 1
+    strictly right of the row above, pivot columns zero off their pivot."""
+    k = sum(1 for row in rows if any(row))
+    pivots = [lead(row) for row in rows[:k]]
+    return (not any(map(any, rows[k:]))
+            and all(row[p] == 1 for row, p in zip(rows, pivots))
+            and all(a < b for a, b in zip(pivots, pivots[1:]))
+            and all(rows[j][p] == 0 for i, p in enumerate(pivots)
+                    for j in range(len(rows)) if j != i))
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_rref_shortcut_matches_the_definition(q):
+    """``rref`` returns its input itself exactly when it is in RREF, agrees
+    with the span oracle either way, and ``Subspace.from_matrix`` keeps a
+    generator exactly when it is in RREF with full rank."""
+    f = field_new(q)
+
+    @EXAMPLES
+    @given(st.data())
+    def check(data):
+        rows = data.draw(matrices(q))
+        R = [list(row) for row in rref(MatGF(q, rows))[0].data]
+        k = rank(MatGF(q, rows))
+        cases = [rows, R, R + [[0] * len(R[0])] * data.draw(st.integers(1, 2))]
+        if k:  # a pivot entry other than 1 (only 0 at q = 2)
+            i = data.draw(st.integers(0, k - 1))
+            c = data.draw(st.sampled_from([0, *range(2, q)]))
+            cases.append(R[:i] + [[f.mul(c, x) for x in R[i]]] + R[i + 1:])
+        if k > 1:  # a nonzero entry above a pivot, and two rows swapped
+            i, j = sorted(data.draw(st.lists(st.integers(0, k - 1), min_size=2,
+                                             max_size=2, unique=True)))
+            above = [list(row) for row in R]
+            above[i][lead(R[j])] = data.draw(st.integers(1, q - 1))
+            cases += [above, R[:i] + [R[j]] + R[i + 1:j] + [R[i]] + R[j + 1:]]
+        for rows in cases:
+            M = MatGF(q, rows)
+            E, pivots = rref(M)
+            assert span(f, nonzero(E.data)) == span(f, nonzero(rows))
+            check_echelon(E.data, pivots)
+            assert (E is M) == is_rref(rows)
+            if len(pivots) == M.rows:
+                assert (Subspace.from_matrix(M).gen == M) == is_rref(rows)
+            else:
+                with pytest.raises(BadArguments):
+                    Subspace.from_matrix(M)
     check()
 
 
