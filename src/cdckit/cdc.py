@@ -33,15 +33,15 @@ class IdVec:
     kind: str = "forward"
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
-        if any(b not in (0, 1) for b in self.bits):
+        if any(b not in (0, 1, "0", "1") for b in self.bits):
             raise BadArguments("identifying vectors are binary")
+        object.__setattr__(self, "bits", tuple(map(int, self.bits)))
         if self.kind not in ("forward", "inverse"):
             raise BadArguments("kind must be 'forward' or 'inverse'")
 
     @classmethod
     def from_string(cls, s, kind="forward"):
-        return cls(tuple(int(c) for c in s.strip()), kind)
+        return cls(tuple(s.strip()), kind)
 
     @property
     def n(self):

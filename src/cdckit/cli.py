@@ -11,13 +11,14 @@ import argparse
 import sys
 
 from .cdc import Cdc, IdVec, ferrers_of, multilevel
-from .errors import BadArguments, CdcError, ParseError, TooLarge
+from .errors import BadArguments, CdcError, ParseError, TooLarge, UsageError
 from .ferrers import FdrmCode, FerrersDiagram, optimal_fdrmc, singleton_bound
 from .gf import SUPPORTED_ORDERS
 from .linalg import MatGF, Subspace, lanes, span_rank
 from .rankmetric import LinearMatrixCode, rank_distribution
-from .theorems import (BoundResult, consistency_report, example_bound,
-                       load_registry, table11_bound, th41_bound, th44_bound)
+from .theorems import (EXAMPLES, BoundResult, consistency_report,
+                       example_bound, load_registry, table11_bound, th41_bound,
+                       th44_bound)
 from .verify import audit_fdrmc, check_cdc
 
 BUILD_CAP = 10 ** 6
@@ -35,8 +36,15 @@ def write_cdc(code: Cdc, path: str):
     for U in members:
         lines.append("")
         lines += U.gen.lines()
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
+
+
+def _write_lines(path, lines):
+    try:
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as e:
+        raise UsageError(f"cannot write {path}: {e}")
 
 
 def _header_fields(line, expected, lineno):
@@ -141,8 +149,7 @@ def write_fdrmc(code: FdrmCode, path: str):
     for B in code.code.basis:
         lines.append("")
         lines += B.lines()
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def read_fdrmc(path: str) -> FdrmCode:
@@ -182,13 +189,13 @@ def read_fdrmc(path: str) -> FdrmCode:
 
 def parse_diagram(text: str) -> FerrersDiagram:
     """Diagram literal, e.g. 'F=[1,2,4]' (ascending column counts)."""
-    s = text.strip()
-    if s.startswith("F="):
-        s = s[2:]
-    if not (s.startswith("[") and s.endswith("]")):
-        raise ParseError(f"expected F=[c1,c2,...], got {text!r}")
-    cols = tuple(int(c) for c in s[1:-1].split(",") if c.strip())
-    return FerrersDiagram(cols)
+    s = text.strip().removeprefix("F=")
+    try:
+        if s[:1] + s[-1:] != "[]":
+            raise ValueError("not in brackets")
+        return FerrersDiagram(tuple(int(c) for c in s[1:-1].split(",") if c.strip()))
+    except (ValueError, BadArguments) as e:
+        raise UsageError(f"bad diagram {text!r} ({e}); expected F=[c1,c2,...]")
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +222,18 @@ def cmd_bound(args) -> int:
             return table11_bound(q, n, d, k, registry=registry)
         if src in ("th41", "th44"):
             if d % 2:
-                raise CdcError("construction sources need an even distance")
+                raise UsageError("construction sources need an even distance")
             fn = th41_bound if src == "th41" else th44_bound
             return fn(q, n, d // 2, k)
-        if src.startswith("example:"):
-            return example_bound(src.split(":", 1)[1], q)
-        raise CdcError(f"unknown source {src!r}")
+        name = src.split(":", 1)[1] if src.startswith("example:") else None
+        if name not in EXAMPLES:
+            raise UsageError(f"unknown source {src!r}: not auto, table11, th41, "
+                             f"th44 or example:{'|'.join(sorted(EXAMPLES))}")
+        en, ed, ek = EXAMPLES[name][1]
+        if (en, ed, ek) != (n, d, k):
+            raise UsageError(f"example:{name} bounds A_{q}({en},{ed},{ek}), "
+                             f"not A_{q}({n},{d},{k})")
+        return example_bound(name, q)
 
     if source == "auto":
         for src in ("table11", "th44", "th41"):
@@ -230,8 +243,7 @@ def cmd_bound(args) -> int:
             except CdcError:
                 continue
         else:
-            print("no applicable source", file=sys.stderr)
-            return 2
+            raise UsageError("no applicable source")
     else:
         res = compute(source)
     _print_bound(res)
@@ -246,42 +258,36 @@ def cmd_bound(args) -> int:
 def cmd_table11(args) -> int:
     registry = load_registry(args.registry)
     rows, order = registry
-    consistency = {}
-    if args.consistency:
-        for row in consistency_report(registry):
-            consistency[(row["q"], row["n"], row["d"], row["k"])] = row
+    for q, n, d, k in order:
+        if rows[(q, n, d, k)][1] is None:
+            raise UsageError(f"registry row A_{q}({n},{d},{k}) has no old bound "
+                             "to compare with")
+    consistency = {(c["q"], c["n"], c["d"], c["k"]): c for c in
+                   (consistency_report(registry) if args.consistency else ())}
+    csv = args.format == "csv"
+    if csv:
+        print("q,n,d,k,new,old,diff,status"
+              + (",recomputed,consistent" if args.consistency else ""))
     bad = 0
-    if args.format == "csv":
-        cols = "q,n,d,k,new,old,diff,status"
-        if args.consistency:
-            cols += ",recomputed,consistent"
-        print(cols)
     for key in order:
         q, n, d, k = key
-        res = table11_bound(q, n, d, k, registry=registry)
+        value = table11_bound(q, n, d, k, registry=registry).value
         new, old = rows[key]
-        ok = res.value == new and (old is None or res.value > old)
-        if not ok:
-            bad += 1
+        ok = value == new and value > old
+        bad += not ok
         status = "ok" if ok else "MISMATCH"
-        extra = ""
-        if args.consistency:
-            c = consistency[key]
-            extra_val = c["recomputed"]
-            consistent = "yes" if c["match"] else "no"
-        if args.format == "csv":
-            line = (f"{q},{n},{d},{k},{res.value},{old},"
-                    f"{res.value - old},{status}")
-            if args.consistency:
-                line += f",{extra_val},{consistent}"
-            print(line)
+        c = consistency.get(key)
+        if csv:
+            line = f"{q},{n},{d},{k},{value},{old},{value - old},{status}"
+            if c:
+                line += f",{c['recomputed']},{'yes' if c['match'] else 'no'}"
         else:
-            line = (f"A_{q}({n},{d},{k})  new {res.value}  old {old}  "
-                    f"diff {res.value - old}  {status}")
-            if args.consistency and not consistency[key]["match"]:
-                line += (f"  [reconstruction gives {extra_val}, "
-                         f"off by {new - extra_val}]")
-            print(line)
+            line = (f"A_{q}({n},{d},{k})  new {value}  old {old}  "
+                    f"diff {value - old}  {status}")
+            if c and not c["match"]:
+                line += (f"  [reconstruction gives {c['recomputed']}, "
+                         f"off by {new - c['recomputed']}]")
+        print(line)
     if args.consistency:
         n_off = sum(1 for c in consistency.values() if not c["match"])
         print(f"# consistency: {len(order) - n_off}/{len(order)} rows match "
@@ -295,8 +301,11 @@ def cmd_table11(args) -> int:
 def cmd_build(args) -> int:
     q = args.q
     if args.multilevel:
-        vectors = [IdVec.from_string(s)
-                   for s in args.multilevel.split(",") if s.strip()]
+        try:
+            vectors = [IdVec.from_string(s)
+                       for s in args.multilevel.split(",") if s.strip()]
+        except BadArguments as e:
+            raise UsageError(f"--multilevel {args.multilevel!r}: {e}")
         entries = []
         total = 0
         for v in vectors:
@@ -321,8 +330,7 @@ def cmd_build(args) -> int:
         write_fdrmc(code, args.out)
         print(f"wrote [{dia}, {code.dim}, {code.delta}]_{q} code to {args.out}")
         return 0
-    print("nothing to build: pass --multilevel or --fdrmc", file=sys.stderr)
-    return 2
+    raise UsageError("nothing to build: pass --multilevel or --fdrmc")
 
 
 def cmd_check(args) -> int:
@@ -337,6 +345,9 @@ def cmd_check(args) -> int:
 
 def cmd_rankdist(args) -> int:
     q, m, n, delta = args.q, args.m, args.n, args.delta
+    if not 1 <= delta <= min(m, n):
+        raise UsageError(f"need 1 <= delta <= min(m, n), got delta={delta}, "
+                         f"m={m}, n={n}")
     total = 0
     for r in range(0, min(m, n) + 1):
         a = rank_distribution(q, m, n, delta, r)
@@ -419,8 +430,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as e:
-        print(f"parse error: {e}", file=sys.stderr)
+    except UsageError as e:  # ParseError included
+        print(f"{e.kind} error: {e}", file=sys.stderr)
         return 2
     except CdcError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)

@@ -81,8 +81,17 @@ class VerificationFailed(CdcError):
     """A construction-time self-check did not hold."""
 
 
-class ParseError(CdcError):
+class UsageError(CdcError):
+    """Input that names no valid request: a bad command-line argument, or a
+    malformed file (``ParseError``).  The command line exits 2 on it."""
+
+    kind = "usage"
+
+
+class ParseError(UsageError):
     """Malformed input file."""
+
+    kind = "parse"
 
     def __init__(self, message, line=None):
         if line is not None:

@@ -13,15 +13,14 @@ silent downgrade.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (BadArguments, ConditionNotMet, DimensionMismatch,
-                     TooLargeToEnumerate, VerificationFailed)
-from .linalg import MatGF, kernel_basis, rank, span_rank
-from .rankmetric import (ENUM_CAP, LinearMatrixCode, MatrixSet,
-                         gabidulin, grmc_lower_bound, verify_min_rank)
+                     VerificationFailed)
+from .linalg import MatGF, kernel_basis, span_rank
+from .rankmetric import (LinearMatrixCode, MatrixSet, gabidulin,
+                         grmc_lower_bound, verify_min_rank)
 
 
 @dataclass(frozen=True)
@@ -304,10 +303,7 @@ def nested_pair(F: FerrersDiagram, delta1: int, delta2: int, q: int) -> NestedPa
     """Build nested optimal codes on F for distances delta1 > delta2."""
     if not delta1 > delta2 > 0:
         raise BadArguments(f"need delta1 > delta2 > 0, got {delta1}, {delta2}")
-    if singleton_bound(F, delta1) == 0:
-        c1 = _zero_fdrm(F, delta1, q)
-    else:
-        c1 = optimal_fdrmc(F, delta1, q)
+    c1 = optimal_fdrmc(F, delta1, q)
     c2 = optimal_fdrmc(F, delta2, q)
     # c2's basis is independent, so c1 lies in c2 iff stacking adds no rank
     if span_rank(q, c2.code.basis + c1.code.basis) != c2.dim:
@@ -335,20 +331,19 @@ def coset_list(pair: NestedPair, r=None):
     cap r, members above rank r are removed; emptied cosets stay in place.
     """
     q, inner = pair.q, pair.c1.code
-    if pair.c2.size > ENUM_CAP:
-        raise TooLargeToEnumerate(
-            f"outer code size {pair.c2.size} exceeds cap {ENUM_CAP}")
+    m, n, size = inner.m, inner.n, inner.size
     # with the quotient coefficients leading, the outer code's codewords
     # come coset by coset: q^dim(c1) runs of representative + inner codeword
-    outer = LinearMatrixCode(q, inner.m, inner.n, pair.quotient + inner.basis,
-                             inner.delta)
-    words = outer.codewords()
+    outer = LinearMatrixCode(q, m, n, pair.quotient + inner.basis, inner.delta)
+    words = outer.words  # raises TooLargeToEnumerate beyond ENUM_CAP
     out = []
-    for _ in range(pair.coset_count):
-        members = list(itertools.islice(words, inner.size))
-        if r is not None:
-            members = [M for M in members if rank(M) <= r]
-        out.append(MatrixSet(q, inner.m, inner.n, tuple(members), inner.delta))
+    for i in range(0, len(words), size):
+        coset, ranks = words[i:i + size], None
+        if r is not None:  # attach the kept ranks, as restrict_ranks does
+            kept = [(w, rk) for w, rk in zip(coset, outer.ranks[i:i + size]) if rk <= r]
+            coset, ranks = [w for w, _ in kept], tuple(rk for _, rk in kept)
+        out.append(MatrixSet(q, m, n, tuple(MatGF.unflatten(q, m, n, w) for w in coset),
+                             inner.delta, ranks))
     return out
 
 

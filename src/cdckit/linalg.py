@@ -404,18 +404,18 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 
 def enumerate_subspaces(q, n, k):
-    """All k-dimensional subspaces of GF(q)^n, by RREF generator."""
-    if k == 0:
-        yield Subspace(q, n, MatGF.zeros(q, 0, n))
-        return
-    for pivots in itertools.combinations(range(n), k):
-        free_cells = [(i, c) for i, p in enumerate(pivots)
-                      for c in range(p + 1, n) if c not in pivots]
-        for fill in itertools.product(range(q), repeat=len(free_cells)):
-            rows = [[0] * n for _ in range(k)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, c), val in zip(free_cells, fill):
-                rows[i][c] = val
-            yield Subspace(q, n, rows)
+    """All k-dimensional subspaces of GF(q)^n, by RREF generator: pivot
+    columns in lexicographic order, then the free entries read base q, row
+    after row, the first slowest."""
+    L = lanes(q)
 
+    def at(i, c):  # bit offset of entry (i, c) in the flattened k x n matrix
+        return ((k - i) * n - 1 - c) * L.W
+    for pivots in itertools.combinations(range(n), k):
+        flats = [sum(1 << at(i, p) for i, p in enumerate(pivots))]
+        for i, p in enumerate(pivots):
+            for c in range(p + 1, n):
+                if c not in pivots:
+                    flats = [f | v << at(i, c) for f in flats for v in L.code]
+        for f in flats:
+            yield Subspace.from_matrix(MatGF.unflatten(q, k, n, f))

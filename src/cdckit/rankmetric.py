@@ -40,9 +40,6 @@ class LinearMatrixCode:
     def is_enumerable(self, cap=ENUM_CAP) -> bool:
         return self.size <= cap
 
-    def zero(self) -> MatGF:
-        return MatGF.zeros(self.q, self.m, self.n)
-
     def codewords(self):
         """All codewords, in lexicographic order of coefficient vectors."""
         q, m, n = self.q, self.m, self.n
@@ -53,36 +50,16 @@ class LinearMatrixCode:
     def words(self) -> tuple:
         """Every codeword's packed ``flatten()``, in ``codewords()`` order.
 
-        Incremental: ``prefix[i]`` is the sum of the first i terms c_j B_j.
-        Advancing the coefficient vector at position j changes
-        ``prefix[j + 1]`` by one multiple of B_j and makes every later prefix
-        equal to it (their coefficients restart at 0); the last coefficient
-        runs through the q multiples of the last basis matrix.  So each
-        codeword costs one packed add.  Cached on the code, so each code is
-        enumerated once.
+        The span grows one basis matrix at a time: the words so far, each
+        plus every multiple of the next matrix, so the first coefficient
+        runs slowest.  Cached on the code, so each code is enumerated once.
         """
         if not self.is_enumerable():
             raise TooLargeToEnumerate(f"{self.size} codewords exceed cap {ENUM_CAP}")
-        q, dim, mn = self.q, self.dim, self.m * self.n
-        if dim == 0:
-            return (0,)
-        L = lanes(q)
-        multiples = [[L.scale(c, B.flatten()) for c in range(q)]
-                     for B in self.basis]
-        prefix = [0] * dim
-        coeffs = [0] * dim
-        out = []
-        while True:
-            out += L.sums(prefix[-1:], multiples[-1], mn)
-            j = dim - 2
-            while j >= 0 and coeffs[j] == q - 1:
-                coeffs[j] = 0
-                j -= 1
-            if j < 0:
-                return tuple(out)
-            coeffs[j] += 1
-            step = L.sums([prefix[j]], [multiples[j][coeffs[j]]], mn)
-            prefix[j + 1:] = step * (dim - j - 1)
+        L, mn, words = lanes(self.q), self.m * self.n, [0]
+        for B in self.basis:
+            words = L.sums(words, [L.scale(c, B.flatten()) for c in range(self.q)], mn)
+        return tuple(words)
 
     @cached_property
     def ranks(self) -> tuple:

@@ -19,7 +19,7 @@ from .cdc import (Cdc, CdcList, CwcSet, IdVec, build_coset_cdc_lists,
                   inverse_identifying_vector, pair_runs, parallel_linkage,
                   union_cdcs, zip_runs)
 from .errors import (BadArguments, GuardFailed, NotInRegistry, ParameterMismatch,
-                     RankRestrictionViolated, VerificationFailed)
+                     ParseError, RankRestrictionViolated, VerificationFailed)
 from .ferrers import singleton_bound
 from .linalg import MatGF, Subspace, rank, rrief
 from .rankmetric import gabidulin, rank_distribution, restrict_ranks
@@ -517,8 +517,11 @@ def load_registry(path=None):
         text = importlib.resources.files("cdckit.data").joinpath(
             "table11.txt").read_text()
     else:
-        with open(path) as fh:
-            text = fh.read()
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as e:
+            raise ParseError(f"cannot read file: {e}", line=1)
     rows = {}
     order = []
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -527,11 +530,14 @@ def load_registry(path=None):
             continue
         parts = line.split()
         if len(parts) not in (5, 6):
-            from .errors import ParseError
             raise ParseError("expected 'q n d k new [old]'", line=lineno)
-        q, n, d, k = (int(x) for x in parts[:4])
-        new = int(parts[4])
-        old = int(parts[5]) if len(parts) == 6 else None
+        try:
+            q, n, d, k, new = map(int, parts[:5])
+            old = int(parts[5]) if len(parts) == 6 else None
+        except ValueError:
+            raise ParseError(f"expected integer fields, got {line!r}", line=lineno)
+        if (q, n, d, k) in rows:
+            raise ParseError(f"repeated row A_{q}({n},{d},{k})", line=lineno)
         rows[(q, n, d, k)] = (new, old)
         order.append((q, n, d, k))
     return rows, order

@@ -300,3 +300,57 @@ def test_audit_dependent_basis(tmp_path, capsys, head, blocks, line):
     f = tmp_path / "dependent.fdrmc"
     f.write_text(f"fdrmc v1 q=2 {head} delta=1 orient=forward\n{blocks}")
     assert_parse_error(["audit", "--in", str(f)], capsys, line)
+
+
+BUILD_ML = ["build", "--multilevel", "1100,0011", "-q", "2", "--delta", "2"]
+BUILD_F = ["build", "--fdrmc", "F=[1,2,4]", "-q", "2", "--delta", "2"]
+
+
+@pytest.mark.parametrize("registry, argv, message", [
+    pytest.param(None, ["build", "--multilevel", "11a0", "-q", "2", "--delta",
+                        "2", "--out", "{tmp}/x.cdc"],
+                 "usage error: --multilevel '11a0': identifying vectors are "
+                 "binary", id="multilevel-non-digit"),
+    pytest.param(None, ["build", "--fdrmc", "F=[1,a]", "-q", "2", "--delta",
+                        "2", "--out", "{tmp}/x.fdrmc"],
+                 "usage error: bad diagram 'F=[1,a]' ", id="fdrmc-non-digit"),
+    pytest.param("# q n d k new old\n2 18 8 9 18015215399116937 1015379x\n",
+                 ["table11", "--registry", "{tmp}/reg.txt"],
+                 "parse error: line 2: expected integer fields",
+                 id="registry-non-integer"),
+    pytest.param("2 18 8 9 18015215399116937\n",
+                 ["table11", "--registry", "{tmp}/reg.txt"],
+                 "usage error: registry row A_2(18,8,9) has no old bound",
+                 id="registry-without-old"),
+    pytest.param("2 18 8 9 18015215399116937 1015379\n"
+                 "2 18 8 9 18015215399116938 1015379\n",
+                 ["table11", "--registry", "{tmp}/reg.txt"],
+                 "parse error: line 2: repeated row A_2(18,8,9)",
+                 id="registry-repeated-row"),
+    pytest.param(None, ["table11", "--registry", "{tmp}/absent.txt"],
+                 "parse error: line 1: cannot read file: ",
+                 id="registry-missing"),
+    pytest.param(None, ["bound", "-q", "2", "-n", "18", "-d", "8", "-k", "9",
+                        "--registry", "{tmp}"],
+                 "parse error: line 1: cannot read file: ",
+                 id="registry-is-a-directory"),
+    pytest.param(None, BUILD_ML + ["--out", "{tmp}/absent/ml.cdc"],
+                 "usage error: cannot write ", id="out-in-missing-directory"),
+    pytest.param(None, BUILD_F + ["--out", "{tmp}"],
+                 "usage error: cannot write ", id="out-is-a-directory"),
+    pytest.param(None, ["bound", "-q", "2", "-n", "10", "-d", "4", "-k", "3",
+                        "--source", "example:4"],
+                 "usage error: example:4 bounds A_2(19,8,9), not A_2(10,4,3)",
+                 id="example-for-other-parameters"),
+    pytest.param(None, ["rankdist", "-q", "2", "-m", "2", "-n", "2",
+                        "--delta", "5"],
+                 "usage error: need 1 <= delta <= min(m, n), got delta=5",
+                 id="rankdist-delta-too-large"),
+])
+def test_bad_arguments_exit_2(tmp_path, capsys, registry, argv, message):
+    if registry is not None:
+        (tmp_path / "reg.txt").write_text(registry)
+    argv = [a.replace("{tmp}", str(tmp_path)) for a in argv]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith(message) and err.count("\n") == 1

@@ -1,8 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from cdckit.errors import AmbientMismatch, BadArguments
+from cdckit.gf import SUPPORTED_ORDERS
 from cdckit.linalg import (MatGF, Subspace, enumerate_subspaces,
                            gaussian_binomial, kernel_basis, rank, rref, rrief,
                            subspace_distance)
@@ -152,6 +154,39 @@ def test_grassmannian_enumeration_matches_formula():
             subs = list(enumerate_subspaces(2, n, k))
             assert len(subs) == gaussian_binomial(n, k, 2)
             assert len(set(subs)) == len(subs)
+
+
+def grassmannian_oracle(q, n, k):
+    """Digit rows of the RREF generators of the k-dimensional subspaces of
+    GF(q)^n: pivot sets in lexicographic order, then the free entries, row
+    after row, counting base q with the first entry slowest."""
+    for pivots in itertools.combinations(range(n), k):
+        free = [(i, c) for i, p in enumerate(pivots)
+                for c in range(p + 1, n) if c not in pivots]
+        for fill in itertools.product(range(q), repeat=len(free)):
+            rows = [[0] * n for _ in range(k)]
+            for i, p in enumerate(pivots):
+                rows[i][p] = 1
+            for (i, c), v in zip(free, fill):
+                rows[i][c] = v
+            yield tuple(map(tuple, rows))
+
+
+def in_rref(rows):
+    lead = [next((c for c, x in enumerate(r) if x), None) for r in rows]
+    return (None not in lead and lead == sorted(set(lead))
+            and all(r[c] == (i == j) for j, c in enumerate(lead)
+                    for i, r in enumerate(rows)))
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_grassmannian_enumeration_order_for_every_q(q):
+    for n in range(6 if q < 5 else 5):
+        for k in range(n + 1):
+            subs = list(enumerate_subspaces(q, n, k))
+            assert [U.gen.data for U in subs] == list(grassmannian_oracle(q, n, k))
+            assert len(subs) == gaussian_binomial(n, k, q)
+            assert all(U.k == k and in_rref(U.gen.data) for U in subs)
 
 
 def test_member_mask_popcount():
