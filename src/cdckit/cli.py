@@ -10,10 +10,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cdc import Cdc, IdVec, ferrers_of, multilevel
-from .errors import BadArguments, CdcError, ParseError, TooLarge, UsageError
+from .cdc import Cdc, CwcSet, IdVec, ferrers_of, multilevel
+from .errors import (BadArguments, CdcError, NotInRegistry, ParseError,
+                     TooLarge, UsageError)
 from .ferrers import FdrmCode, FerrersDiagram, optimal_fdrmc, singleton_bound
-from .gf import SUPPORTED_ORDERS
+from .gf import SUPPORTED_ORDERS, is_prime_power
 from .linalg import MatGF, Subspace, lanes, span_rank
 from .rankmetric import LinearMatrixCode, rank_distribution
 from .theorems import (EXAMPLES, BoundResult, consistency_report,
@@ -202,6 +203,12 @@ def parse_diagram(text: str) -> FerrersDiagram:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _require_prime_power(q):
+    """The formulas hold for every prime power q; no field has another order."""
+    if not is_prime_power(q):
+        raise UsageError(f"q={q} is not a prime power")
+
+
 def _print_bound(res: BoundResult):
     print(f"A_{res.q}({res.n},{res.d},{res.k}) >= {res.value}   [{res.source}]")
     if res.polynomial:
@@ -214,17 +221,24 @@ def _print_bound(res: BoundResult):
 
 def cmd_bound(args) -> int:
     q, n, d, k = args.q, args.n, args.d, args.k
+    _require_prime_power(q)
     registry = load_registry(args.registry)
     source = args.source
 
     def compute(src):
         if src == "table11":
-            return table11_bound(q, n, d, k, registry=registry)
+            try:
+                return table11_bound(q, n, d, k, registry=registry)
+            except NotInRegistry as e:
+                raise UsageError(str(e))
         if src in ("th41", "th44"):
             if d % 2:
                 raise UsageError("construction sources need an even distance")
             fn = th41_bound if src == "th41" else th44_bound
-            return fn(q, n, d // 2, k)
+            try:
+                return fn(q, n, d // 2, k)
+            except BadArguments as e:
+                raise UsageError(f"--source {src}: {e}")
         name = src.split(":", 1)[1] if src.startswith("example:") else None
         if name not in EXAMPLES:
             raise UsageError(f"unknown source {src!r}: not auto, table11, th41, "
@@ -258,10 +272,16 @@ def cmd_bound(args) -> int:
 def cmd_table11(args) -> int:
     registry = load_registry(args.registry)
     rows, order = registry
-    for q, n, d, k in order:
-        if rows[(q, n, d, k)][1] is None:
+    values = {}
+    for key in order:
+        q, n, d, k = key
+        if rows[key][1] is None:
             raise UsageError(f"registry row A_{q}({n},{d},{k}) has no old bound "
                              "to compare with")
+        try:
+            values[key] = table11_bound(q, n, d, k, registry=registry).value
+        except NotInRegistry as e:
+            raise UsageError(f"registry row A_{q}({n},{d},{k}): {e}")
     consistency = {(c["q"], c["n"], c["d"], c["k"]): c for c in
                    (consistency_report(registry) if args.consistency else ())}
     csv = args.format == "csv"
@@ -271,8 +291,7 @@ def cmd_table11(args) -> int:
     bad = 0
     for key in order:
         q, n, d, k = key
-        value = table11_bound(q, n, d, k, registry=registry).value
-        new, old = rows[key]
+        value, (new, old) = values[key], rows[key]
         ok = value == new and value > old
         bad += not ok
         status = "ok" if ok else "MISMATCH"
@@ -300,10 +319,15 @@ def cmd_table11(args) -> int:
 
 def cmd_build(args) -> int:
     q = args.q
+    if q not in SUPPORTED_ORDERS:
+        raise UsageError(f"q={q} not in supported orders {SUPPORTED_ORDERS}")
+    if args.delta < 1:
+        raise UsageError(f"--delta {args.delta} is not positive")
     if args.multilevel:
         try:
             vectors = [IdVec.from_string(s)
                        for s in args.multilevel.split(",") if s.strip()]
+            CwcSet(vectors=tuple(vectors), min_hd=2 * args.delta)
         except BadArguments as e:
             raise UsageError(f"--multilevel {args.multilevel!r}: {e}")
         entries = []
@@ -345,6 +369,7 @@ def cmd_check(args) -> int:
 
 def cmd_rankdist(args) -> int:
     q, m, n, delta = args.q, args.m, args.n, args.delta
+    _require_prime_power(q)
     if not 1 <= delta <= min(m, n):
         raise UsageError(f"need 1 <= delta <= min(m, n), got delta={delta}, "
                          f"m={m}, n={n}")

@@ -101,6 +101,49 @@ def _verify_axioms(ctx):
                     raise VerificationFailed("distributivity fails")
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first 13 prime bases: exact below 3.3e24, a
+    strong probable-prime test above."""
+    if n < 2 or n in _WITNESSES:
+        return n >= 2
+    if any(n % a == 0 for a in _WITNESSES):
+        return False
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s, d odd
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(x: int, e: int) -> int:
+    """floor(x ** (1 / e)) for x >= 1, by Newton's method from above."""
+    r = 1 << -(-x.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + x // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
+def is_prime_power(q: int) -> bool:
+    """Whether q = p^e for a prime p and e >= 1, that is, whether GF(q)
+    exists.  Formulas in q hold for any prime power, not only the supported
+    orders."""
+    return q >= 2 and any((r := _iroot(q, e)) ** e == q and _is_prime(r)
+                          for e in range(1, q.bit_length() + 1))
+
+
 @lru_cache(maxsize=None)
 def field_new(q: int) -> FieldCtx:
     """Build (and exhaustively verify) the GF(q) context for a supported q."""

@@ -32,6 +32,21 @@ from .errors import AmbientMismatch, BadArguments, BadShape
 from .gf import field_new
 
 
+@lru_cache(maxsize=32)
+def _swar(p, bits):
+    """For odd p and rows of ``bits`` bits in 4-bit lanes: 8 - p and the
+    guard bit 8 in every lane, and the subtraction of rows.  The cache is
+    bounded, as the certifier's rows of all codewords side by side can take
+    hundreds of kilobytes."""
+    ones = int("1" * (bits // 4) or "0", 16)
+    K, G, P = (8 - p) * ones, 8 * ones, p * ones
+
+    def minus(a, b):  # P - b has lanes 1..p, which sums reduce like digits
+        s = a + P - b
+        return s - ((s + K & G) >> 3) * p
+    return K, G, minus
+
+
 class _Lanes:
     """Lane constants of GF(q), derived from q = p^e, and row arithmetic."""
 
@@ -44,7 +59,7 @@ class _Lanes:
                             for x in range(q)]
         self.elem = [code.index(c) if c in code else 0 for c in range(1 << self.W)]
         self.inv = [f.inv(x) if x else 0 for x in self.elem]  # code -> 1 / x
-        self._tables, self._consts = {}, {}
+        self._tables = {}
         # as text a row is its int in base 16, or base 2 below 4-bit
         # entries; ``text`` maps a decimal digit to its entry's text there,
         # and entries other than of 1 or 4 bits are read back byte by byte
@@ -81,29 +96,30 @@ class _Lanes:
         return int.from_bytes(v.to_bytes((v.bit_length() + 7) // 8, "big")
                               .translate(self._tables[c]), "big")
 
-    def _swar(self, n):
-        """For rows of n entries: 8 - p and the guard bit 8 in every lane,
-        and the subtraction of rows."""
-        if n not in self._consts:
-            p, ones = self.p, int("1" * (n * self.W // 4) or "0", 16)
-            K, G, P = (8 - p) * ones, 8 * ones, p * ones
-
-            def minus(a, b):  # P - b has lanes 1..p, which sums reduce like digits
-                s = a + P - b
-                return s - ((s + K & G) >> 3) * p
-            self._consts[n] = K, G, minus
-        return self._consts[n]
-
     def sums(self, xs, ys, n):
         """[x + y for x in xs for y in ys] on packed rows of n entries."""
         if self.p == 2:
             return [x ^ y for x in xs for y in ys]
-        p, (K, G, _) = self.p, self._swar(n)
+        p, (K, G, _) = self.p, _swar(self.p, n * self.W)
         return [s - ((s + K & G) >> 3) * p for s in [x + y for x in xs for y in ys]]
 
     def minus(self, n):
         """Subtraction of packed rows of n entries."""
-        return xor if self.p == 2 else self._swar(n)[2]
+        return xor if self.p == 2 else _swar(self.p, n * self.W)[2]
+
+    def points(self, rows, n):
+        """The combinations of packed rows of n entries whose first nonzero
+        coefficient is 1: by that coefficient's row, then by the later
+        coefficients read base q.  Only lane arithmetic is used, so a row
+        may be many rows side by side in zero-padded fields of whole bytes,
+        n then counting the entries of all of them."""
+        q, span, out = len(self.code), [0], []
+        for i in range(len(rows) - 1, -1, -1):  # span: of the rows after i
+            out[:0] = self.sums(rows[i:i + 1], span, n)
+            if i:
+                span = self.sums([self.scale(c, rows[i]) for c in range(q)],
+                                 span, n)
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -362,15 +378,8 @@ class Subspace:
 
     def points(self):
         """The members whose first nonzero coefficient on the generator rows
-        is 1, one per 1-dimensional subspace: by that coefficient's row,
-        then by the later coefficients read base q."""
-        L, rows, span, out = lanes(self.q), self.gen.packed, [0], []
-        for i in range(self.k - 1, -1, -1):  # span: of the rows after i
-            out[:0] = L.sums(rows[i:i + 1], span, self.n)
-            if i:
-                span = L.sums([L.scale(c, rows[i]) for c in range(self.q)],
-                              span, self.n)
-        return out
+        is 1, one per 1-dimensional subspace (``_Lanes.points``)."""
+        return lanes(self.q).points(self.gen.packed, self.n)
 
     def member_mask(self) -> int:
         """Bitmask over vector indices of GF(q)^n marking the q^k members."""

@@ -5,9 +5,14 @@ diagram-code audits.
 Exhaustive certification hashes subspaces instead of comparing pairs: two
 k-dimensional codewords are closer than d exactly when they share a
 (k - ceil(d/2) + 1)-dimensional one, so hashing those finds every violation
-in time linear in the number of codewords.  A code whose hash tables would
-exceed the work cap (few codewords of large dimension) is checked pair by
-pair.
+in time linear in the number of codewords.  The keys are built for all
+codewords at once, sliced across codewords rather than across bits: row j
+of every RREF generator is one lane of a wide int, the points of the span
+are computed once on those k wide rows, and one ``int.to_bytes`` and a
+memoryview cast split each wide key into one key per codeword, so the
+per-codeword work left in Python is hashing.  A code whose hash tables
+would exceed the work cap (few codewords of large dimension) is checked
+pair by pair.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations
+from itertools import combinations, compress
 
 from .errors import TooLarge
 from .ferrers import FdrmCode, singleton_bound, support_leaks
@@ -61,39 +66,84 @@ class VerifyReport:
         return out
 
 
-def _collisions(members, t, first_only=False):
-    """Groups of codeword indices sharing a t-dimensional subspace (with
-    ``first_only``, stop at the first codeword that shares one).
+def _keys(members, t):
+    """For each RREF t x k matrix C, the keys of the t-subspaces C G of all
+    codewords, in members order: equal keys are equal subspaces.
 
     For RREF generator G and RREF t x k matrix C, C G is already the RREF of
     a t-subspace, as G is the identity on its pivots.  Its rows are member
-    vectors whose first nonzero coefficient is 1, so with those packed
-    vectors (``Subspace.points``) shifted into each of the t row fields of a
-    key, a key is t table lookups.
+    vectors whose first nonzero coefficient is 1 (``_Lanes.points``), so a
+    key is t of those points shifted into t row fields.  All codewords are
+    keyed at once: row j of every generator goes into one wide int, codeword
+    i in lane i of 8 w bytes, wide enough for t row fields.  The points
+    recursion runs once on those k wide rows; lane sums and byte-table
+    scaling keep the padding of every lane zero.  ``to_bytes`` with a
+    memoryview cast then splits each wide key into the codewords' words,
+    w to a key.
     """
     q, n, k = members[0].q, members[0].n, members[0].k
-    width = n * lanes(q).W
+    L, M = lanes(q), len(members)
+    width = n * L.W
+    w = -(-max(t, 1) * width // 64)  # 64-bit words per lane
+    wide = [int.from_bytes(b"".join([U.gen.packed[j].to_bytes(8 * w, "little")
+                                     for U in members]), "little")
+            for j in range(k)]
+    points = L.points(wide, M * 64 * w // L.W)
 
     def point(row):
-        """Index in Subspace.points of the coefficients in digit string row."""
+        """Index in points of the coefficients in digit string row."""
         i = row.index("1")
         return (q ** k - q ** (k - i)) // (q - 1) + int(row[i + 1:] or "0", q)
-    # one slot of the key table per (row field r, point) in use
-    slots = {}
-    plan = [[slots.setdefault((r, point(row)), len(slots))
-             for r, row in enumerate(C.gen.lines())]
-            for C in enumerate_subspaces(q, k, t)]
-    owner, groups = {}, {}
-    for i, U in enumerate(members):
-        vecs = U.points()
-        get = [vecs[c] << r * width for r, c in slots].__getitem__
-        keys = [sum(map(get, rows)) for rows in plan]
-        for key in owner.keys() & keys:
-            groups.setdefault(key, [owner[key]]).append(i)
-        if groups and first_only:
-            break
-        owner.update(dict.fromkeys(keys, i))
-    return list(groups.values())
+    for C in enumerate_subspaces(q, k, t):
+        key = 0
+        for r, row in enumerate(C.gen.lines()):
+            key |= points[point(row)] << r * width
+        words = memoryview(key.to_bytes(8 * w * M, "little")).cast("Q").tolist()
+        yield words if w == 1 else list(zip(*[iter(words)] * w))
+
+
+def _repeats(members, t):
+    """The key lists of ``_keys`` that repeat a key of an earlier codeword or
+    C: one set holds every key, and a C whose keys do not all grow it
+    repeats one."""
+    seen = set()
+    for keys in _keys(members, t):
+        size = len(seen)
+        seen.update(keys)
+        if len(seen) - size < len(keys):
+            yield keys
+
+
+def _collisions(members, t):
+    """Groups of codeword indices, ascending, sharing a t-dimensional
+    subspace.
+
+    The keys of all codewords come C by C from their wide rows
+    (``_keys``).  A first pass only asks, with one set of every key, which
+    C's repeat a key; a passing code ends there.  A second pass builds the
+    keys again and groups owners only for the keys of those C's."""
+    repeated = set()
+    for keys in _repeats(members, t):
+        repeated.update(keys)
+    if not repeated:
+        return []
+    groups = {}
+    for keys in _keys(members, t):
+        for i in compress(range(len(keys)), map(repeated.__contains__, keys)):
+            groups.setdefault(keys[i], []).append(i)
+    return [sorted(g) for g in groups.values() if len(g) > 1]
+
+
+def _shared(members, t):
+    """Whether two codewords share a t-dimensional subspace.  The test runs
+    on doubling prefixes of members, from 64 on, so that a pair among the
+    first codewords ends it early."""
+    m = 64
+    while next(_repeats(members[:m], t), None) is None:
+        if m >= len(members):
+            return False
+        m *= 2
+    return True
 
 
 def _key_level(k, declared):
@@ -126,7 +176,7 @@ def _certify(members, k, declared, budget):
     if pairs:
         return _scan_pairs(members, sorted(pairs), k, declared)
     for t in range(t0 - 1, 0, -1):
-        if _collisions(members, t, first_only=True):
+        if _shared(members, t):
             return 2 * (k - t), []
     return 2 * k, []
 

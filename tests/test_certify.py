@@ -8,16 +8,17 @@ chosen dimension injected.
 """
 
 import math
+import random
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cdckit.cdc import Cdc
-from cdckit.linalg import MatGF, Subspace, rank, subspace_distance
+from cdckit.linalg import MatGF, Subspace, lanes, rank, subspace_distance
 from cdckit.rankmetric import gabidulin, lift
-from cdckit.verify import (EXHAUSTIVE_PAIR_CAP, _certify, _table_entries,
-                           check_cdc)
+from cdckit.verify import (EXHAUSTIVE_PAIR_CAP, _certify, _key_level,
+                           _scan_pairs, _table_entries, check_cdc)
 
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9)
 # ambient sizes per field small enough that q^k member vectors stay cheap
@@ -145,3 +146,90 @@ def test_hashing_is_used_whenever_its_tables_fit_the_cap(monkeypatch):
     rep = check_cdc(code)
     assert rep.passed and rep.min_distance_found == 4
     assert rep.pairs_checked == 2016
+
+
+# Paths no example code reaches: keys of several 64-bit words, collisions
+# among codewords past the first 64 lanes, and t0 = 0.  Each is checked
+# against the pairwise oracle ``_scan_pairs`` over every pair.
+
+
+def scan_all(code):
+    """(minimum distance, violations) over every pair, by ``_scan_pairs``."""
+    pairs = combinations(range(len(code.members)), 2)
+    return _scan_pairs(code.members, pairs, code.k, code.d)
+
+
+def random_subspace(rnd, q, n, k, rows=()):
+    """A random k-subspace of GF(q)^n containing the given independent
+    rows; the other rows are uniform, drawn again until independent."""
+    while True:
+        full = [list(r) for r in rows]
+        full += [[rnd.randrange(q) for _ in range(n)]
+                 for _ in range(k - len(full))]
+        if rank(MatGF(q, full)) == k:
+            return Subspace(q, n, full)
+
+
+def sharing(rnd, U, s):
+    """A random codeword that contains U's first s generator rows."""
+    return random_subspace(rnd, U.q, U.n, U.k, U.gen.data[:s])
+
+
+def assert_certified_as_oracle(code):
+    assert _table_entries(code.members, code.k, code.d) <= EXHAUSTIVE_PAIR_CAP
+    found, violations = scan_all(code)
+    rep = check_cdc(code)
+    assert (rep.min_distance_found, rep.violations) == (found, violations)
+    return rep
+
+
+@pytest.mark.parametrize("q, n", [(9, 8), (2, 70)])
+def test_keys_wider_than_one_word(q, n):
+    rnd = random.Random(q * 100 + n)
+    k, d = 3, 4  # t0 = 2 row fields of n entries
+    assert _key_level(k, d) * n * lanes(q).W > 64
+    members = [random_subspace(rnd, q, n, k) for _ in range(40)]
+    members[30] = sharing(rnd, members[20], 1)
+    rep = assert_certified_as_oracle(Cdc(q=q, n=n, k=k, d=d,
+                                         members=tuple(members)))
+    assert rep.passed and rep.min_distance_found == 4  # from the step-down
+    members[35] = sharing(rnd, members[3], 2)
+    members[38] = sharing(rnd, members[3], 2)
+    rep = assert_certified_as_oracle(Cdc(q=q, n=n, k=k, d=d,
+                                         members=tuple(members)))
+    assert [v[:2] for v in rep.violations] == [(3, 35), (3, 38), (35, 38)]
+
+
+def test_only_collision_is_between_the_last_two_of_many_codewords():
+    rnd = random.Random(3)
+    q, n, k = 2, 16, 3
+    members = [random_subspace(rnd, q, n, k) for _ in range(99)]
+    members.append(sharing(rnd, members[-1], 2))
+    rep = assert_certified_as_oracle(Cdc(q=q, n=n, k=k, d=4,
+                                         members=tuple(members)))
+    assert [v[:2] for v in rep.violations] == [(98, 99)]
+
+
+def test_step_down_collision_beyond_the_first_prefix():
+    rnd = random.Random(4)
+    q, n, k = 2, 24, 3
+    members = [random_subspace(rnd, q, n, k) for _ in range(150)]
+    members[140] = sharing(rnd, members[10], 1)
+    close = [(i, j) for (i, U), (j, V) in combinations(enumerate(members), 2)
+             if subspace_distance(U, V) < 2 * k]
+    assert close == [(10, 140)]  # past the prefixes of 64 and 128
+    rep = assert_certified_as_oracle(Cdc(q=q, n=n, k=k, d=4,
+                                         members=tuple(members)))
+    assert rep.passed and rep.min_distance_found == 4
+
+
+@pytest.mark.parametrize("q, n, k", [(2, 4, 2), (3, 5, 2), (2, 70, 3),
+                                     (9, 8, 3)])
+def test_distance_above_2k_makes_every_pair_a_violation(q, n, k):
+    rnd = random.Random(n)
+    members = list(dict.fromkeys(random_subspace(rnd, q, n, k)
+                                 for _ in range(12)))
+    assert _key_level(k, 2 * k + 1) == 0
+    rep = assert_certified_as_oracle(Cdc(q=q, n=n, k=k, d=2 * k + 1,
+                                         members=tuple(members)))
+    assert len(rep.violations) == len(members) * (len(members) - 1) // 2

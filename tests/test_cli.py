@@ -346,6 +346,38 @@ BUILD_F = ["build", "--fdrmc", "F=[1,2,4]", "-q", "2", "--delta", "2"]
                         "--delta", "5"],
                  "usage error: need 1 <= delta <= min(m, n), got delta=5",
                  id="rankdist-delta-too-large"),
+    pytest.param(None, ["build", "--multilevel", "1100,1010", "-q", "2",
+                        "--delta", "2", "--out", "{tmp}/x.cdc"],
+                 "usage error: --multilevel '1100,1010': d_H(1100, 1010) = 2 "
+                 "< 4", id="multilevel-vectors-too-close"),
+    pytest.param(None, ["build", "--fdrmc", "F=[1,2,4]", "-q", "6", "--delta",
+                        "2", "--out", "{tmp}/x.fdrmc"],
+                 "usage error: q=6 not in supported orders",
+                 id="build-unsupported-order"),
+    pytest.param(None, ["build", "--multilevel", "1100,0011", "-q", "2",
+                        "--delta", "0", "--out", "{tmp}/x.cdc"],
+                 "usage error: --delta 0 is not positive",
+                 id="build-delta-not-positive"),
+    pytest.param(None, ["bound", "-q", "2", "-n", "10", "-d", "4", "-k", "3",
+                        "--source", "th44"],
+                 "usage error: --source th44: need k >= 4, got 3",
+                 id="th44-k-too-small"),
+    pytest.param(None, ["bound", "-q", "2", "-n", "10", "-d", "4", "-k", "3",
+                        "--source", "table11"],
+                 "usage error: A_2(10,4,3) is not a registry row",
+                 id="table11-not-a-row"),
+    pytest.param("2 10 4 3 100 50\n",
+                 ["table11", "--registry", "{tmp}/reg.txt"],
+                 "usage error: registry row A_2(10,4,3): no family for "
+                 "(n,d,k)=(10,4,3)", id="registry-row-without-family"),
+    pytest.param(None, ["rankdist", "-q", "6", "-m", "2", "-n", "2",
+                        "--delta", "1"],
+                 "usage error: q=6 is not a prime power",
+                 id="rankdist-q-not-a-prime-power"),
+    pytest.param(None, ["bound", "-q", "6", "-n", "18", "-d", "8", "-k", "9",
+                        "--source", "example:3"],
+                 "usage error: q=6 is not a prime power",
+                 id="bound-q-not-a-prime-power"),
 ])
 def test_bad_arguments_exit_2(tmp_path, capsys, registry, argv, message):
     if registry is not None:
@@ -354,3 +386,17 @@ def test_bad_arguments_exit_2(tmp_path, capsys, registry, argv, message):
     code, out, err = run_cli(argv, capsys)
     assert code == 2 and out == ""
     assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, first_line", [
+    (["rankdist", "-q", "11", "-m", "2", "-n", "2", "--delta", "1"],
+     "rank 0: 1"),
+    (["bound", "-q", "11", "-n", "18", "-d", "8", "-k", "9", "--source",
+      "example:3"], "A_11(18,8,9) >= "),
+    (["bound", "-q", "49", "-n", "18", "-d", "8", "-k", "9", "--source",
+      "th41"], "A_49(18,8,9) >= "),
+])
+def test_formulas_accept_prime_powers_outside_the_fields(capsys, argv,
+                                                         first_line):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == "" and out.startswith(first_line)

@@ -203,3 +203,23 @@ def test_defective_multiply_fails_instead_of_looping(monkeypatch):
                         lambda f, a, b, modulus: [0] * (len(modulus) - 1))
     with pytest.raises(VerificationFailed):
         field_new.__wrapped__(4)
+
+
+def test_is_prime_power_matches_trial_division():
+    def by_trial_division(q):
+        if q < 2:
+            return False
+        p = next(p for p in range(2, q + 1) if q % p == 0)
+        while q % p == 0:
+            q //= p
+        return q == 1
+    assert [q for q in range(-3, 5000)
+            if gf.is_prime_power(q) != by_trial_division(q)] == []
+    # large primes and their powers, Carmichael numbers, strong
+    # pseudoprimes to several small bases, and a product of two primes
+    p = 2 ** 61 - 1
+    assert gf.is_prime_power(p) and gf.is_prime_power(p ** 3)
+    assert gf.is_prime_power(3 ** 200) and gf.is_prime_power(2 ** 127)
+    assert not any(map(gf.is_prime_power, (
+        561, 41041, 3215031751, 3825123056546413051, p * (2 ** 31 - 1),
+        10 ** 30)))
