@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import or_
 
 from .errors import (BadArguments, BadShape, DiagramMismatch,
-                     DuplicateCodeword, LengthMismatch, NotACwc, NotRref,
+                     DuplicateCodeword, LengthMismatch, NotACwc,
                      ParameterMismatch, VerificationFailed)
 from .ferrers import (FdrmCode, FerrersDiagram, coset_list, nested_pair,
-                      singleton_bound)
-from .linalg import MatGF, Subspace, rrief
+                      singleton_bound, support_leaks)
+from .linalg import MatGF, Subspace, echelon_pivots, rrief
 from .rankmetric import LinearMatrixCode, MatrixSet
 
 
@@ -93,33 +94,6 @@ class EchelonLayout:
     pivots: tuple
     diagram: FerrersDiagram
     col_map: tuple  # display column -> ambient column
-
-    @property
-    def k(self):
-        return len(self.pivots)
-
-    @property
-    def n(self):
-        return self.vec.n
-
-    def build_generator(self, M: MatGF) -> MatGF:
-        """Fill the skeleton's dot cells from a display-oriented matrix."""
-        dia = self.diagram
-        if (M.rows, M.cols) != (dia.m, dia.n):
-            raise DiagramMismatch(
-                f"matrix shape {M.rows}x{M.cols} vs diagram {dia.m}x{dia.n}")
-        k, n = self.k, self.n
-        rows = [[0] * n for _ in range(k)]
-        inv = self.vec.kind == "inverse"
-        for i in range(k):
-            p = self.pivots[k - 1 - i] if inv else self.pivots[i]
-            rows[i][p] = 1
-        for i, row in enumerate(M.data):
-            for j, v in enumerate(row):  # col_map avoids the pivot columns
-                if v and not dia.cell_is_dot(i, j):
-                    raise DiagramMismatch("matrix entry outside the diagram")
-                rows[i][self.col_map[j]] = v
-        return MatGF(M.q, rows)
 
 
 def ferrers_of(v: IdVec) -> EchelonLayout:
@@ -223,27 +197,37 @@ class CwcSet:
 # lifting and the multilevel union
 # ---------------------------------------------------------------------------
 
-def _code_members(code):
-    if isinstance(code, FdrmCode):
-        return code.q, code.diagram, list(code.code.codewords()), code.delta
-    if isinstance(code, MatrixSet):
-        return code.q, None, list(code.members), code.delta
-    raise BadArguments(f"cannot lift a {type(code).__name__}")
-
-
 def lift_on_vector(v: IdVec, code, layout: EchelonLayout | None = None) -> Cdc:
     """Fill the echelon skeleton of v with each codeword; one subspace per
-    matrix, all sharing the identifying vector v."""
+    matrix, all sharing the identifying vector v.  A cell that is zero in
+    every basis matrix of a linear code is zero in every codeword, so only
+    the basis of an ``FdrmCode`` is checked against the diagram."""
     layout = layout or ferrers_of(v)
-    q, dia, members, delta = _code_members(code)
-    if dia is not None and dia != layout.diagram:
-        raise DiagramMismatch(f"code diagram {dia} vs vector diagram {layout.diagram}")
-    subs = []
+    dia, n = layout.diagram, v.n
+    if isinstance(code, FdrmCode):
+        if code.diagram != dia:
+            raise DiagramMismatch(f"code diagram {code.diagram} vs vector diagram {dia}")
+        members, spanning = list(code.code.codewords()), code.code.basis
+    elif isinstance(code, MatrixSet):
+        members = spanning = code.members
+    else:
+        raise BadArguments(f"cannot lift a {type(code).__name__}")
     for M in members:
-        subs.append(Subspace.from_matrix(layout.build_generator(M)))
+        if (M.rows, M.cols) != (dia.m, dia.n):
+            raise DiagramMismatch(
+                f"matrix shape {M.rows}x{M.cols} vs diagram {dia.m}x{dia.n}")
+    if next(support_leaks(dia, spanning), None):
+        raise DiagramMismatch("matrix entry outside the diagram")
+    # the unit rows at the pivots, in row order; col_map avoids the pivots
+    units = MatGF.identity(code.q, n).packed
+    skeleton = [units[p] for p in (layout.pivots[::-1] if v.kind == "inverse"
+                                   else layout.pivots)]
+    placed = (M.spread(layout.col_map, n).packed for M in members)
+    subs = [Subspace.from_matrix(MatGF.from_packed(
+        code.q, n, [*map(or_, skeleton, rows), *skeleton[dia.m:]])) for rows in placed]
     if len(set(subs)) != len(subs):
         raise VerificationFailed("lift produced duplicate subspaces")
-    return Cdc(q=q, n=v.n, k=v.weight, d=2 * delta, members=tuple(subs),
+    return Cdc(q=code.q, n=n, k=v.weight, d=2 * code.delta, members=tuple(subs),
                provenance=f"lift[{v}]")
 
 
@@ -268,27 +252,16 @@ def multilevel(entries, delta: int) -> Cdc:
 # block embedding and block constructions
 # ---------------------------------------------------------------------------
 
-def _echelon_pivots(B: MatGF):
-    pivots = [next((j for j, x in enumerate(row) if x), None) for row in B.data]
-    if None in pivots:
-        raise NotRref("zero row in echelon matrix")
-    if any(a >= b for a, b in zip(pivots, pivots[1:])):
-        raise NotRref("leading entries are not strictly increasing")
-    return pivots
-
-
 def phi_embed(B: MatGF, F: MatGF) -> MatGF:
     """Spread F's columns over the non-pivot columns of B, zeros at pivots.
 
     Deleting the pivot columns recovers F exactly.
     """
-    pivots = set(_echelon_pivots(B))
+    pivots = set(echelon_pivots(B))
     k, n = B.rows, B.cols
     if F.cols != n - k:
         raise BadShape(f"filler has {F.cols} columns, expected {n - k}")
-    cols = iter(F.transpose().packed)
-    return MatGF.from_packed(B.q, F.rows, [0 if j in pivots else next(cols)
-                                           for j in range(n)]).transpose()
+    return F.spread([j for j in range(n) if j not in pivots], n)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ import argparse
 import sys
 
 from .cdc import Cdc, CwcSet, IdVec, ferrers_of, multilevel
-from .errors import (BadArguments, CdcError, NotInRegistry, ParseError,
-                     TooLarge, UsageError)
+from .errors import (BadArguments, CdcError, DegreeTooLarge, NotInRegistry,
+                     ParseError, TooLarge, UsageError)
 from .ferrers import FdrmCode, FerrersDiagram, optimal_fdrmc, singleton_bound
 from .gf import SUPPORTED_ORDERS, is_prime_power
 from .linalg import MatGF, Subspace, lanes, span_rank
@@ -323,20 +323,18 @@ def cmd_build(args) -> int:
         raise UsageError(f"q={q} not in supported orders {SUPPORTED_ORDERS}")
     if args.delta < 1:
         raise UsageError(f"--delta {args.delta} is not positive")
+    if bool(args.multilevel) == bool(args.fdrmc):
+        raise UsageError("pass exactly one of --multilevel and --fdrmc")
     if args.multilevel:
-        try:
+        try:  # a diagram too large for GF(q^m) is a bad argument, too
             vectors = [IdVec.from_string(s)
                        for s in args.multilevel.split(",") if s.strip()]
             CwcSet(vectors=tuple(vectors), min_hd=2 * args.delta)
-        except BadArguments as e:
+            entries = [(v, optimal_fdrmc(ferrers_of(v).diagram, args.delta, q))
+                       for v in vectors]
+        except (BadArguments, DegreeTooLarge) as e:
             raise UsageError(f"--multilevel {args.multilevel!r}: {e}")
-        entries = []
-        total = 0
-        for v in vectors:
-            layout = ferrers_of(v)
-            code = optimal_fdrmc(layout.diagram, args.delta, q)
-            entries.append((v, code))
-            total += code.size
+        total = sum(code.size for _, code in entries)
         if total > BUILD_CAP:
             if args.force_count_only:
                 print(f"count-only: {total} codewords")
@@ -348,13 +346,14 @@ def cmd_build(args) -> int:
         print(f"wrote {code.size} codewords to {args.out} "
               f"(n={code.n}, k={code.k}, d={code.d})")
         return 0
-    if args.fdrmc:
-        dia = parse_diagram(args.fdrmc)
+    dia = parse_diagram(args.fdrmc)
+    try:
         code = optimal_fdrmc(dia, args.delta, q)
-        write_fdrmc(code, args.out)
-        print(f"wrote [{dia}, {code.dim}, {code.delta}]_{q} code to {args.out}")
-        return 0
-    raise UsageError("nothing to build: pass --multilevel or --fdrmc")
+    except DegreeTooLarge as e:
+        raise UsageError(f"--fdrmc {args.fdrmc!r}: {e}")
+    write_fdrmc(code, args.out)
+    print(f"wrote [{dia}, {code.dim}, {code.delta}]_{q} code to {args.out}")
+    return 0
 
 
 def cmd_check(args) -> int:

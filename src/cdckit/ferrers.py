@@ -155,16 +155,12 @@ def _intersect_mrd(q, diagram, delta):
     """Basis of the MRD subcode supported on a standard diagram with m >= n."""
     m, n = diagram.m, diagram.n
     gab = gabidulin(q, m, n, delta, verify=False)
-    non_dots = [(i, j) for i in range(m) for j in range(n)
-                if not diagram.cell_is_dot(i, j)]
-    if non_dots:
-        constraint = MatGF(q, [[B.data[i][j] for B in gab.basis]
-                               for (i, j) in non_dots])
-        coeff_vectors = kernel_basis(constraint)
-    else:
-        coeff_vectors = [tuple(1 if t == s else 0 for t in range(gab.dim))
-                         for s in range(gab.dim)]
-    return tuple(gab.combine(v) for v in coeff_vectors)
+    # row i * n + j holds entry (i, j) of every basis matrix
+    entries = MatGF.from_packed(q, m * n, [B.flatten() for B in gab.basis]).transpose()
+    constraint = MatGF.from_packed(q, gab.dim, [
+        entries.packed[i * n + j] for i in range(m) for j in range(n)
+        if not diagram.cell_is_dot(i, j)])
+    return tuple(gab.combine(v) for v in kernel_basis(constraint))
 
 
 @lru_cache(maxsize=None)

@@ -13,9 +13,12 @@ kernel, ``_eliminate``, serves ``rref``, ``rrief``, ``rank`` and
 ``kernel_basis``.  ``rref`` skips it for rows already in RREF, which it
 tells in O(rows) int operations from the rows' bit lengths and the mask of
 the pivot entries: lifts ``[I | W]``, echelon skeletons filled by the
-constructions and the blocks of a valid file all are.  Rows become digits
-only in ``MatGF.lines``, read by the file writers and the cached
-``MatGF.data`` view, and in ``member_mask``'s vector index.
+constructions and the blocks of a valid file all are.  ``MatGF.spread``
+moves whole columns by masks and shifts: it fills those skeletons, embeds
+fillers (``cdc.phi_embed``) and reverses columns for ``rrief``.  Rows
+become digits only in ``MatGF.lines`` (the file writers, the certifier's
+coefficient index) and the cached ``MatGF.data`` view (``kernel_basis``,
+``ferrers.support_leaks``, ``repr``), and in ``member_mask``'s index.
 
 Subspaces are always stored by their RREF generator, so equality and hashing
 are entrywise.  Column indices are 0-based internally; file formats and CLI
@@ -28,7 +31,7 @@ import itertools
 from functools import lru_cache
 from operator import xor
 
-from .errors import AmbientMismatch, BadArguments, BadShape
+from .errors import AmbientMismatch, BadArguments, BadShape, NotRref
 from .gf import field_new
 
 
@@ -217,8 +220,23 @@ class MatGF:
             raise BadShape("vstack shape mismatch")
         return MatGF.from_packed(self.q, self.cols, self.packed + other.packed)
 
+    def spread(self, cols, n):
+        """The rows x n matrix with column j of this one at column cols[j]
+        and zeros elsewhere.  Columns that move the same distance move
+        together: one mask and one shift per distance and row."""
+        L, m, moves = lanes(self.q), self.cols, {}
+        for j, c in enumerate(cols):
+            s = (m - 1 - j) * L.W  # bit offset of column j
+            d = (n - 1 - c) * L.W - s
+            moves[d] = moves.get(d, 0) | L.emask << s
+        up = [(a, d) for d, a in moves.items() if d >= 0]
+        down = [(a, -d) for d, a in moves.items() if d < 0]
+        return MatGF.from_packed(self.q, n, [
+            sum([(r & a) << d for a, d in up]) + sum([(r & a) >> d for a, d in down])
+            for r in self.packed])
+
     def reverse_cols(self):
-        return MatGF(self.q, [r[::-1] for r in self.lines()])
+        return self.spread(range(self.cols - 1, -1, -1), self.cols)
 
     def reverse_rows(self):
         return MatGF.from_packed(self.q, self.cols, self.packed[::-1])
@@ -313,6 +331,18 @@ def rrief(M: MatGF):
     rev, pivots = rref(M.reverse_cols())
     n = M.cols
     return rev.reverse_cols(), tuple(n - 1 - p for p in pivots)
+
+
+def echelon_pivots(M: MatGF):
+    """The leading column of each row of a matrix in row echelon form: no
+    zero row, and leading entries strictly left to right."""
+    if not all(M.packed):
+        raise NotRref("zero row in echelon matrix")
+    W, n = lanes(M.q).W, M.cols
+    pivots = [n - 1 - (v.bit_length() - 1) // W for v in M.packed]
+    if any(a >= b for a, b in zip(pivots, pivots[1:])):
+        raise NotRref("leading entries are not strictly increasing")
+    return pivots
 
 
 def rank(M: MatGF) -> int:

@@ -11,9 +11,11 @@ from cdckit.cdc import (CdcList, CwcSet, IdVec, build_coset_cdc_lists,
                         reorder_pairing, zip_runs)
 from cdckit.errors import (DiagramMismatch, LengthMismatch, NotACwc, NotRref,
                            ParameterMismatch)
-from cdckit.ferrers import FerrersDiagram, optimal_fdrmc
+from cdckit.ferrers import FdrmCode, FerrersDiagram, optimal_fdrmc
+from cdckit.gf import SUPPORTED_ORDERS
 from cdckit.linalg import MatGF, Subspace, enumerate_subspaces
-from cdckit.rankmetric import MatrixSet, gabidulin, lift, restrict_ranks
+from cdckit.rankmetric import (LinearMatrixCode, MatrixSet, gabidulin, lift,
+                               restrict_ranks)
 from cdckit.verify import check_cdc
 
 E_U = [[1, 0, 0, 0, 1], [0, 0, 1, 0, 1], [0, 0, 0, 1, 0]]
@@ -91,6 +93,55 @@ def test_lift_on_vector_diagram_mismatch():
     wrong = optimal_fdrmc(FerrersDiagram((1, 2)), 2, 2)
     with pytest.raises(DiagramMismatch):
         lift_on_vector(v, wrong)
+
+
+def skeleton_fill(layout, M):
+    """The echelon skeleton of layout filled entry by entry from M's digits:
+    the oracle for ``lift_on_vector``."""
+    k, n = len(layout.pivots), layout.vec.n
+    inv = layout.vec.kind == "inverse"
+    rows = [[0] * n for _ in range(k)]
+    for i in range(k):
+        rows[i][layout.pivots[k - 1 - i] if inv else layout.pivots[i]] = 1
+    for i, row in enumerate(M.data):
+        for j, x in enumerate(row):
+            rows[i][layout.col_map[j]] = x
+    return MatGF(M.q, rows)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_lift_on_vector_matches_the_digit_fill(q):
+    rng = random.Random(q)
+    for s in ("111000", "101010", "010101", "100011", "001110", "110100"):
+        for v in (fw(s), iv(s)):
+            lay = ferrers_of(v)
+            dia = lay.diagram
+            members = tuple({MatGF(q, [[rng.randrange(q) if dia.cell_is_dot(i, j)
+                                        else 0 for j in range(dia.n)]
+                                       for i in range(dia.m)]) for _ in range(12)})
+            fdrmc = optimal_fdrmc(dia, min(dia.m, dia.n) or 1, q)
+            for code, words in ((MatrixSet(q, dia.m, dia.n, members, 1), members),
+                                (fdrmc, fdrmc.code.codewords())):
+                out = lift_on_vector(v, code)
+                assert list(out.members) == [
+                    Subspace.from_matrix(skeleton_fill(lay, M)) for M in words]
+                of = (identifying_vector if v.kind == "forward"
+                      else inverse_identifying_vector)
+                assert all(of(U) == v for U in out.members)
+
+
+def test_lift_on_vector_rejects_matrices_off_the_diagram():
+    v = fw("1010")  # diagram [1, 2]: cell (1, 0) is not a dot
+    dia = ferrers_of(v).diagram
+    off = MatGF(2, [[0, 0], [1, 0]])
+    leaky = FdrmCode(diagram=dia, code=LinearMatrixCode(2, 2, 2, (off,), 1),
+                     delta=1, optimal=False)
+    with pytest.raises(DiagramMismatch, match="outside the diagram"):
+        lift_on_vector(v, leaky)
+    with pytest.raises(DiagramMismatch, match="outside the diagram"):
+        lift_on_vector(v, MatrixSet(2, 2, 2, (MatGF.zeros(2, 2, 2), off), 1))
+    with pytest.raises(DiagramMismatch, match="shape 2x3 vs diagram 2x2"):
+        lift_on_vector(v, MatrixSet(2, 2, 3, (MatGF.zeros(2, 2, 3),), 1))
 
 
 def test_multilevel_tiny_optimum():

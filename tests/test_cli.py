@@ -378,6 +378,18 @@ BUILD_F = ["build", "--fdrmc", "F=[1,2,4]", "-q", "2", "--delta", "2"]
                         "--source", "example:3"],
                  "usage error: q=6 is not a prime power",
                  id="bound-q-not-a-prime-power"),
+    pytest.param(None, ["build", "--multilevel", "0000", "-q", "2", "--delta",
+                        "1", "--out", "{tmp}/x.cdc"],
+                 "usage error: --multilevel '0000': identifying vector must "
+                 "have positive weight", id="multilevel-weight-zero"),
+    pytest.param(None, ["build", "--fdrmc", "F=[1,2,40]", "-q", "2", "--delta",
+                        "2", "--out", "{tmp}/x.fdrmc"],
+                 "usage error: --fdrmc 'F=[1,2,40]': extension degree m=40 ",
+                 id="fdrmc-degree-too-large"),
+    pytest.param(None, BUILD_ML + ["--fdrmc", "F=[1,2,4]", "--out",
+                                   "{tmp}/x.cdc"],
+                 "usage error: pass exactly one of --multilevel and --fdrmc",
+                 id="build-multilevel-and-fdrmc"),
 ])
 def test_bad_arguments_exit_2(tmp_path, capsys, registry, argv, message):
     if registry is not None:

@@ -181,6 +181,14 @@ def test_add_sub_and_reshaping_match_the_field_tables(q):
         assert A.hstack(B).data == tuple(tuple(ra + rb) for ra, rb in zip(a, b))
         assert A.vstack(B).data == tuple(map(tuple, a + b))
         assert A.reverse_cols().data == tuple(tuple(r[::-1]) for r in a)
+        assert A.reverse_cols().reverse_cols() == A
+        n = A.cols + data.draw(st.integers(0, 3))
+        cols = data.draw(st.permutations(range(n)))[:A.cols]
+        placed = [[0] * n for _ in a]
+        for row, r in zip(placed, a):
+            for j, x in zip(cols, r):
+                row[j] = x
+        assert A.spread(cols, n).data == tuple(map(tuple, placed))
         assert MatGF.unflatten(q, A.rows, A.cols, A.flatten()) == A
         assert A.lines() == ["".join(map(str, r)) for r in a]
         assert MatGF(q, A.lines()) == A

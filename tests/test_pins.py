@@ -1,13 +1,15 @@
-"""Byte pins: the files written for the combined construction, for a
-multilevel CLI build and for lifted MRD codes over GF(3), GF(4) and GF(9)
-must repeat bit for bit."""
+"""Byte pins: the files written for the combined construction, for
+multilevel builds over GF(2), GF(3), GF(4) and GF(9) and for lifted MRD
+codes over GF(3), GF(4) and GF(9) must repeat bit for bit."""
 
 import hashlib
 
 import pytest
 
-from cdckit.cdc import Cdc, CwcSet, IdVec, build_coset_cdc_lists
+from cdckit.cdc import (Cdc, CwcSet, IdVec, build_coset_cdc_lists, ferrers_of,
+                        multilevel)
 from cdckit.cli import main, write_cdc
+from cdckit.ferrers import optimal_fdrmc
 from cdckit.linalg import MatGF, Subspace
 from cdckit.rankmetric import gabidulin, lift
 from cdckit.theorems import thm32_build
@@ -60,3 +62,26 @@ def test_lifted_mrd_file_bytes(tmp_path, q, m):
     path = tmp_path / "lifted.cdc"
     write_cdc(lift(gabidulin(q, m, m, 2)), str(path))
     assert sha256(path) == LIFTED_SHA[q, m]
+
+
+# multilevel over 110000,001100,000011 at delta 2 per (q, kind): q^4 + q^2 + 1
+# codewords, 2-, 4- and 8-bit entries, skeletons filled forward and inverse
+MULTILEVEL_Q_SHA = {
+    (3, "forward"): "6be231856448520758c569545361fb17a19bb6ade358ba3afb0011dbbc2362bd",
+    (3, "inverse"): "c6f2e8d59394dfeedf07efb81fd95ee7beae1964290a2171d45b60f64824f867",
+    (4, "forward"): "0f2b0dea409ac196f0145cf039f481c4115fb06235c6a1691fe5e6ae395acdbe",
+    (4, "inverse"): "6c401532ac9a7ecd517a5df2bdd15186ba3298b120c553092609f95252140295",
+    (9, "forward"): "ebd8fe00d4208facc845ab3b0dcbda1d7f10fa889086185def69d9649c14f50f",
+    (9, "inverse"): "a5c940ba3cdfa07137ef7380e316542b2232c0f2b33dcf2a10fd4fb0dda3a3fa",
+}
+
+
+@pytest.mark.parametrize("q,kind", sorted(MULTILEVEL_Q_SHA))
+def test_multilevel_file_bytes_for_odd_and_extension_fields(tmp_path, q, kind):
+    vectors = [IdVec.from_string(s, kind) for s in ("110000", "001100", "000011")]
+    code = multilevel([(v, optimal_fdrmc(ferrers_of(v).diagram, 2, q))
+                       for v in vectors], 2)
+    assert code.size == q ** 4 + q ** 2 + 1
+    path = tmp_path / "ml.cdc"
+    write_cdc(code, str(path))
+    assert sha256(path) == MULTILEVEL_Q_SHA[q, kind]
