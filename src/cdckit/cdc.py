@@ -1,6 +1,6 @@
 """Subspace-code containers and the assembly constructions: identifying
-vectors, echelon layouts, multilevel unions, block/coset assembly, parallel
-linkage, and run-length bookkeeping for lists of codes.
+vectors, echelon layouts, one placement (``_place``) for every lift, multilevel
+unions, block/coset assembly, parallel linkage and run-length bookkeeping.
 
 Every constructor works in two modes: exact big-integer counting (sizes
 only), and materialization for desk-scale instances, which re-verifies the
@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from operator import or_
 
 from .errors import (BadArguments, BadShape, DiagramMismatch,
                      DuplicateCodeword, LengthMismatch, NotACwc,
                      ParameterMismatch, VerificationFailed)
 from .ferrers import (FdrmCode, FerrersDiagram, coset_list, nested_pair,
                       singleton_bound, support_leaks)
-from .linalg import MatGF, Subspace, echelon_pivots, rrief
+from .linalg import MatGF, Subspace, echelon_pivots, lanes, rrief
 from .rankmetric import LinearMatrixCode, MatrixSet
 
 
@@ -197,6 +196,26 @@ class CwcSet:
 # lifting and the multilevel union
 # ---------------------------------------------------------------------------
 
+def _place(q, n, skeletons, cols, code):
+    """The distinct subspaces spanned by each skeleton (k packed rows of n
+    entries) with each codeword of ``code`` ORed into its top rows on ``cols``,
+    skeleton by skeleton in ``codewords()`` order; a basis is spread once."""
+    mats = code.basis if isinstance(code, LinearMatrixCode) else code.members
+    if code.q != q or any((M.q, M.rows, M.cols) != (q, code.m, len(cols)) for M in mats):
+        raise BadShape(f"fillers must be {code.m}x{len(cols)} over GF({q})")
+    placed = tuple(M.spread(cols, n) for M in mats)
+    words = ([M.flatten() for M in placed] if isinstance(code, MatrixSet)
+             else LinearMatrixCode(q, code.m, n, placed, code.delta).words)
+    subs, W = [], lanes(q).W
+    for rows in skeletons:  # a codeword fills the top code.m of the k rows
+        k, s = len(rows), MatGF.from_packed(q, n, rows).flatten()
+        gens = [s | w << (k - code.m) * n * W for w in words]
+        subs += [Subspace.from_matrix(MatGF.unflatten(q, k, n, g)) for g in gens]
+    if len(set(subs)) != len(subs):
+        raise VerificationFailed("placement produced duplicate subspaces")
+    return subs
+
+
 def lift_on_vector(v: IdVec, code, layout: EchelonLayout | None = None) -> Cdc:
     """Fill the echelon skeleton of v with each codeword; one subspace per
     matrix, all sharing the identifying vector v.  A cell that is zero in
@@ -207,26 +226,21 @@ def lift_on_vector(v: IdVec, code, layout: EchelonLayout | None = None) -> Cdc:
     if isinstance(code, FdrmCode):
         if code.diagram != dia:
             raise DiagramMismatch(f"code diagram {code.diagram} vs vector diagram {dia}")
-        members, spanning = list(code.code.codewords()), code.code.basis
+        filler, spanning = code.code, code.code.basis
     elif isinstance(code, MatrixSet):
-        members = spanning = code.members
+        filler, spanning = code, code.members
     else:
         raise BadArguments(f"cannot lift a {type(code).__name__}")
-    for M in members:
-        if (M.rows, M.cols) != (dia.m, dia.n):
-            raise DiagramMismatch(
-                f"matrix shape {M.rows}x{M.cols} vs diagram {dia.m}x{dia.n}")
+    if (filler.m, filler.n) != (dia.m, dia.n):  # _place checks the matrices
+        raise DiagramMismatch(
+            f"matrix shape {filler.m}x{filler.n} vs diagram {dia.m}x{dia.n}")
     if next(support_leaks(dia, spanning), None):
         raise DiagramMismatch("matrix entry outside the diagram")
     # the unit rows at the pivots, in row order; col_map avoids the pivots
     units = MatGF.identity(code.q, n).packed
     skeleton = [units[p] for p in (layout.pivots[::-1] if v.kind == "inverse"
                                    else layout.pivots)]
-    placed = (M.spread(layout.col_map, n).packed for M in members)
-    subs = [Subspace.from_matrix(MatGF.from_packed(
-        code.q, n, [*map(or_, skeleton, rows), *skeleton[dia.m:]])) for rows in placed]
-    if len(set(subs)) != len(subs):
-        raise VerificationFailed("lift produced duplicate subspaces")
+    subs = _place(code.q, n, [skeleton], layout.col_map, filler)
     return Cdc(q=code.q, n=n, k=v.weight, d=2 * code.delta, members=tuple(subs),
                provenance=f"lift[{v}]")
 
@@ -472,18 +486,13 @@ def coset_construction(A: CdcList, B: CdcList, H: LinearMatrixCode) -> Cdc:
     if (H.m, H.n) != (A.k, B.n - B.k) or 2 * H.delta != d:
         raise ParameterMismatch(
             f"filler must be {A.k}x{B.n - B.k} at distance {d // 2}")
-    s = min(len(A.codes), len(B.codes))
-    h_words = list(H.codewords())
-    parts = []
-    zero_block = MatGF.zeros(A.q, B.k, A.n)
-    for i in range(s):
+    W, parts = lanes(A.q).W, []
+    for i, (CA, CB) in enumerate(zip(A.codes, B.codes)):
         subs = []
-        for Ua in A.codes[i].members:
-            for Ub in B.codes[i].members:
-                for Hw in h_words:
-                    top = Ua.gen.hstack(phi_embed(Ub.gen, Hw))
-                    bottom = zero_block.hstack(Ub.gen)
-                    subs.append(Subspace.from_matrix(top.vstack(bottom)))
+        for Ua, Ub in itertools.product(CA.members, CB.members):
+            cols = [A.n + j for j in range(B.n) if j not in Ub.pivots]  # phi_B's
+            skeleton = [*(r << B.n * W for r in Ua.gen.packed), *Ub.gen.packed]
+            subs += _place(A.q, n, [skeleton], cols, H)
         parts.append((f"block[{i}]",
                       Cdc(q=A.q, n=n, k=k, d=d, members=tuple(subs))))
     return union_cdcs(parts, d=d, provenance="coset-construction")
@@ -504,12 +513,10 @@ def parallel_linkage(U1: Cdc, U2: Cdc, M1: LinearMatrixCode, M2: MatrixSet) -> C
     ranks = M2.ranks if M2.ranks is not None else map(_rank, M2.members)
     if max(ranks, default=0) > cap:
         raise ParameterMismatch(f"right filler rank exceeds {cap}")
-    words = list(M1.codewords())
-    subs1 = [Subspace.from_matrix(Ua.gen.hstack(W))
-             for Ua in U1.members for W in words]
-    subs2 = [Subspace.from_matrix(W.hstack(Ub.gen))
-             for Ub in U2.members for W in M2.members]
-    n = U1.n + U2.n
+    n, W = U1.n + U2.n, lanes(U1.q).W
+    subs1 = _place(U1.q, n, [[r << U2.n * W for r in Ua.gen.packed]
+                             for Ua in U1.members], range(U1.n, n), M1)
+    subs2 = _place(U1.q, n, [Ub.gen.packed for Ub in U2.members], range(U1.n), M2)
     parts = [("left-lifted", Cdc(q=U1.q, n=n, k=k, d=d, members=tuple(subs1))),
              ("right-lifted", Cdc(q=U1.q, n=n, k=k, d=d, members=tuple(subs2)))]
     return union_cdcs(parts, d=d, provenance="parallel-linkage")

@@ -3,14 +3,14 @@ import random
 
 import pytest
 
-from cdckit.cdc import (CdcList, CwcSet, IdVec, build_coset_cdc_lists,
+from cdckit.cdc import (Cdc, CdcList, CwcSet, IdVec, build_coset_cdc_lists,
                         concat_cdc_lists, coset_construction, ferrers_of,
                         hamming_guard, identifying_vector, insertion_guard,
                         inverse_identifying_vector, lift_on_vector, multilevel,
                         pair_runs, parallel_linkage, phi_embed,
                         reorder_pairing, zip_runs)
-from cdckit.errors import (DiagramMismatch, LengthMismatch, NotACwc, NotRref,
-                           ParameterMismatch)
+from cdckit.errors import (BadShape, DiagramMismatch, LengthMismatch, NotACwc,
+                           NotRref, ParameterMismatch, TooLargeToEnumerate)
 from cdckit.ferrers import FdrmCode, FerrersDiagram, optimal_fdrmc
 from cdckit.gf import SUPPORTED_ORDERS
 from cdckit.linalg import MatGF, Subspace, enumerate_subspaces
@@ -275,6 +275,94 @@ def test_parallel_linkage_tiny():
     right = [W for W in out.members
              if W.gen.data[0][:4] == (0, 0, 0, 0)]
     assert len(right) == U.size
+
+
+def stacked_lift(code, side):
+    """``[I | W]`` or ``[W | I]`` by ``hstack`` for each codeword W: the
+    oracle for ``lift``."""
+    ident = MatGF.identity(code.q, code.m)
+    words = (code.codewords() if isinstance(code, LinearMatrixCode)
+             else code.members)
+    return [Subspace.from_matrix(ident.hstack(W) if side == "left"
+                                 else W.hstack(ident)) for W in words]
+
+
+def stacked_linkage(U1, U2, M1, M2):
+    """``[Ua | W]`` then ``[W | Ub]`` by ``hstack``: the oracle for
+    ``parallel_linkage``."""
+    return ([Subspace.from_matrix(Ua.gen.hstack(W))
+             for Ua in U1.members for W in M1.codewords()]
+            + [Subspace.from_matrix(W.hstack(Ub.gen))
+               for Ub in U2.members for W in M2.members])
+
+
+def stacked_blocks(A, B, H):
+    """``[Ua phi_Ub(W); 0 Ub]`` by ``hstack``, ``vstack`` and ``phi_embed``:
+    the oracle for ``coset_construction``."""
+    zero = MatGF.zeros(A.q, B.k, A.n)
+    return [Subspace.from_matrix(Ua.gen.hstack(phi_embed(Ub.gen, W))
+                                 .vstack(zero.hstack(Ub.gen)))
+            for CA, CB in zip(A.codes, B.codes)
+            for Ua in CA.members for Ub in CB.members for W in H.codewords()]
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_lifts_match_the_stacked_generators(q):
+    """Every lift builds the generators the stacking formulas build, member
+    for member and in the same order."""
+    rng = random.Random(q)
+
+    def vec(n):
+        return [rng.randrange(q) for _ in range(n)]
+
+    def codes(n, k, sizes):  # no member in two codes
+        pool = iter(rng.sample(list(enumerate_subspaces(q, n, k)), sum(sizes)))
+        return tuple(Cdc(q=q, n=n, k=k, d=2, members=tuple(itertools.islice(pool, s)))
+                     for s in sizes)
+
+    words = MatrixSet(q, 2, 3, tuple({MatGF(q, [vec(3), vec(3)]) for _ in range(8)}), 1)
+    for code in (gabidulin(q, 2, 3, 2), gabidulin(q, 3, 2, 2), words):
+        for side in ("left", "right"):
+            assert list(lift(code, side).members) == stacked_lift(code, side)
+    # right fillers of rank at most k - d/2 = 1
+    z = [0] * 3
+    low = MatrixSet(q, 2, 3, tuple({MatGF(q, rows) for v in (vec(3) for _ in range(4))
+                                    for rows in ([v, v], [v, z], [z, v])}), 1)
+    (U1,), (U2,), M1 = codes(3, 2, [3]), codes(3, 2, [3]), gabidulin(q, 2, 3, 2)
+    out = parallel_linkage(U1, U2, M1, low)
+    assert list(out.members) == stacked_linkage(U1, U2, M1, low)
+    A = CdcList(q=q, n=2, k=1, intra_d=2, inter_d=1, sizes=((2, 1), (1, 1)),
+                codes=codes(2, 1, [2, 1]))
+    B = CdcList(q=q, n=3, k=1, intra_d=2, inter_d=1, sizes=((2, 2),),
+                codes=codes(3, 1, [2, 2]))
+    H = gabidulin(q, 1, 2, 1)
+    out = coset_construction(A, B, H)
+    assert list(out.members) == stacked_blocks(A, B, H)
+
+
+def test_fillers_of_another_field_or_shape_are_rejected():
+    for side in ("left", "right"):  # a 3x2 member in a code of 2x2 matrices
+        with pytest.raises(BadShape):
+            lift(MatrixSet(2, 2, 2, (MatGF.zeros(2, 3, 2),), 1), side)
+    U = lift(gabidulin(2, 2, 2, 2))
+    M1, M2 = gabidulin(2, 2, 4, 2), restrict_ranks(gabidulin(2, 2, 4, 2), 0)
+    M1_4, M2_4 = gabidulin(4, 2, 4, 2), restrict_ranks(gabidulin(4, 2, 4, 2), 0)
+    with pytest.raises(BadShape):
+        parallel_linkage(U, U, M1_4, M2)
+    with pytest.raises(BadShape):
+        parallel_linkage(U, U, M1, M2_4)
+    A = B = lifted_single_list()
+    with pytest.raises(BadShape):
+        coset_construction(A, B, gabidulin(4, 2, 2, 2))
+
+
+def test_every_lift_keeps_the_enumeration_cap():
+    v = fw("1111100000")  # 25 dots: 2^25 codewords at delta 1
+    with pytest.raises(TooLargeToEnumerate):
+        lift_on_vector(v, optimal_fdrmc(ferrers_of(v).diagram, 1, 2))
+    for side in ("left", "right"):
+        with pytest.raises(TooLargeToEnumerate):
+            lift(gabidulin(2, 5, 5, 1, verify=False), side)
 
 
 def test_reorder_pairing_dominates_permutations():

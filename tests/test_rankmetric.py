@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdckit.errors import BadShape, TooLargeToEnumerate
+from cdckit.errors import BadArguments, BadShape, TooLargeToEnumerate
 from cdckit.gf import SUPPORTED_ORDERS
 from cdckit.linalg import rank
 from cdckit.rankmetric import (LinearMatrixCode, gabidulin, grmc_lower_bound,
@@ -125,6 +125,11 @@ def test_lift_right_side():
     code = lift(gabidulin(2, 2, 2, 2), side="right")
     assert code.size == 4
     assert check_cdc(code).min_distance_found == 4
+
+
+def test_lift_checks_side_before_enumerating():
+    with pytest.raises(BadArguments, match="side"):
+        lift(gabidulin(2, 5, 5, 1, verify=False), side="x")  # 2^25 codewords
 
 
 # every (m, n, delta) with at most 2^14 codewords, per field order
