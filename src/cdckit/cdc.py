@@ -17,7 +17,7 @@ from .errors import (BadArguments, BadShape, DiagramMismatch,
                      ParameterMismatch, VerificationFailed)
 from .ferrers import (FdrmCode, FerrersDiagram, coset_list, nested_pair,
                       singleton_bound, support_leaks)
-from .linalg import MatGF, Subspace, echelon_pivots, lanes, rrief
+from .linalg import MatGF, Subspace, echelon_pivots, lanes, rank, rrief
 from .rankmetric import LinearMatrixCode, MatrixSet
 
 
@@ -216,12 +216,12 @@ def _place(q, n, skeletons, cols, code):
     return subs
 
 
-def lift_on_vector(v: IdVec, code, layout: EchelonLayout | None = None) -> Cdc:
+def lift_on_vector(v: IdVec, code) -> Cdc:
     """Fill the echelon skeleton of v with each codeword; one subspace per
     matrix, all sharing the identifying vector v.  A cell that is zero in
     every basis matrix of a linear code is zero in every codeword, so only
     the basis of an ``FdrmCode`` is checked against the diagram."""
-    layout = layout or ferrers_of(v)
+    layout = ferrers_of(v)
     dia, n = layout.diagram, v.n
     if isinstance(code, FdrmCode):
         if code.diagram != dia:
@@ -258,8 +258,7 @@ def multilevel(entries, delta: int) -> Cdc:
         if code.delta < delta:
             raise BadArguments(f"code on {v} has distance {code.delta} < {delta}")
         parts.append((f"lift[{v}]", lift_on_vector(v, code)))
-    out = union_cdcs(parts, d=2 * delta, provenance="multilevel")
-    return out
+    return union_cdcs(parts, d=2 * delta, provenance="multilevel")
 
 
 # ---------------------------------------------------------------------------
@@ -382,13 +381,13 @@ def build_coset_cdc_lists(cwc: CwcSet, delta1: int, delta2: int, q: int,
     Count mode returns exact sizes only.  Build mode materializes every
     coset, lifts it on its vector, and unions the j-th cosets across
     vectors; cross-vector distance is covered by the vector set's Hamming
-    distance, within-coset distance by the inner code.
+    distance, within-coset distance by the inner code.  Where count mode
+    applies, build mode's codes must have count mode's sizes.
     """
     if not delta1 > delta2 > 0:
         raise BadArguments("need delta1 > delta2 > 0")
     if cwc.min_hd < 2 * delta1:
         raise NotACwc(f"vector set distance {cwc.min_hd} below {2 * delta1}")
-    inverse_kind = cwc.vectors[0].kind == "inverse"
     n, k = cwc.n, cwc.weight
 
     per = []
@@ -402,12 +401,8 @@ def build_coset_cdc_lists(cwc: CwcSet, delta1: int, delta2: int, q: int,
             raise BadArguments("count mode supports only r=0 restriction")
         if len(per) != 1:
             raise BadArguments("r=0 count mode expects a single vector")
-        s = per[0][0]
-        sizes = ((1, 1),) + (((0, s - 1),) if s > 1 else ())
-        return CdcList(q=q, n=n, k=k, intra_d=2 * delta1, inter_d=2 * delta2,
-                       sizes=sizes, restricted_rank=r)
-
-    if not build:
+    sizes = None  # count mode's runs, where it applies
+    if r is None:
         runs = []
         acc = 0
         for i, (s, D, _) in enumerate(per):
@@ -416,16 +411,20 @@ def build_coset_cdc_lists(cwc: CwcSet, delta1: int, delta2: int, q: int,
             if s - nxt:
                 runs.append((acc, s - nxt))
         runs.sort(key=lambda t: t[0], reverse=True)
+        sizes = tuple(runs)
+    elif r == 0 and len(per) == 1:
+        s = per[0][0]
+        sizes = ((1, 1),) + (((0, s - 1),) if s > 1 else ())
+    if not build:
         return CdcList(q=q, n=n, k=k, intra_d=2 * delta1, inter_d=2 * delta2,
-                       sizes=tuple(runs))
+                       sizes=sizes, restricted_rank=r)
 
     # build mode
     columns = []
     for s, D, v in per:
-        layout = ferrers_of(v)
-        pair = nested_pair(layout.diagram, delta1, delta2, q)
+        pair = nested_pair(ferrers_of(v).diagram, delta1, delta2, q)
         cosets = coset_list(pair, r=r)
-        lifted = [lift_on_vector(v, cs, layout) if cs.members else None
+        lifted = [lift_on_vector(v, cs) if cs.members else None
                   for cs in cosets]
         columns.append(lifted)
     total = per[0][0] if per else 0
@@ -442,8 +441,9 @@ def build_coset_cdc_lists(cwc: CwcSet, delta1: int, delta2: int, q: int,
                                     provenance=f"coset-column[{j}]"))
     codes, runs = _largest_first(codes)
     out = CdcList(q=q, n=n, k=k, intra_d=2 * delta1, inter_d=2 * delta2,
-                  sizes=runs, codes=codes, restricted_rank=r)
-    out.validate_codes()
+                  sizes=runs if sizes is None else sizes, codes=codes,
+                  restricted_rank=r)
+    out.validate_codes()  # count == build wherever count mode applies
     return out
 
 
@@ -508,9 +508,8 @@ def parallel_linkage(U1: Cdc, U2: Cdc, M1: LinearMatrixCode, M2: MatrixSet) -> C
         raise ParameterMismatch(f"left filler must be {k}x{U2.n} at distance {d // 2}")
     if (M2.m, M2.n) != (k, U1.n) or 2 * M2.delta < d:
         raise ParameterMismatch(f"right filler must be {k}x{U1.n} at distance {d // 2}")
-    from .linalg import rank as _rank
     cap = k - d // 2
-    ranks = M2.ranks if M2.ranks is not None else map(_rank, M2.members)
+    ranks = M2.ranks if M2.ranks is not None else map(rank, M2.members)
     if max(ranks, default=0) > cap:
         raise ParameterMismatch(f"right filler rank exceeds {cap}")
     n, W = U1.n + U2.n, lanes(U1.q).W

@@ -412,7 +412,8 @@ class Subspace:
         return lanes(self.q).points(self.gen.packed, self.n)
 
     def member_mask(self) -> int:
-        """Bitmask over vector indices of GF(q)^n marking the q^k members."""
+        """Bitmask over vector indices of GF(q)^n marking the q^k members.
+        Public API and the tests' oracle for the brute-force clique graph."""
         if self._mask is None:
             digits, q, n = lanes(self.q).digits, self.q, self.n
             m = 0

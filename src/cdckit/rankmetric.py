@@ -37,8 +37,8 @@ class LinearMatrixCode:
     def size(self) -> int:
         return self.q ** self.dim
 
-    def is_enumerable(self, cap=ENUM_CAP) -> bool:
-        return self.size <= cap
+    def is_enumerable(self) -> bool:
+        return self.size <= ENUM_CAP
 
     def codewords(self):
         """All codewords, in lexicographic order of coefficient vectors."""

@@ -468,19 +468,9 @@ _FAMILY_POLYS = {
                  (1, 15), (1, 13), (1, 12), (1, 11), (1, 3)),
 }
 
-_FAMILY_SOURCES = {
-    (18, 8, 9): "example:3",
-    (19, 8, 9): "example:4",
-    (17, 6, 8): "example:5",
-    (15, 6, 6): "th44",
-    (16, 6, 6): "th44",
-    (16, 6, 7): "th44",
-    (17, 6, 6): "th44",
-    (17, 6, 7): "th44",
-    (18, 6, 7): "th44",
-    (19, 6, 7): "th44",
-    (19, 6, 8): "example:8",
-}
+# the rows an example builds; every other family row is Theorem 4.4's
+_FAMILY_SOURCES = {**{key: "th44" for key in _FAMILY_POLYS},
+                   **{key: f"example:{name}" for name, (_, key) in EXAMPLES.items()}}
 
 
 def family_value(q: int, n: int, d: int, k: int) -> int:
@@ -498,17 +488,14 @@ def family_polynomial(n: int, d: int, k: int):
 
 
 def recompute_value(q: int, n: int, d: int, k: int) -> int:
-    """Honest re-computation of a registry row from the constructions."""
-    key = (n, d, k)
-    if key == (18, 8, 9):
-        return example3_bound(q).value
-    if key == (19, 8, 9):
-        return example4_bound(q).value
-    if key == (17, 6, 8):
-        return example5_bound(q).value
-    if key == (19, 6, 8):
-        return example8_bound(q).value
-    return th44_bound(q, n, d // 2, k).value
+    """Honest re-computation of a registry row from the construction its
+    family records (``_FAMILY_SOURCES``)."""
+    source = _FAMILY_SOURCES.get((n, d, k))
+    if source is None:
+        raise NotInRegistry(f"no family for (n,d,k)=({n},{d},{k})")
+    if source == "th44":
+        return th44_bound(q, n, d // 2, k).value
+    return example_bound(source.removeprefix("example:"), q).value
 
 
 def load_registry(path=None):

@@ -12,7 +12,8 @@ are computed once on those k wide rows, and one ``int.to_bytes`` and a
 memoryview cast split each wide key into one key per codeword, so the
 per-codeword work left in Python is hashing.  A code whose hash tables
 would exceed the work cap (few codewords of large dimension) is checked
-pair by pair.
+pair by pair.  The maximum-size search builds its graph from the same
+collision groups.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .linalg import (enumerate_subspaces, gaussian_binomial, lanes,
                      subspace_distance)
 
 EXHAUSTIVE_PAIR_CAP = 10 ** 6   # table entries hashed or pairs compared
+GRASSMANNIAN_CAP = 2000         # points of a brute-force clique search
 SAMPLED_PAIRS = 10 ** 5
 
 
@@ -205,7 +207,8 @@ def check_cdc(code, mode: str = "exhaustive", seed: int = 2024,
 
     Exhaustive mode covers every pair: by hashing shared subspaces, or pair
     by pair where the hash tables would hold more than ``max_pairs``
-    entries.  ``max_pairs`` caps that work, the smaller of the two counts.
+    entries.  ``max_pairs`` caps that work, the smaller of the two counts;
+    above distance 2k every pair is too close, so the work is every pair.
     Sampled mode checks a seed-deterministic set of distinct pairs.
     """
     members, k, declared = code.members, code.k, code.d
@@ -216,7 +219,8 @@ def check_cdc(code, mode: str = "exhaustive", seed: int = 2024,
                             declared=declared)
     total_pairs = M * (M - 1) // 2
     if mode == "exhaustive":
-        work = min(_table_entries(members, k, declared), total_pairs)
+        work = (min(_table_entries(members, k, declared), total_pairs)
+                if _key_level(k, declared) else total_pairs)
         if work > max_pairs:
             raise TooLarge(f"certificate needs {work} table entries or "
                            f"pairs, above cap {max_pairs}")
@@ -274,24 +278,24 @@ def _max_clique(adj) -> int:
     return best
 
 
-def brute_force_optimum(q: int, n: int, k: int, d: int,
-                        cap: int = 2000) -> int:
+def brute_force_optimum(q: int, n: int, k: int, d: int) -> int:
     """Exact maximum size of a set of k-dim subspaces of GF(q)^n at pairwise
-    distance >= d, by exhaustive clique search over the full Grassmannian."""
+    distance >= d, by exhaustive clique search over the full Grassmannian.
+    Two points are adjacent unless they share a subspace of the certifier's
+    key level (``_collisions``).  U -> U^perp keeps every distance, so the
+    search runs on dimension min(k, n - k), where the keys are few."""
     G = gaussian_binomial(n, k, q)
-    if G > cap:
-        raise TooLarge(f"Grassmannian size {G} exceeds cap {cap}")
+    if G > GRASSMANNIAN_CAP:
+        raise TooLarge(f"Grassmannian size {G} exceeds cap {GRASSMANNIAN_CAP}")
     if d <= 2:
         return G  # distinct subspaces of equal dimension are >= 2 apart
-    subs = list(enumerate_subspaces(q, n, k))
-    masks = [U.member_mask() for U in subs]
-    thresh = q ** (k - (d + 1) // 2)
-    adj = [0] * len(subs)
-    for i in range(len(subs)):
-        for j in range(i + 1, len(subs)):
-            if (masks[i] & masks[j]).bit_count() <= thresh:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    k = min(k, n - k)
+    adj = [((1 << G) - 1) ^ (1 << i) for i in range(G)]
+    for group in _collisions(list(enumerate_subspaces(q, n, k)),
+                             _key_level(k, d)):
+        close = sum(1 << i for i in group)
+        for i in group:
+            adj[i] &= ~close
     return _max_clique(adj)
 
 

@@ -1,8 +1,10 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 
+from cdckit import cdc
 from cdckit.cdc import (Cdc, CdcList, CwcSet, IdVec, build_coset_cdc_lists,
                         concat_cdc_lists, coset_construction, ferrers_of,
                         hamming_guard, identifying_vector, insertion_guard,
@@ -10,8 +12,9 @@ from cdckit.cdc import (Cdc, CdcList, CwcSet, IdVec, build_coset_cdc_lists,
                         pair_runs, parallel_linkage, phi_embed,
                         reorder_pairing, zip_runs)
 from cdckit.errors import (BadShape, DiagramMismatch, LengthMismatch, NotACwc,
-                           NotRref, ParameterMismatch, TooLargeToEnumerate)
-from cdckit.ferrers import FdrmCode, FerrersDiagram, optimal_fdrmc
+                           NotRref, ParameterMismatch, TooLargeToEnumerate,
+                           VerificationFailed)
+from cdckit.ferrers import FdrmCode, FerrersDiagram, coset_list, optimal_fdrmc
 from cdckit.gf import SUPPORTED_ORDERS
 from cdckit.linalg import MatGF, Subspace, enumerate_subspaces
 from cdckit.rankmetric import (LinearMatrixCode, MatrixSet, gabidulin, lift,
@@ -460,6 +463,17 @@ def test_build_mode_matches_count_mode():
         for U in c1.members:
             for V in c2.members:
                 assert subspace_distance(U, V) >= 2
+
+
+def test_build_mode_checks_sizes_against_count_mode(monkeypatch):
+    # a coset that loses a member is caught by count mode's sizes
+    def short_coset_list(pair, r=None):
+        cosets = coset_list(pair, r=r)
+        return cosets[:-1] + [replace(cosets[-1], members=cosets[-1].members[:-1])]
+    monkeypatch.setattr(cdc, "coset_list", short_coset_list)
+    cwc = CwcSet(vectors=(fw("1100"),), min_hd=4)
+    with pytest.raises(VerificationFailed):
+        build_coset_cdc_lists(cwc, 2, 1, 2, build=True)
 
 
 def test_build_mode_restricted():

@@ -197,12 +197,25 @@ def test_ext_field_axioms(q, m):
 
 
 def test_defective_multiply_fails_instead_of_looping(monkeypatch):
-    # a multiply that returns zero never walks back to 1; the generator
-    # search must give up after q - 1 steps per candidate
+    # a multiply that returns zero fails the axioms check; field_new must
+    # raise, not loop
     monkeypatch.setattr(gf, "_poly_mulmod",
                         lambda f, a, b, modulus: [0] * (len(modulus) - 1))
     with pytest.raises(VerificationFailed):
         field_new.__wrapped__(4)
+
+
+def test_mul_table_without_inverses_fails_axioms(monkeypatch):
+    # t^2 is reducible: GF(2)[t] / (t^2) is a ring in which t has no inverse
+    monkeypatch.setitem(gf._BASE_MODULI, (2, 2), (0, 0, 1))
+    with pytest.raises(VerificationFailed, match="inverse"):
+        field_new.__wrapped__(4)
+
+
+def test_inverse_of_zero_raises():
+    for q in SUPPORTED_ORDERS:
+        with pytest.raises(ZeroDivisionError):
+            field_new(q).inv(0)
 
 
 def test_is_prime_power_matches_trial_division():

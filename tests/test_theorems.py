@@ -245,6 +245,11 @@ def test_recompute_matches_example_sources():
     assert recompute_value(3, 18, 6, 7) == th44_bound(3, 18, 3, 7).value
 
 
+def test_recompute_outside_registry():
+    with pytest.raises(NotInRegistry):
+        recompute_value(2, 20, 6, 7)
+
+
 def test_insertion_union_tiny_build():
     # guard-compliant union of a block construction with an outside code:
     # n=11, k=5, d=4, split k1=2/k2=3; the outside member has x=5 ones on

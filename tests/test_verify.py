@@ -1,9 +1,14 @@
+from itertools import combinations
+
 import pytest
 
+from cdckit import verify
 from cdckit.cdc import Cdc, IdVec, ferrers_of, multilevel
 from cdckit.errors import TooLarge
 from cdckit.ferrers import FerrersDiagram, optimal_fdrmc, th43_optimal_fdrmc
-from cdckit.linalg import MatGF, gaussian_binomial
+from cdckit.gf import SUPPORTED_ORDERS
+from cdckit.linalg import (MatGF, Subspace, enumerate_subspaces,
+                           gaussian_binomial, kernel_basis)
 from cdckit.rankmetric import LinearMatrixCode, gabidulin, lift
 from cdckit.verify import audit_fdrmc, brute_force_optimum, check_cdc
 
@@ -49,6 +54,69 @@ def test_check_cdc_pair_cap():
     code = lift(gabidulin(2, 3, 3, 2))
     with pytest.raises(TooLarge):
         check_cdc(code, max_pairs=10)
+
+
+def test_distance_above_2k_counts_every_pair_against_the_cap():
+    # no key level exists above 2k, so the work is all 2016 pairs
+    code = lift(gabidulin(2, 3, 3, 2))
+    declared = Cdc(q=2, n=6, k=3, d=7, members=code.members)
+    with pytest.raises(TooLarge):
+        check_cdc(declared, max_pairs=1000)
+    rep = check_cdc(declared)
+    assert not rep.passed and len(rep.violations) == 2016
+
+
+def mask_graphs(q, n, k, ds):
+    """The oracle graphs on the Grassmannian, one per d: two points are
+    adjacent when they share at most q^(k - ceil(d/2)) member vectors."""
+    masks = [U.member_mask() for U in enumerate_subspaces(q, n, k)]
+    shared = [(i, j, (masks[i] & masks[j]).bit_count())
+              for i, j in combinations(range(len(masks)), 2)]
+    for d in ds:
+        thresh = q ** (k - (d + 1) // 2)
+        adj = [0] * len(masks)
+        for i, j, s in shared:
+            if s <= thresh:
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
+        yield adj
+
+
+SMALL_GRASSMANNIANS = [(q, n, k) for q in SUPPORTED_ORDERS
+                       for n in range(2, 8) for k in range(1, n)
+                       if gaussian_binomial(n, k, q) <= 160]
+
+
+@pytest.mark.parametrize("q,n,k", SMALL_GRASSMANNIANS)
+def test_brute_force_graph_matches_member_masks(q, n, k, monkeypatch):
+    """The clique graph built from collision groups equals the member-mask
+    graph of dimension min(k, n - k) for every d from 3 to 2k + 2."""
+    graphs = []
+    monkeypatch.setattr(verify, "_max_clique",
+                        lambda adj: graphs.append(adj) or 0)
+    ds = range(3, 2 * k + 3)
+    for d in ds:
+        brute_force_optimum(q, n, k, d)
+    assert graphs == list(mask_graphs(q, n, min(k, n - k), ds))
+
+
+def edges(adj):
+    return {(i, j) for i, a in enumerate(adj) for j in range(len(adj))
+            if a >> j & 1}
+
+
+@pytest.mark.parametrize("q,n,k", [(q, n, k) for q, n, k in SMALL_GRASSMANNIANS
+                                   if 2 * k > n])
+def test_orthogonal_complement_keeps_the_mask_graph(q, n, k):
+    """U -> U^perp maps the member-mask graph on the k-subspaces onto the
+    one on the (n - k)-subspaces, which brute_force_optimum searches."""
+    dual = {U: i for i, U in enumerate(enumerate_subspaces(q, n, n - k))}
+    perm = [dual[Subspace(q, n, kernel_basis(U.gen))]
+            for U in enumerate_subspaces(q, n, k)]
+    ds = range(3, 2 * k + 3)
+    for adj, dual_adj in zip(mask_graphs(q, n, k, ds),
+                             mask_graphs(q, n, n - k, ds)):
+        assert {(perm[i], perm[j]) for i, j in edges(adj)} == edges(dual_adj)
 
 
 def test_brute_force_optimum_tiny():
