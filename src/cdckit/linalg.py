@@ -349,6 +349,16 @@ def rank(M: MatGF) -> int:
     return len(_eliminate(M.q, M.cols, M.packed, reduced=False)[1])
 
 
+def word_rank(q, rows, cols, v) -> int:
+    """Rank of the rows x cols matrix whose ``flatten()`` is v, eliminated
+    from its row fields without building a ``MatGF``.  The fields are taken
+    last row first, as rank does not depend on row order."""
+    s = cols * lanes(q).W
+    mask = (1 << s) - 1
+    return len(_eliminate(q, cols, [v >> i * s & mask for i in range(rows)],
+                          reduced=False)[1])
+
+
 def span_rank(q, matrices) -> int:
     """Dimension of the span of equal-shape matrices, taken as vectors."""
     n = matrices[0].rows * matrices[0].cols if matrices else 0

@@ -11,7 +11,8 @@ from functools import cached_property, lru_cache
 from .errors import (BadArguments, BadShape, TooLargeToEnumerate,
                      VerificationFailed)
 from .gf import expand_rows, ext_new, frobenius
-from .linalg import MatGF, gaussian_binomial, lanes, rank, span_rank
+from .linalg import (MatGF, gaussian_binomial, lanes, rank, span_rank,
+                     word_rank)
 
 ENUM_CAP = 2 ** 20          # hard cap for full code enumeration
 EXHAUSTIVE_RANK_CAP = 2 ** 16   # full min-rank verification below this size
@@ -64,8 +65,10 @@ class LinearMatrixCode:
     @cached_property
     def ranks(self) -> tuple:
         """The rank of every codeword, in ``codewords()`` order (the zero
-        matrix first).  Cached on the code, so each code is ranked once."""
-        return tuple(map(rank, self.codewords()))
+        matrix first), read off its packed word.  Cached on the code, so each
+        code is ranked once."""
+        q, m, n = self.q, self.m, self.n
+        return tuple([word_rank(q, m, n, w) for w in self.words])
 
     def is_independent(self) -> bool:
         """Whether the basis matrices are linearly independent, so that

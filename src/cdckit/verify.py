@@ -13,7 +13,9 @@ memoryview cast split each wide key into one key per codeword, so the
 per-codeword work left in Python is hashing.  A code whose hash tables
 would exceed the work cap (few codewords of large dimension) is checked
 pair by pair.  The maximum-size search builds its graph from the same
-collision groups.
+collision groups.  GL(n, q) acts on that graph, so the search is rooted at
+one point and one neighbour per dimension of intersection with it, and it
+stops once it has coloured ``CLIQUE_WORK_CAP`` vertices.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .linalg import (enumerate_subspaces, gaussian_binomial, lanes,
 
 EXHAUSTIVE_PAIR_CAP = 10 ** 6   # table entries hashed or pairs compared
 GRASSMANNIAN_CAP = 2000         # points of a brute-force clique search
+CLIQUE_WORK_CAP = 3 * 10 ** 6   # vertices coloured by one clique search
 SAMPLED_PAIRS = 10 ** 5
 
 
@@ -239,12 +242,24 @@ def check_cdc(code, mode: str = "exhaustive", seed: int = 2024,
                         pairs_checked=checked)
 
 
-def _max_clique(adj) -> int:
-    """Exact maximum clique via branch and bound with greedy coloring."""
-    n = len(adj)
-    best = 0
+def _max_clique(adj, roots) -> int:
+    """The largest clique that extends one of ``roots``, by branch and bound
+    with greedy colouring.  A root (size, P) stands for a clique of that
+    size whose common neighbourhood is P.
+
+    This is the maximum clique of the graph only when roots are chosen by
+    its automorphisms, as ``brute_force_optimum`` chooses them: every
+    maximum clique must map to one that extends a root.  The search counts
+    the vertices it colours and raises ``TooLarge`` above
+    ``CLIQUE_WORK_CAP``."""
+    best = work = 0
 
     def color_order(P):
+        nonlocal work
+        work += P.bit_count()
+        if work > CLIQUE_WORK_CAP:
+            raise TooLarge(f"clique search colours more than "
+                           f"{CLIQUE_WORK_CAP} vertices")
         order, bounds = [], []
         remaining = P
         color = 0
@@ -274,29 +289,49 @@ def _max_clique(adj) -> int:
                 best = size + 1
             P &= ~(1 << v)
 
-    expand(0, (1 << n) - 1)
+    for size, P in roots:
+        best = max(best, size)
+        expand(size, P)
     return best
 
 
 def brute_force_optimum(q: int, n: int, k: int, d: int) -> int:
     """Exact maximum size of a set of k-dim subspaces of GF(q)^n at pairwise
-    distance >= d, by exhaustive clique search over the full Grassmannian.
+    distance >= d, by exhaustive clique search on the Grassmannian.
     Two points are adjacent unless they share a subspace of the certifier's
     key level (``_collisions``).  U -> U^perp keeps every distance, so the
-    search runs on dimension min(k, n - k), where the keys are few."""
+    search runs on dimension min(k, n - k), where the keys are few.
+
+    GL(n, q) acts on the graph, so the search starts from its symmetry:
+    the group is transitive on points, so some maximum clique holds point
+    0; and the stabiliser of point 0 is transitive on the points meeting it
+    in each dimension, so the search extends {0, w} for one neighbour w per
+    intersection dimension, leaving out the classes already searched.  It
+    raises ``TooLarge`` above ``GRASSMANNIAN_CAP`` points or
+    ``CLIQUE_WORK_CAP`` coloured vertices."""
     G = gaussian_binomial(n, k, q)
     if G > GRASSMANNIAN_CAP:
         raise TooLarge(f"Grassmannian size {G} exceeds cap {GRASSMANNIAN_CAP}")
     if d <= 2:
         return G  # distinct subspaces of equal dimension are >= 2 apart
     k = min(k, n - k)
+    points = list(enumerate_subspaces(q, n, k))
     adj = [((1 << G) - 1) ^ (1 << i) for i in range(G)]
-    for group in _collisions(list(enumerate_subspaces(q, n, k)),
-                             _key_level(k, d)):
+    for group in _collisions(points, _key_level(k, d)):
         close = sum(1 << i for i in group)
         for i in group:
             adj[i] &= ~close
-    return _max_clique(adj)
+    classes = {}  # distance from point 0 -> its neighbours at that distance
+    for w in range(1, G):
+        if adj[0] >> w & 1:
+            dist = subspace_distance(points[0], points[w])
+            classes[dist] = classes.get(dist, 0) | 1 << w
+    roots, done = [], 0
+    for members in classes.values():
+        w = (members & -members).bit_length() - 1
+        roots.append((2, adj[0] & adj[w] & ~done))
+        done |= members
+    return _max_clique(adj, roots or [(1, 0)])
 
 
 def audit_fdrmc(code: FdrmCode) -> VerifyReport:

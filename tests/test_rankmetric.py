@@ -152,3 +152,13 @@ def test_rank_distribution_matches_the_enumerated_census(q):
                 for r in range(min(m, n) + 1)} == {
             r: census[r] for r in range(min(m, n) + 1)}
     check()
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+@pytest.mark.parametrize("m,n,delta", [(2, 2, 1), (3, 2, 2), (2, 3, 2)])
+def test_ranks_match_the_rank_of_each_codeword(q, m, n, delta):
+    """Ranks read off the packed words equal the rank of every codeword
+    matrix, on a fresh code so that nothing is cached."""
+    g = gabidulin(q, m, n, delta)
+    code = LinearMatrixCode(q, m, n, g.basis, delta)
+    assert code.ranks == tuple(map(rank, code.codewords()))

@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cdckit import verify
 from cdckit.cdc import Cdc, IdVec, ferrers_of, multilevel
@@ -93,7 +94,7 @@ def test_brute_force_graph_matches_member_masks(q, n, k, monkeypatch):
     graph of dimension min(k, n - k) for every d from 3 to 2k + 2."""
     graphs = []
     monkeypatch.setattr(verify, "_max_clique",
-                        lambda adj: graphs.append(adj) or 0)
+                        lambda adj, *_: graphs.append(adj) or 0)
     ds = range(3, 2 * k + 3)
     for d in ds:
         brute_force_optimum(q, n, k, d)
@@ -117,6 +118,90 @@ def test_orthogonal_complement_keeps_the_mask_graph(q, n, k):
     for adj, dual_adj in zip(mask_graphs(q, n, k, ds),
                              mask_graphs(q, n, n - k, ds)):
         assert {(perm[i], perm[j]) for i, j in edges(adj)} == edges(dual_adj)
+
+
+def full_clique(adj):
+    """The maximum clique, by branch and bound with greedy colouring from
+    every vertex and no use of the graph's symmetry: the oracle for the
+    rooted search of brute_force_optimum."""
+    best = 0
+
+    def color_order(P):
+        order, bounds = [], []
+        remaining = P
+        color = 0
+        while remaining:
+            color += 1
+            avail = remaining
+            while avail:
+                v = (avail & -avail).bit_length() - 1
+                bit = 1 << v
+                avail &= ~adj[v] & ~bit
+                remaining &= ~bit
+                order.append(v)
+                bounds.append(color)
+        return order, bounds
+
+    def expand(size, P):
+        nonlocal best
+        order, bounds = color_order(P)
+        for idx in range(len(order) - 1, -1, -1):
+            if size + bounds[idx] <= best:
+                return
+            v = order[idx]
+            newP = P & adj[v]
+            if newP:
+                expand(size + 1, newP)
+            elif size + 1 > best:
+                best = size + 1
+            P &= ~(1 << v)
+
+    expand(0, (1 << len(adj)) - 1)
+    return best
+
+
+@pytest.mark.parametrize("q,n,k", [(q, n, k) for q, n, k in SMALL_GRASSMANNIANS
+                                   if gaussian_binomial(n, k, q) <= 130])
+def test_rooted_search_matches_the_full_search(q, n, k, monkeypatch):
+    """One point and one neighbour per intersection dimension find the
+    maximum clique of every graph, d from 3 to 2k + 2."""
+    search, graphs = verify._max_clique, []
+    monkeypatch.setattr(verify, "_max_clique",
+                        lambda adj, roots: graphs.append(adj)
+                        or search(adj, roots))
+    found = [brute_force_optimum(q, n, k, d) for d in range(3, 2 * k + 3)]
+    assert found == [full_clique(adj) for adj in graphs]
+
+
+@st.composite
+def circulant_graphs(draw):
+    """Cayley graphs of Z_N with a connection set S = -S: vertex-transitive,
+    as the Grassmannian graphs are."""
+    N = draw(st.integers(2, 40))
+    S = draw(st.sets(st.integers(1, N // 2)))
+    S |= {N - s for s in S}
+    return [sum(1 << (i + s) % N for s in S) for i in range(N)]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(circulant_graphs())
+def test_one_point_roots_a_vertex_transitive_graph(adj):
+    assert verify._max_clique(adj, [(1, adj[0])]) == full_clique(adj)
+
+
+@pytest.mark.parametrize("q,n,k,d,optimum", [
+    (2, 5, 2, 4, 9),    # Beutelspacher's maximal partial spread
+    (3, 4, 2, 4, 10),   # spreads of q^2 + 1 lines
+    (4, 4, 2, 4, 17),
+])
+def test_partial_spread_optima(q, n, k, d, optimum):
+    assert brute_force_optimum(q, n, k, d) == optimum
+
+
+def test_clique_search_work_cap():
+    # 651 lines of PG(5, 2); without the cap the search ran for minutes
+    with pytest.raises(TooLarge, match="clique search"):
+        brute_force_optimum(2, 6, 2, 4)
 
 
 def test_brute_force_optimum_tiny():
