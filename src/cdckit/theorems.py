@@ -527,6 +527,8 @@ def load_registry(path=None):
             raise ParseError(f"repeated row A_{q}({n},{d},{k})", line=lineno)
         rows[(q, n, d, k)] = (new, old)
         order.append((q, n, d, k))
+    if not rows:
+        raise ParseError("registry has no rows", line=1)
     return rows, order
 
 

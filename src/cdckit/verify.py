@@ -10,18 +10,20 @@ codewords at once, sliced across codewords rather than across bits: row j
 of every RREF generator is one lane of a wide int, the points of the span
 are computed once on those k wide rows, and one ``int.to_bytes`` and a
 memoryview cast split each wide key into one key per codeword, so the
-per-codeword work left in Python is hashing.  A code whose hash tables
-would exceed the work cap (few codewords of large dimension) is checked
-pair by pair.  The maximum-size search builds its graph from the same
-collision groups.  GL(n, q) acts on that graph, so the search is rooted at
-one point and one neighbour per dimension of intersection with it, and it
-stops once it has coloured ``CLIQUE_WORK_CAP`` vertices.
+per-codeword work left in Python is hashing.  The number of keys a pair
+shares gives its distance.  Only a code whose tables would exceed the work
+cap (few codewords of large dimension) is ranked pair by pair.  The
+maximum-size search builds its graph from the same collision groups.
+GL(n, q) acts on that graph, so the search is rooted at one point and one
+neighbour per intersection dimension, and it stops once it has coloured
+``CLIQUE_WORK_CAP`` vertices.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, compress
 
@@ -160,26 +162,31 @@ def _key_level(k, declared):
 
 def _table_entries(members, k, declared):
     """Table entries hashing builds at most: per codeword and level
-    t <= t0, t row fields of q^k vectors and [k, t]_q keys."""
+    t <= max(t0, 1), t row fields of q^k vectors and [k, t]_q keys."""
     q, t0 = members[0].q, _key_level(k, declared)
     return len(members) * sum(t * q ** k + gaussian_binomial(k, t, q)
-                              for t in range(1, min(t0, k) + 1))
+                              for t in range(1, min(max(t0, 1), k) + 1))
 
 
 def _certify(members, k, declared, budget):
-    """(minimum distance, violations) over all pairs.  Two codewords are
-    closer than ``declared`` exactly when they share a t0-dimensional
-    subspace; without such a pair, the largest t at which two collide gives
-    2 (k - t).  Where hashing would build more than ``budget`` table
-    entries, the pairs are checked one by one instead."""
-    M = len(members)
+    """(minimum distance, violations) over all pairs.  Codewords meeting in
+    dimension s share [s, t]_q t-subspaces, which grows with s for t >= 1:
+    at t = max(t0, 1), the collision groups holding a pair give its s and
+    distance 2 (k - s), and s < t for a pair in none.  Violations have
+    s >= t0; without one, the largest t at which two codewords collide
+    gives 2 (k - t).  Over ``budget`` table entries, every pair is ranked."""
+    M, q = len(members), members[0].q
     t0 = _key_level(k, declared)
     if _table_entries(members, k, declared) > budget:
         return _scan_pairs(members, combinations(range(M), 2), k, declared)
-    pairs = {pair for group in _collisions(members, t0)
-             for pair in combinations(group, 2)}
-    if pairs:
-        return _scan_pairs(members, sorted(pairs), k, declared)
+    t = max(t0, 1)
+    shared = Counter(pair for group in _collisions(members, t)
+                     for pair in combinations(group, 2))
+    dim = {gaussian_binomial(s, t, q): s for s in range(t, k + 1)}
+    violations = [(i, j, 2 * (k - dim.get(shared[i, j], 0))) for i, j
+                  in (sorted(shared) if t0 else combinations(range(M), 2))]
+    if violations:
+        return min(d for _, _, d in violations), violations
     for t in range(t0 - 1, 0, -1):
         if _shared(members, t):
             return 2 * (k - t), []
@@ -208,10 +215,11 @@ def check_cdc(code, mode: str = "exhaustive", seed: int = 2024,
               ) -> VerifyReport:
     """Certify the minimum pairwise subspace distance of a code.
 
-    Exhaustive mode covers every pair: by hashing shared subspaces, or pair
-    by pair where the hash tables would hold more than ``max_pairs``
-    entries.  ``max_pairs`` caps that work, the smaller of the two counts;
-    above distance 2k every pair is too close, so the work is every pair.
+    Exhaustive mode covers every pair: by hashing shared subspaces, whose
+    counts give each violating pair's distance, or pair by pair where the
+    hash tables would hold more than ``max_pairs`` entries.  ``max_pairs``
+    caps that work, the smaller of the two counts; above distance 2k every
+    pair is too close, so the work is every pair.
     Sampled mode checks a seed-deterministic set of distinct pairs.
     """
     members, k, declared = code.members, code.k, code.d

@@ -1,10 +1,11 @@
 """The subspace-collision certifier against the pairwise oracle.
 
-``check_cdc`` finds violations by hashing shared subspaces, or pair by pair
-where hashing costs more; these properties compare both with
-``subspace_distance`` over every pair of random small codes in every
-supported field, with duplicates and members that share a subspace of
-chosen dimension injected.
+``check_cdc`` finds violations by hashing shared subspaces, and reads each
+violating pair's distance from the number of keys it shares; only where
+hashing costs more does it rank pair by pair.  These properties compare
+both with ``subspace_distance`` over every pair of random small codes in
+every supported field, with duplicates and members that share a subspace
+of chosen dimension injected.
 """
 
 import math
@@ -135,9 +136,13 @@ def test_sampled_pairs_are_distinct():
 
 def test_hashing_is_used_whenever_its_tables_fit_the_cap(monkeypatch):
     # 64 codewords: 2,432 table entries against 2,016 pairs, both far below
-    # the cap, so a passing code is certified without comparing a pair
+    # the cap, so a code is certified without comparing a pair, whether it
+    # passes or fails (declared d = 5 and 7: t0 = 1 and t0 = 0)
     code = lift(gabidulin(2, 3, 3, 2))
     assert 2016 < _table_entries(code.members, 3, 4) < EXHAUSTIVE_PAIR_CAP
+    failing = [Cdc(q=2, n=6, k=3, d=d, members=code.members) for d in (5, 7)]
+    expected = [scan_all(c) for c in failing]
+    assert [len(v) for _, v in expected] == [1568, 2016]
 
     def no_pairs(U, V):
         raise AssertionError("compared a pair")
@@ -146,6 +151,11 @@ def test_hashing_is_used_whenever_its_tables_fit_the_cap(monkeypatch):
     rep = check_cdc(code)
     assert rep.passed and rep.min_distance_found == 4
     assert rep.pairs_checked == 2016
+    for c, (found, violations) in zip(failing, expected):
+        rep = check_cdc(c)
+        assert rep.min_distance_found == found == 4
+        assert rep.violations == violations
+        assert rep.pairs_checked == 2016
 
 
 # Paths no example code reaches: keys of several 64-bit words, collisions

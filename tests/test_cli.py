@@ -327,6 +327,10 @@ BUILD_F = ["build", "--fdrmc", "F=[1,2,4]", "-q", "2", "--delta", "2"]
                  ["table11", "--registry", "{tmp}/reg.txt"],
                  "parse error: line 2: repeated row A_2(18,8,9)",
                  id="registry-repeated-row"),
+    pytest.param("# q n d k new old\n\n", ["table11", "--registry",
+                                          "{tmp}/reg.txt"],
+                 "parse error: line 1: registry has no rows",
+                 id="registry-without-rows"),
     pytest.param(None, ["table11", "--registry", "{tmp}/absent.txt"],
                  "parse error: line 1: cannot read file: ",
                  id="registry-missing"),
