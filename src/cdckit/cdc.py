@@ -1,6 +1,7 @@
 """Subspace-code containers and the assembly constructions: identifying
-vectors, echelon layouts, one placement (``_place``) for every lift, multilevel
-unions, block/coset assembly, parallel linkage and run-length bookkeeping.
+vectors, echelon layouts, one placement (``_place``) for every construction,
+multilevel unions, block/coset assembly, parallel linkage and run-length
+bookkeeping.
 
 Every constructor works in two modes: exact big-integer counting (sizes
 only), and materialization for desk-scale instances, which re-verifies the
@@ -379,8 +380,8 @@ def build_coset_cdc_lists(cwc: CwcSet, delta1: int, delta2: int, q: int,
     """List of codes from nested-code cosets, one coset column at a time.
 
     Count mode returns exact sizes only.  Build mode materializes every
-    coset, lifts it on its vector, and unions the j-th cosets across
-    vectors; cross-vector distance is covered by the vector set's Hamming
+    coset and builds column j as the multilevel code of the vectors' j-th
+    cosets; cross-vector distance is covered by the vector set's Hamming
     distance, within-coset distance by the inner code.  Where count mode
     applies, build mode's codes must have count mode's sizes.
     """
@@ -419,26 +420,14 @@ def build_coset_cdc_lists(cwc: CwcSet, delta1: int, delta2: int, q: int,
         return CdcList(q=q, n=n, k=k, intra_d=2 * delta1, inter_d=2 * delta2,
                        sizes=sizes, restricted_rank=r)
 
-    # build mode
-    columns = []
-    for s, D, v in per:
-        pair = nested_pair(ferrers_of(v).diagram, delta1, delta2, q)
-        cosets = coset_list(pair, r=r)
-        lifted = [lift_on_vector(v, cs) if cs.members else None
-                  for cs in cosets]
-        columns.append(lifted)
-    total = per[0][0] if per else 0
+    # build mode: column j is the multilevel code of each vector's j-th coset
+    cosets = [(v, coset_list(nested_pair(ferrers_of(v).diagram, delta1, delta2, q), r=r))
+              for _, _, v in per]
     codes = []
-    for j in range(total):
-        parts = [(f"coset[{v}][{j}]", col[j])
-                 for (s, D, v), col in zip(per, columns)
-                 if j < s and col[j] is not None]
-        if not parts:
-            codes.append(Cdc(q=q, n=n, k=k, d=2 * delta1, members=(),
-                             provenance=f"coset-column[{j}]"))
-        else:
-            codes.append(union_cdcs(parts, d=2 * delta1,
-                                    provenance=f"coset-column[{j}]"))
+    for j in range(per[0][0]):
+        entries = [(v, cs[j]) for v, cs in cosets if j < len(cs) and cs[j].members]
+        codes.append(multilevel(entries, delta1) if entries
+                     else Cdc(q=q, n=n, k=k, d=2 * delta1, members=()))
     codes, runs = _largest_first(codes)
     out = CdcList(q=q, n=n, k=k, intra_d=2 * delta1, inter_d=2 * delta2,
                   sizes=runs if sizes is None else sizes, codes=codes,
@@ -486,16 +475,23 @@ def coset_construction(A: CdcList, B: CdcList, H: LinearMatrixCode) -> Cdc:
     if (H.m, H.n) != (A.k, B.n - B.k) or 2 * H.delta != d:
         raise ParameterMismatch(
             f"filler must be {A.k}x{B.n - B.k} at distance {d // 2}")
-    W, parts = lanes(A.q).W, []
+    return union_cdcs(_coset_blocks(A, B, H, "block"), d=d,
+                      provenance="coset-construction")
+
+
+def _coset_blocks(A: CdcList, B: CdcList, H: LinearMatrixCode, label: str):
+    """The labelled parts [Ua phi_Ub(W); 0 Ub] of index-paired list entries,
+    Ua outer, Ub inner, W over H's codewords; the caller checks the shapes."""
+    q, n, k, d, W = A.q, A.n + B.n, A.k + B.k, A.intra_d, lanes(A.q).W
+    parts = []
     for i, (CA, CB) in enumerate(zip(A.codes, B.codes)):
         subs = []
         for Ua, Ub in itertools.product(CA.members, CB.members):
             cols = [A.n + j for j in range(B.n) if j not in Ub.pivots]  # phi_B's
             skeleton = [*(r << B.n * W for r in Ua.gen.packed), *Ub.gen.packed]
-            subs += _place(A.q, n, [skeleton], cols, H)
-        parts.append((f"block[{i}]",
-                      Cdc(q=A.q, n=n, k=k, d=d, members=tuple(subs))))
-    return union_cdcs(parts, d=d, provenance="coset-construction")
+            subs += _place(q, n, [skeleton], cols, H)
+        parts.append((f"{label}[{i}]", Cdc(q=q, n=n, k=k, d=d, members=tuple(subs))))
+    return parts
 
 
 def parallel_linkage(U1: Cdc, U2: Cdc, M1: LinearMatrixCode, M2: MatrixSet) -> Cdc:

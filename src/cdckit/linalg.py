@@ -15,7 +15,7 @@ tells in O(rows) int operations from the rows' bit lengths and the mask of
 the pivot entries: lifts ``[I | W]``, echelon skeletons filled by the
 constructions and the blocks of a valid file all are.  ``MatGF.spread``
 moves whole columns by masks and shifts for ``cdc._place``, which places
-every lift's codewords, for ``cdc.phi_embed`` and for ``rrief``.  Rows
+every construction's codewords, for ``cdc.phi_embed`` and for ``rrief``.  Rows
 become digits only in ``MatGF.lines`` (the file writers, the certifier's
 coefficient index) and the cached ``MatGF.data`` view (``kernel_basis``,
 ``ferrers.support_leaks``, ``repr``), and in ``member_mask``'s index.

@@ -13,16 +13,17 @@ from __future__ import annotations
 import importlib.resources
 from dataclasses import dataclass
 
-from .cdc import (Cdc, CdcList, CwcSet, IdVec, build_coset_cdc_lists,
-                  concat_cdc_lists, ferrers_of, hamming_guard,
-                  identifying_vector, insertion_guard,
+from .cdc import (Cdc, CdcList, CwcSet, IdVec, _coset_blocks,
+                  build_coset_cdc_lists, concat_cdc_lists, ferrers_of,
+                  hamming_guard, identifying_vector, insertion_guard,
                   inverse_identifying_vector, pair_runs, parallel_linkage,
                   union_cdcs, zip_runs)
 from .errors import (BadArguments, GuardFailed, NotInRegistry, ParameterMismatch,
                      ParseError, RankRestrictionViolated, VerificationFailed)
 from .ferrers import singleton_bound
 from .linalg import MatGF, Subspace, rank, rrief
-from .rankmetric import gabidulin, rank_distribution, restrict_ranks
+from .rankmetric import (LinearMatrixCode, gabidulin, rank_distribution,
+                         restrict_ranks)
 
 
 class OddDeltaUnsupported(BadArguments):
@@ -70,7 +71,7 @@ def merge_terms(exponents):
 
 
 def lifted_mrd_size(q: int, n: int, d: int, k: int) -> int:
-    """Default known-bounds provider: the lifted MRD code size."""
+    """The lifted MRD code size, ``thm32_count``'s bound for a linkage part."""
     if n < k:
         raise BadArguments(f"ambient {n} below dimension {k}")
     if n == k:
@@ -110,40 +111,19 @@ def _check_thm31_params(A, B, Ahat, Bhat):
 
 
 def thm31_build(A: CdcList, B: CdcList, Ahat: CdcList, Bhat: CdcList) -> Cdc:
-    """Materialize the block-diagonal and anti-diagonal unions."""
+    """Materialize both halves as the coset construction with the zero filler:
+    the block-diagonal subspaces [Ua 0; 0 Ub] of (A, B) and of (Ahat, Bhat),
+    the latter spanning the rows of the paper's anti-diagonal RRIEF stacks."""
     _check_thm31_params(A, B, Ahat, Bhat)
     if any(L.codes is None for L in (A, B, Ahat, Bhat)):
         raise BadArguments("build mode needs materialized lists")
-    d = A.intra_d
-    q = A.q
-    n1, n2, k1, k2 = A.n, B.n, A.k, B.k
-    n, k = n1 + n2, k1 + k2
     r = Ahat.restricted_rank
-    if r is not None:
-        for code in Ahat.codes:
-            for U in code.members:
-                if _content_rank(U) > r:
-                    raise RankRestrictionViolated(
-                        f"mirrored-list member content rank exceeds {r}")
-    parts = []
-    zero12 = MatGF.zeros(q, k1, n2)
-    zero21 = MatGF.zeros(q, k2, n1)
-    s1 = min(len(A.codes), len(B.codes))
-    for i in range(s1):
-        tops = [Ua.gen.hstack(zero12) for Ua in A.codes[i].members]
-        bottoms = [zero21.hstack(Ub.gen) for Ub in B.codes[i].members]
-        subs = [Subspace.from_matrix(top.vstack(bottom))
-                for top in tops for bottom in bottoms]
-        if subs:
-            parts.append((f"diag[{i}]", Cdc(q=q, n=n, k=k, d=d, members=tuple(subs))))
-    s2 = min(len(Ahat.codes), len(Bhat.codes))
-    for j in range(s2):
-        bottoms = [rrief(Va.gen)[0].hstack(zero12) for Va in Ahat.codes[j].members]
-        tops = [zero21.hstack(rrief(Vb.gen)[0]) for Vb in Bhat.codes[j].members]
-        subs = [Subspace.from_matrix(top.vstack(bottom))
-                for bottom in bottoms for top in tops]
-        if subs:
-            parts.append((f"antidiag[{j}]", Cdc(q=q, n=n, k=k, d=d, members=tuple(subs))))
+    if r is not None and any(_content_rank(U) > r
+                             for code in Ahat.codes for U in code.members):
+        raise RankRestrictionViolated(f"mirrored-list member content rank exceeds {r}")
+    d = A.intra_d
+    zero = LinearMatrixCode(A.q, A.k, B.n - B.k, (), d // 2)  # only word: 0
+    parts = _coset_blocks(A, B, zero, "diag") + _coset_blocks(Ahat, Bhat, zero, "antidiag")
     return union_cdcs(parts, d=d, provenance="parallel-cosets")
 
 
@@ -158,14 +138,14 @@ def thm32_guard(u1_vectors, uhat2_vectors, r_hat: int, d: int):
 
 
 def thm32_count(q, n1, n2, d, k, A, B, Ahat, Bhat, r_hat,
-                u1_vectors, uhat2_vectors, known=lifted_mrd_size) -> int:
+                u1_vectors, uhat2_vectors) -> int:
     """Count of the four-part union: two linkage parts with exact
     rank-census fillers plus the two-sided block construction."""
     thm32_guard(u1_vectors, uhat2_vectors, r_hat, d)
-    m1 = known(q, n1, d, k) * q ** (n2 * (k - d // 2 + 1))
+    m1 = lifted_mrd_size(q, n1, d, k) * q ** (n2 * (k - d // 2 + 1))
     census = sum(rank_distribution(q, k, n1, d // 2, i)
                  for i in range(1, k - d // 2 + 1)) + 1
-    m2 = census * known(q, n2, d, k)
+    m2 = census * lifted_mrd_size(q, n2, d, k)
     return m1 + m2 + thm31_count(A, B, Ahat, Bhat)
 
 
@@ -240,6 +220,8 @@ def th41_bound(q: int, n: int, delta: int, k: int) -> BoundResult:
 
 def th44_bound(q: int, n: int, delta: int, k: int) -> BoundResult:
     """th41 plus one extra hook-diagram code on the spare vector."""
+    if delta > 3:  # the hook code has rank distance 3
+        raise BadArguments(f"need d <= 6, got d={2 * delta}")
     if n < 2 * k + 2:
         raise BadArguments(f"need n >= 2k+2, got n={n}, k={k}")
     base = th41_bound(q, n, delta, k)

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from cdckit.cli import main, read_cdc, read_fdrmc
+from cdckit.theorems import th41_bound
 
 
 def run_cli(args, capsys):
@@ -40,6 +41,14 @@ def test_bound_auto_uses_registry(capsys):
     code, out, _ = run_cli(["bound", "-q", "3", "-n", "16", "-d", "6",
                             "-k", "6"], capsys)
     assert code == 0 and "12158308561614895971" in out
+
+
+def test_bound_auto_skips_th44_above_d6(capsys):
+    code, out, _ = run_cli(["bound", "-q", "2", "-n", "20", "-d", "8",
+                            "-k", "9"], capsys)
+    assert code == 0
+    value = th41_bound(2, 20, 4, 9).value
+    assert out.startswith(f"A_2(20,8,9) >= {value}   [th41]")
 
 
 def test_table11_text_and_exit(capsys):
@@ -366,6 +375,10 @@ BUILD_F = ["build", "--fdrmc", "F=[1,2,4]", "-q", "2", "--delta", "2"]
                         "--source", "th44"],
                  "usage error: --source th44: need k >= 4, got 3",
                  id="th44-k-too-small"),
+    pytest.param(None, ["bound", "-q", "2", "-n", "20", "-d", "8", "-k", "9",
+                        "--source", "th44"],
+                 "usage error: --source th44: need d <= 6, got d=8",
+                 id="th44-distance-above-6"),
     pytest.param(None, ["bound", "-q", "2", "-n", "10", "-d", "4", "-k", "3",
                         "--source", "table11"],
                  "usage error: A_2(10,4,3) is not a registry row",

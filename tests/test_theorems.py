@@ -1,15 +1,20 @@
+import dataclasses
+
 import pytest
 
-from cdckit.cdc import Cdc, CwcSet, IdVec, build_coset_cdc_lists, hamming_guard
-from cdckit.errors import BadArguments, GuardFailed, NotInRegistry
-from cdckit.linalg import MatGF, Subspace
+from cdckit.cdc import (Cdc, CwcSet, IdVec, build_coset_cdc_lists, ferrers_of,
+                        hamming_guard)
+from cdckit.errors import (BadArguments, GuardFailed, NotInRegistry,
+                           RankRestrictionViolated)
+from cdckit.ferrers import singleton_bound
+from cdckit.linalg import MatGF, Subspace, rrief
 from cdckit.theorems import (OddDeltaUnsupported, consistency_report,
                              example3_parts, example8_parts, example_bound,
                              family_value, lifted_mrd_size, load_registry,
                              recompute_value, table11_bound, th41_bound,
-                             th41_cwc, th42_insert, th44_bound, th45_insert,
-                             thm31_build, thm31_count, thm32_build,
-                             thm32_count)
+                             th41_cwc, th42_insert, th44_bound,
+                             th44_extra_vector, th45_insert, thm31_build,
+                             thm31_count, thm32_build, thm32_count)
 from cdckit.verify import check_cdc
 
 
@@ -82,6 +87,16 @@ def test_th44_bound_values():
 def test_th44_requires_longer_ambient():
     with pytest.raises(BadArguments):
         th44_bound(3, 13, 3, 6)
+
+
+def test_th44_rejects_distances_above_the_hook_code():
+    # the hook code on the spare vector has rank distance 3; at delta = 4 the
+    # spare diagram F=[1x9, 5, 9] holds at most one codeword, not q^4
+    v = th44_extra_vector(20, 9)
+    assert str(v) == "10000000001111011110"
+    assert singleton_bound(ferrers_of(v).diagram, 4) == 0
+    with pytest.raises(BadArguments):
+        th44_bound(2, 20, 4, 9)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +193,41 @@ def test_thm31_tiny_build():
     assert built.size == count == 68
     rep = check_cdc(built)
     assert rep.passed and rep.min_distance_found >= 4
+
+
+def _stacked_thm31(A, B, Ahat, Bhat):
+    """Reference stacking of the parallel cosets: [Ua 0; 0 Ub] over
+    index-paired (A, B) entries, then the anti-diagonal [0 Vb'; Va' 0] of
+    RRIEF generators over index-paired (Ahat, Bhat) entries."""
+    q = A.q
+    zero12, zero21 = MatGF.zeros(q, A.k, B.n), MatGF.zeros(q, B.k, A.n)
+    members = []
+    for CA, CB in zip(A.codes, B.codes):
+        members += [Subspace.from_matrix(
+                        Ua.gen.hstack(zero12).vstack(zero21.hstack(Ub.gen)))
+                    for Ua in CA.members for Ub in CB.members]
+    for CA, CB in zip(Ahat.codes, Bhat.codes):
+        members += [Subspace.from_matrix(
+                        zero21.hstack(rrief(Vb.gen)[0]).vstack(
+                            rrief(Va.gen)[0].hstack(zero12)))
+                    for Va in CA.members for Vb in CB.members]
+    return members
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_thm31_build_matches_the_stacked_blocks(q):
+    A, B, Ahat, Bhat = tiny_lists(q)
+    built = thm31_build(A, B, Ahat, Bhat)
+    assert list(built.members) == _stacked_thm31(A, B, Ahat, Bhat)
+    assert built.size == thm31_count(A, B, Ahat, Bhat)
+
+
+def test_thm31_build_enforces_the_rank_restriction():
+    # an unrestricted mirrored list relabelled as restricted to rank 0
+    A, B, _, Bhat = tiny_lists()
+    Ahat = dataclasses.replace(Bhat, restricted_rank=0)
+    with pytest.raises(RankRestrictionViolated):
+        thm31_build(A, B, Ahat, Bhat)
 
 
 def test_thm32_tiny_build_matches_count():
