@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (BadArguments, BadShape, DiagramMismatch,
                      DuplicateCodeword, LengthMismatch, NotACwc,
@@ -96,6 +97,7 @@ class EchelonLayout:
     col_map: tuple  # display column -> ambient column
 
 
+@lru_cache(maxsize=None)
 def ferrers_of(v: IdVec) -> EchelonLayout:
     """Diagram and cell mapping of the echelon form with pivots at v's ones."""
     if v.weight < 1:

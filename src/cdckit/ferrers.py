@@ -93,6 +93,7 @@ def nu(F: FerrersDiagram, delta: int, i: int) -> int:
     return sum(max(0, c - i) for c in keep)
 
 
+@lru_cache(maxsize=None)
 def singleton_bound(F: FerrersDiagram, delta: int) -> int:
     """Upper bound on the dimension of a distance-delta code on F."""
     if delta < 1:

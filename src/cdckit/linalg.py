@@ -1,4 +1,5 @@
-"""Dense matrices over GF(q): echelon forms, rank, subspaces, Gaussian binomials.
+"""Dense matrices over GF(q): echelon forms, rank, subspaces, Gaussian binomials
+(cached per (n, k, q) for the life of the process).
 
 Every matrix row is one packed int.  An entry x of GF(q), q = p^e, is e
 lanes holding the base-p digits of x, digit i in lane i: 1-bit lanes added
@@ -441,6 +442,7 @@ def subspace_distance(U: Subspace, V: Subspace) -> int:
     return 2 * rank(stacked) - U.k - V.k
 
 
+@lru_cache(maxsize=None)
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of GF(q)^n, exact."""
     if k < 0 or k > n:

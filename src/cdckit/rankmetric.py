@@ -171,6 +171,8 @@ def rank_distribution(q: int, m: int, n: int, delta: int, r: int) -> int:
     nothing, which makes the size identity a testable invariant.
     """
     mn, mx = min(m, n), max(m, n)
+    if delta < 1 or delta > mn:
+        raise BadArguments("delta outside 1..min(m,n)")
     if r < 0 or r > mn:
         raise BadArguments(f"rank r={r} outside 0..min(m,n)={mn}")
     if r == 0:

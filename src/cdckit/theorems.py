@@ -6,12 +6,19 @@ honest re-computation from the constructions themselves (diagram dimension
 bounds, exact rank distributions, exact greatest pairings); the consistency
 report lists every row where the two disagree instead of silently patching
 either side.
+
+The q-free structure of a family is computed once per process: its vector
+family (``th41_cwc``, ``_check_th44_vector``), echelon layouts
+(``cdc.ferrers_of``), diagram bounds (``ferrers.singleton_bound``) and
+Gaussian binomials are cached per argument tuple, so only the evaluation at
+q runs per row.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .cdc import (Cdc, CdcList, CwcSet, IdVec, _coset_blocks,
                   build_coset_cdc_lists, concat_cdc_lists, ferrers_of,
@@ -170,6 +177,7 @@ def thm32_build(U1: Cdc, U2: Cdc, A, B, Ahat, Bhat, r_hat: int) -> Cdc:
 # the identifying-vector families and their closed-form bounds
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def th41_cwc(n: int, k: int, delta: int) -> CwcSet:
     """The compact identifying-vector family: six vectors when delta = 3,
     four for even delta."""
@@ -239,6 +247,7 @@ def th44_extra_vector(n: int, k: int) -> IdVec:
     return IdVec.from_string(s)
 
 
+@lru_cache(maxsize=None)
 def _check_th44_vector(n, k, delta):
     v = th44_extra_vector(n, k)
     if v.n != n or v.weight != k:

@@ -62,6 +62,15 @@ def test_rank_distribution_conventions():
         rank_distribution(2, 3, 3, 2, 4)
 
 
+def test_rank_distribution_rejects_a_delta_without_an_mrd_family():
+    # no MRD family: the census at delta = 0 would sum to 4,089 of 512 matrices
+    for delta in (0, -1, 4):
+        with pytest.raises(BadArguments, match="delta outside"):
+            rank_distribution(2, 3, 3, delta, 0)
+        with pytest.raises(BadArguments, match="delta outside"):
+            rank_distribution(2, 3, 3, delta, 3)
+
+
 def test_rank_distribution_sum_identity_grid():
     for q in (2, 3):
         for m in range(1, 7):

@@ -6,8 +6,9 @@ from cdckit.cdc import (Cdc, CwcSet, IdVec, build_coset_cdc_lists, ferrers_of,
                         hamming_guard)
 from cdckit.errors import (BadArguments, GuardFailed, NotInRegistry,
                            RankRestrictionViolated)
-from cdckit.ferrers import singleton_bound
-from cdckit.linalg import MatGF, Subspace, rrief
+from cdckit import theorems
+from cdckit.ferrers import FerrersDiagram, singleton_bound
+from cdckit.linalg import MatGF, Subspace, gaussian_binomial, rrief
 from cdckit.theorems import (OddDeltaUnsupported, consistency_report,
                              example3_parts, example8_parts, example_bound,
                              family_value, lifted_mrd_size, load_registry,
@@ -288,6 +289,52 @@ def test_consistency_report_flags_exactly_the_published_slips():
     for r in report:
         if not r["match"]:
             assert r["registry"] > r["recomputed"]
+
+
+def test_the_unreconciled_rows_miss_by_fixed_polynomials():
+    rows, _ = load_registry()
+    for q in (3, 4, 5, 7, 8, 9):
+        assert rows[(q, 15, 6, 6)][0] - recompute_value(q, 15, 6, 6) \
+            == q ** 22 - q ** 17
+        assert rows[(q, 17, 6, 8)][0] - recompute_value(q, 17, 6, 8) \
+            == q ** 38 - q ** 36 + q ** 12 - q ** 9
+
+
+QFREE = (th41_cwc, theorems._check_th44_vector, ferrers_of, singleton_bound,
+         gaussian_binomial)
+
+
+def clear_qfree():
+    for fn in QFREE:
+        fn.cache_clear()
+
+
+def test_cold_and_warm_caches_give_the_same_report():
+    clear_qfree()
+    cold = consistency_report()
+    warm = consistency_report()
+    clear_qfree()
+    assert cold == warm == consistency_report()
+    # one vector family per (n, d, k) family, whatever the number of q
+    families = {(r["n"], r["d"], r["k"]) for r in cold}
+    assert th41_cwc.cache_info().currsize <= len(families)
+
+
+def test_caches_never_keep_a_failure():
+    clear_qfree()
+    for _ in range(2):
+        with pytest.raises(BadArguments):
+            th41_cwc(10, 5, 1)
+        with pytest.raises(OddDeltaUnsupported):
+            th41_cwc(30, 13, 5)
+        with pytest.raises(BadArguments):
+            theorems._check_th44_vector(10, 5, 1)
+        with pytest.raises(BadArguments):
+            gaussian_binomial(3, 4, 2)
+        with pytest.raises(BadArguments):
+            singleton_bound(FerrersDiagram((1, 2)), 0)
+        with pytest.raises(BadArguments):
+            ferrers_of(fw("0000"))
 
 
 def test_recompute_matches_example_sources():
