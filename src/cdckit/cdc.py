@@ -202,18 +202,27 @@ class CwcSet:
 def _place(q, n, skeletons, cols, code):
     """The distinct subspaces spanned by each skeleton (k packed rows of n
     entries) with each codeword of ``code`` ORed into its top rows on ``cols``,
-    skeleton by skeleton in ``codewords()`` order; a basis is spread once."""
+    skeleton by skeleton in ``codewords()`` order; a basis is spread once.
+    Only generators that ``Subspace.from_blocks`` finds outside RREF are
+    eliminated."""
     mats = code.basis if isinstance(code, LinearMatrixCode) else code.members
     if code.q != q or any((M.q, M.rows, M.cols) != (q, code.m, len(cols)) for M in mats):
         raise BadShape(f"fillers must be {code.m}x{len(cols)} over GF({q})")
     placed = tuple(M.spread(cols, n) for M in mats)
     words = ([M.flatten() for M in placed] if isinstance(code, MatrixSet)
              else LinearMatrixCode(q, code.m, n, placed, code.delta).words)
-    subs, W = [], lanes(q).W
-    for rows in skeletons:  # a codeword fills the top code.m of the k rows
-        k, s = len(rows), MatGF.from_packed(q, n, rows).flatten()
-        gens = [s | w << (k - code.m) * n * W for w in words]
-        subs += [Subspace.from_matrix(MatGF.unflatten(q, k, n, g)) for g in gens]
+    m, s = code.m, n * lanes(q).W  # row i of every codeword:
+    tops = [[w >> (m - 1 - i) * s & (1 << s) - 1 for w in words] for i in range(m)]
+    rows, k = [], m
+    for skeleton in skeletons:  # a codeword fills the top m of the k rows
+        k = len(skeleton)
+        block = [0] * (len(words) * k)
+        for i, r in enumerate(skeleton):
+            block[i::k] = [r | t for t in tops[i]] if i < m else [r] * len(words)
+        rows += block
+    subs, bad = Subspace.from_blocks(q, n, k, rows)
+    for i in bad:
+        subs[i] = Subspace.from_matrix(MatGF.from_packed(q, n, rows[i * k:i * k + k]))
     if len(set(subs)) != len(subs):
         raise VerificationFailed("placement produced duplicate subspaces")
     return subs

@@ -3,11 +3,15 @@ builds, file verification, rank distributions, and diagram-code audits.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 All integers print in plain decimal; files are plain text and diffable.
+``.cdc`` files are written and read a whole code at a time; a file the
+whole-code reader refuses is walked line by line for its first error.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
+import operator
 import sys
 
 from .cdc import Cdc, CwcSet, IdVec, ferrers_of, multilevel
@@ -30,13 +34,16 @@ BUILD_CAP = 10 ** 6
 # ---------------------------------------------------------------------------
 
 def write_cdc(code: Cdc, path: str):
-    """One header line, then one k x n digit block per codeword, sorted."""
+    """One header line, then one k x n digit block per codeword, sorted,
+    each after a blank line; all rows become digits in one pass."""
     members = sorted(code.members, key=lambda U: U.gen.packed)
-    lines = [f"cdc v1 q={code.q} n={code.n} k={code.k} d={code.d} "
-             f"count={len(members)}"]
-    for U in members:
-        lines.append("")
-        lines += U.gen.lines()
+    k = code.k
+    rows = lanes(code.q).lines([v for U in members for v in U.gen.packed], code.n)
+    lines = [""] * (len(members) * (k + 1) + 1)
+    lines[0] = (f"cdc v1 q={code.q} n={code.n} k={k} d={code.d} "
+                f"count={len(members)}")
+    for i in range(k):
+        lines[i + 2::k + 1] = rows[i::k]
     _write_lines(path, lines)
 
 
@@ -121,12 +128,35 @@ def read_cdc(path: str) -> Cdc:
         raise ParseError(f"need 1 <= k <= n, got k={k}, n={n}", line=1)
     if d < 1:
         raise ParseError(f"d={d} is not positive", line=1)
-    members = [_parse_block(q, n, rows, start)
-               for start, rows in _read_blocks(raw, q, n, k)]
+    members = _read_members(raw, q, n, k)
+    if members is None:  # the walk finds the first error in file order
+        members = [_parse_block(q, n, rows, start)
+                   for start, rows in _read_blocks(raw, q, n, k)]
     if len(members) != count:
         raise ParseError(f"header promises {count} codewords, found {len(members)}",
                          line=1)
     return Cdc(q=q, n=n, k=k, d=d, members=tuple(members), provenance="file")
+
+
+def _read_members(raw, q, n, k):
+    """The codewords of the body in whole-file passes, if no blank line is
+    inside a block (after a multiple of k rows), every row is n digits
+    below q and every block is in RREF of rank k; else None."""
+    lines = list(map(str.strip, raw[1:]))
+    # the j-th blank line, at index i, comes after i - j rows
+    blank = itertools.compress(itertools.count(), map(operator.not_, lines))
+    if any(map(k.__rmod__, map(operator.sub, blank, itertools.count()))):
+        return None
+    lines = list(filter(None, lines))
+    L = lanes(q)
+    if len(lines) % k or set(map(len, lines)) - {n} or \
+            "".join(lines).translate(str.maketrans("", "", L.digit_chars)):
+        return None
+    packed = list(map(int, " ".join(lines).translate(L.text).split(),
+                      itertools.repeat(L.base)))
+    del lines
+    members, bad = Subspace.from_blocks(q, n, k, packed)
+    return None if bad else members
 
 
 def _parse_block(q, n, rows, block_start):

@@ -13,13 +13,15 @@ base 16 (base 2 below 4-bit entries) and one ``int``.  One Gauss-Jordan
 kernel, ``_eliminate``, serves ``rref``, ``rrief``, ``rank`` and
 ``kernel_basis``.  ``rref`` skips it for rows already in RREF, which it
 tells in O(rows) int operations from the rows' bit lengths and the mask of
-the pivot entries: lifts ``[I | W]``, echelon skeletons filled by the
-constructions and the blocks of a valid file all are.  ``MatGF.spread``
-moves whole columns by masks and shifts for ``cdc._place``, which places
-every construction's codewords, for ``cdc.phi_embed`` and for ``rrief``.  Rows
-become digits only in ``MatGF.lines`` (the file writers, the certifier's
-coefficient index) and the cached ``MatGF.data`` view (``kernel_basis``,
-``ferrers.support_leaks``, ``repr``), and in ``member_mask``'s index.
+the pivot entries (``_rref_shape``): lifts ``[I | W]``, echelon skeletons
+filled by the constructions and the blocks of a valid file all are.
+``Subspace.from_blocks`` makes that test for many k-row blocks at once, for
+``cdc._place`` and ``cli.read_cdc``.  ``MatGF.spread`` moves whole columns
+by masks and shifts for ``cdc._place``, which places every construction's
+codewords, for ``cdc.phi_embed`` and for ``rrief``.  Rows become digits
+only in ``_Lanes.lines``, many rows per call (the file writers, the
+certifier's coefficient index, the cached ``MatGF.data`` view and
+``member_mask``'s index).
 
 Subspaces are always stored by their RREF generator, so equality and hashing
 are entrywise.  Column indices are 0-based internally; file formats and CLI
@@ -29,8 +31,8 @@ output are 1-based.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
-from operator import xor
 
 from .errors import AmbientMismatch, BadArguments, BadShape, NotRref
 from .gf import field_new
@@ -81,12 +83,16 @@ class _Lanes:
         below q; the caller checks the digits."""
         return int(row.translate(self.text) or "0", self.base)
 
-    def digits(self, v, n):
-        """The n entries of packed row v as a string of decimal digits."""
-        s = format(v, self.fmt) if self.byte_digits is None else "".join(
-            map(self.byte_digits.__getitem__, v.to_bytes((n * self.W + 7) // 8, "big")))
-        s = s.zfill(n)
-        return s[len(s) - n:]
+    def lines(self, rows, n):
+        """The packed rows of n entries as strings of decimal digits: their
+        text in base 2 or 16 for 1- and 4-bit entries, else their bytes
+        through ``byte_digits``."""
+        if not n:
+            return [""] * len(rows)
+        if self.byte_digits is None:
+            return list(map(format, rows, itertools.repeat(f"0{n}{self.fmt}")))
+        tab, size = self.byte_digits.__getitem__, (n * self.W + 7) // 8
+        return ["".join(map(tab, v.to_bytes(size, "big")))[-n:] for v in rows]
 
     def scale(self, c, v):
         """The packed row v times the field element c."""
@@ -109,7 +115,7 @@ class _Lanes:
 
     def minus(self, n):
         """Subtraction of packed rows of n entries."""
-        return xor if self.p == 2 else _swar(self.p, n * self.W)[2]
+        return operator.xor if self.p == 2 else _swar(self.p, n * self.W)[2]
 
     def points(self, rows, n):
         """The combinations of packed rows of n entries whose first nonzero
@@ -168,8 +174,7 @@ class MatGF:
 
     def lines(self):
         """The rows as strings of decimal digits."""
-        digits, n = lanes(self.q).digits, self.cols
-        return [digits(v, n) for v in self.packed]
+        return lanes(self.q).lines(self.packed, self.cols)
 
     @property
     def data(self):
@@ -293,36 +298,29 @@ def _eliminate(q, n, rows, reduced=True):
             tuple([n - 1 - s // W for s in shifts]))
 
 
-def _rref_pivots(q, n, rows):
-    """The pivot columns of packed rows of n entries that are already in
-    RREF, else None.  Leading entries are at strictly increasing columns,
-    zero rows come last, and the pivot entries of a row are 1 at its own
-    pivot and 0 elsewhere."""
-    L = lanes(q)
-    W, shifts, pivot_mask = L.W, [], 0  # shifts: bit offsets of the pivots
-    for v in rows:
-        if not v:
-            break
-        s = (v.bit_length() - 1) // W * W
-        if shifts and s >= shifts[-1]:
-            return None
-        shifts.append(s)
-        pivot_mask |= L.emask << s
-    if any(rows[len(shifts):]):
+@lru_cache(maxsize=1024)
+def _rref_shape(W, n, lengths):
+    """For rows of these bit lengths with leading entries 1 (of W bits) at
+    strictly increasing columns and zero rows last: the pivot-entry mask,
+    the rows' sum under it if in RREF (each keeps at least its own leading
+    1 there), and the pivot columns; else None.  Cached: ``rref`` asks per
+    matrix."""
+    shifts = [b - 1 for b in lengths if b]
+    if any(lengths[len(shifts):]) or any(s % W for s in shifts) or \
+            shifts != sorted(set(shifts))[::-1]:
         return None
-    for v, s in zip(rows, shifts):
-        if v & pivot_mask != 1 << s:
-            return None
-    return tuple([n - 1 - s // W for s in shifts])
+    return (sum([((1 << W) - 1) << s for s in shifts]),
+            sum([1 << s for s in shifts]), tuple([n - 1 - s // W for s in shifts]))
 
 
 def rref(M: MatGF):
     """Reduced row echelon form; row space preserved, pivots ascending.
-    A matrix already in RREF is returned as it is."""
-    pivots = _rref_pivots(M.q, M.cols, M.packed)
-    if pivots is not None:
-        return M, pivots
-    rows, pivots = _eliminate(M.q, M.cols, M.packed)
+    A matrix already in RREF (``_rref_shape``) is returned as it is."""
+    rows = M.packed
+    shape = _rref_shape(lanes(M.q).W, M.cols, tuple(map(int.bit_length, rows)))
+    if shape and sum([v & shape[0] for v in rows]) == shape[1]:
+        return M, shape[2]
+    rows, pivots = _eliminate(M.q, M.cols, rows)
     return MatGF.from_packed(M.q, M.cols, rows), pivots
 
 
@@ -399,6 +397,30 @@ class Subspace:
     def from_matrix(cls, M: MatGF):
         return cls(M.q, M.cols, M)
 
+    @classmethod
+    def from_blocks(cls, q, n, k, rows):
+        """The subspaces spanned by each k consecutive packed rows of n
+        entries in RREF of rank k, None in place of the other blocks, and
+        the indices of those: ``_rref_shape`` once per distinct pattern of
+        bit lengths, then one pass over all blocks per row position."""
+        pats = list(zip(*[map(int.bit_length, rows)] * k))
+        W, none = lanes(q).W, (0, -1, None)  # rows under mask 0 never sum to -1
+        shapes = {p: all(p) and _rref_shape(W, n, p) or none for p in set(pats)}
+        masks, sums, pivots = zip(*map(shapes.__getitem__, pats)) if pats else ((),) * 3
+        got = [0] * len(pats)
+        for i in range(k):
+            got = list(map(operator.add, got, map(operator.and_, rows[i::k], masks)))
+        bad = list(itertools.compress(itertools.count(), map(operator.ne, got, sums)))
+        subs, new = [], object.__new__
+        for g, pv in zip(zip(*[iter(rows)] * k), pivots):
+            M, U = new(MatGF), new(cls)
+            M.q, M.rows, M.cols, M.packed, M._data, M._hash = q, k, n, g, None, None
+            U.q, U.n, U.k, U.gen, U.pivots, U._hash, U._mask = q, n, k, M, pv, None, None
+            subs.append(U)
+        for i in bad:
+            subs[i] = None
+        return subs, bad
+
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.q == other.q
                 and self.n == other.n and self.gen.packed == other.gen.packed)
@@ -426,10 +448,9 @@ class Subspace:
         """Bitmask over vector indices of GF(q)^n marking the q^k members.
         Public API and the tests' oracle for the brute-force clique graph."""
         if self._mask is None:
-            digits, q, n = lanes(self.q).digits, self.q, self.n
             m = 0
-            for v in self.vectors():
-                m |= 1 << int(digits(v, n), q)
+            for s in lanes(self.q).lines(self.vectors(), self.n):
+                m |= 1 << int(s, self.q)
             self._mask = m
         return self._mask
 

@@ -4,7 +4,8 @@ The files written by ``build --multilevel 1100,0011`` and ``build --fdrmc
 F=[1,2,4]`` (both pinned by SHA-256 here) get random byte edits,
 truncations, dropped lines and swapped header tokens or values.  Whatever
 the bytes, ``check`` and ``audit`` must return 0 or 1, or 2 with a
-``line N:`` parse error, and never raise.
+``line N:`` parse error, and never raise.  ``read_cdc`` must also read each
+mutated ``.cdc`` file as the line-by-line oracle reader does.
 """
 
 import hashlib
@@ -13,7 +14,8 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdckit.cli import main
+import cdc_oracle
+from cdckit.cli import main, read_cdc
 
 SEEDS = {
     "check": (["--multilevel", "1100,0011"], "ml.cdc",
@@ -76,4 +78,24 @@ def test_mutated_files_keep_the_exit_code_contract(tmp_path, capsys, command):
         code = main([command, "--in", str(path)])
         err = capsys.readouterr().err
         assert code in (0, 1) or code == 2 and PARSE_ERROR.match(err), (code, err)
+    check()
+
+
+@pytest.mark.parametrize("q", [2, 3, 9])
+def test_mutated_cdc_files_read_as_the_oracle_reads(tmp_path, q):
+    """The same code, in the same order, or the same parse error message at
+    the same line."""
+    build, name, _ = SEEDS["check"]
+    seed = tmp_path / name
+    assert main(["build", *build, "-q", str(q), "--delta", "2",
+                 "--out", str(seed)]) == 0
+    original = seed.read_bytes()
+    path = tmp_path / f"mutated-{name}"
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.lists(MUTATION, min_size=1, max_size=4))
+    def check(ops):
+        path.write_bytes(mutate(original, ops))
+        assert (cdc_oracle.outcome(read_cdc, str(path))
+                == cdc_oracle.outcome(cdc_oracle.read_cdc, str(path)))
     check()

@@ -1,0 +1,184 @@
+"""Whole-code file passes and placement against their per-codeword oracles.
+
+``cli.write_cdc`` must write the bytes of the row-by-row writer and
+``cli.read_cdc`` must read what the line-by-line reader reads, or fail
+with its message at its line, for every supported q and for every layout
+the reader accepts.  ``cdc._place`` must place what eliminating each
+generator on its own places, in the same order.
+"""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import cdc_oracle
+from cdckit import cli
+from cdckit.cdc import (Cdc, CwcSet, IdVec, build_coset_cdc_lists,
+                        coset_construction, ferrers_of, lift_on_vector,
+                        multilevel)
+from cdckit.ferrers import optimal_fdrmc
+from cdckit.gf import SUPPORTED_ORDERS
+from cdckit.linalg import MatGF, Subspace, rref
+from cdckit.rankmetric import gabidulin
+from cdckit.theorems import thm31_build, thm32_build
+
+EXAMPLES = settings(max_examples=12, derandomize=True, deadline=None)
+
+
+@st.composite
+def codes(draw, q):
+    """Up to 12 distinct k-dimensional subspaces of GF(q)^n, n <= 6, each
+    spanned by random rows (drawn again until independent)."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    members = {}
+    for _ in range(draw(st.integers(0, 12))):
+        rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n,
+                                      max_size=n), min_size=k, max_size=k))
+        R, pivots = rref(MatGF(q, rows))
+        if len(pivots) == k:
+            U = Subspace.from_matrix(R)
+            members[U] = U
+    return Cdc(q=q, n=n, k=k, d=draw(st.integers(1, 2 * k)),
+               members=tuple(members))
+
+
+def layouts(text):
+    """The file text, and layouts of it that the reader accepts too: CRLF
+    line ends, whitespace around every line, runs of blank lines, blocks
+    with no blank line between them, and no final newline."""
+    head, _, body = text.partition("\n")
+    lines = body.split("\n")
+    yield "as written", text
+    yield "crlf", text.replace("\n", "\r\n")
+    yield "whitespace", head + "\n" + "\n".join(f" \t{s}  " for s in lines)
+    yield "blank runs", head + "\n\n\n" + body.replace("\n\n", "\n \n\t\n\n")
+    yield "no blanks", head + "\n" + "\n".join(s for s in lines if s)
+    yield "no final newline", text.rstrip("\n")
+
+
+def check_round_trip(tmp_path, code):
+    new, old = tmp_path / "new.cdc", tmp_path / "old.cdc"
+    cli.write_cdc(code, str(new))
+    cdc_oracle.write_cdc(code, str(old))
+    assert new.read_bytes() == old.read_bytes()
+    expected = cdc_oracle.outcome(cdc_oracle.read_cdc, str(old))
+    assert expected[0] == "code"
+    for name, text in layouts(new.read_text()):
+        old.write_text(text, newline="")
+        assert (cdc_oracle.outcome(cli.read_cdc, str(old))
+                == cdc_oracle.outcome(cdc_oracle.read_cdc, str(old))
+                == expected), name
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_random_codes_round_trip_as_the_oracles_do(tmp_path, q):
+    @EXAMPLES
+    @given(codes(q))
+    def check(code):
+        check_round_trip(tmp_path, code)
+    check()
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_multilevel_codes_round_trip_as_the_oracles_do(tmp_path, q):
+    vectors = [IdVec.from_string(s) for s in ("1100", "0011")]
+    code = multilevel([(v, optimal_fdrmc(ferrers_of(v).diagram, 2, q))
+                       for v in vectors], 2)
+    check_round_trip(tmp_path, code)
+
+
+VALID = "1000\n0100\n"
+NOT_RREF = "1100\n0100\n"
+# (name, q, body after the header "cdc v1 q=q n=4 k=2 d=2 count=2", the
+# expected error): the first error in file order wins
+FIRST_ERRORS = [
+    ("non-RREF block before a bad digit", 2, f"\n{NOT_RREF}\n1000\n0120\n",
+     "line 3: generator block is not in reduced echelon form"),
+    ("bad digit before a non-RREF block", 2, f"\n1000\n0120\n\n{NOT_RREF}",
+     "line 4: entry out of range for q=2"),
+    ("zero row in block 1, last block truncated", 3, "\n1000\n0000\n\n0010\n",
+     "line 3: generator rows are linearly dependent"),
+    ("blank line inside a block", 5, f"\n{VALID}\n1000\n\n0100\n",
+     "line 7: block has 1 of 2 rows"),
+    ("short row after a valid block", 9, f"\n{VALID}\n1000\n010\n",
+     "line 7: expected 4 digits"),
+    ("truncated last block", 4, f"\n{VALID}\n0010\n",
+     "line 6: truncated block of 1 rows"),
+]
+
+
+@pytest.mark.parametrize("q, body, message",
+                         [pytest.param(*case[1:], id=case[0]) for case in FIRST_ERRORS])
+def test_first_error_in_file_order(tmp_path, q, body, message):
+    f = tmp_path / "bad.cdc"
+    f.write_text(f"cdc v1 q={q} n=4 k=2 d=2 count=2\n{body}")
+    got = cdc_oracle.outcome(cli.read_cdc, str(f))
+    assert got == cdc_oracle.outcome(cdc_oracle.read_cdc, str(f))
+    assert got[:2] == ("error", message)
+
+
+def eliminate_all(cls, q, n, k, rows):
+    """``Subspace.from_blocks`` declaring every block outside RREF, so that
+    ``_place`` eliminates every generator with ``Subspace.from_matrix``."""
+    blocks = len(rows) // k if rows else 0
+    return [None] * blocks, list(range(blocks))
+
+
+def tiny_lists(q):
+    fw = CwcSet(vectors=(IdVec.from_string("1100"),), min_hd=4)
+    iv = CwcSet(vectors=(IdVec.from_string("0011", kind="inverse"),), min_hd=4)
+    return (build_coset_cdc_lists(fw, 2, 1, q, build=True),
+            build_coset_cdc_lists(fw, 2, 1, q, build=True),
+            build_coset_cdc_lists(iv, 2, 1, q, r=0, build=True),
+            build_coset_cdc_lists(iv, 2, 1, q, build=True))
+
+
+def constructions(q):
+    v = IdVec.from_string("110100")
+    yield "lift_on_vector", lambda: lift_on_vector(
+        v, optimal_fdrmc(ferrers_of(v).diagram, 2, q))
+    vectors = [IdVec.from_string(s) for s in ("1100", "0011")]
+    yield "multilevel", lambda: multilevel(
+        [(u, optimal_fdrmc(ferrers_of(u).diagram, 2, q)) for u in vectors], 2)
+    yield "coset_construction", lambda: coset_construction(
+        *tiny_lists(q)[:2], gabidulin(q, 2, 2, 2))
+    yield "thm31_build", lambda: thm31_build(*tiny_lists(q))
+    if q == 2:  # 542,580 codewords at q = 3
+        U1 = Cdc(q=q, n=4, k=4, d=4,
+                 members=(Subspace.from_matrix(MatGF.identity(q, 4)),))
+        yield "thm32_build", lambda: thm32_build(U1, U1, *tiny_lists(q), r_hat=0)
+
+
+def members(code):
+    return [(U.gen.packed, U.pivots) for U in code.members]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_place_matches_eliminating_each_generator(monkeypatch, q):
+    for name, build in constructions(q):
+        placed = build()
+        with monkeypatch.context() as m:
+            m.setattr(Subspace, "from_blocks", classmethod(eliminate_all))
+            eliminated = build()
+        assert members(placed) == members(eliminated), name
+        assert placed.size, name
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_inverse_vector_placements_outside_rref_are_eliminated(monkeypatch, q):
+    """The inverse-vector lists place generators outside RREF; those reach
+    ``Subspace.from_matrix``, whose members differ from their generators."""
+    from_blocks, outside = Subspace.from_blocks.__func__, []
+
+    def spy(cls, q, n, k, rows):
+        subs, bad = from_blocks(cls, q, n, k, rows)
+        outside.extend(tuple(rows[i * k:i * k + k]) for i in bad)
+        return subs, bad
+    monkeypatch.setattr(Subspace, "from_blocks", classmethod(spy))
+    iv = CwcSet(vectors=(IdVec.from_string("0011", kind="inverse"),), min_hd=4)
+    out = build_coset_cdc_lists(iv, 2, 1, q, build=True)
+    assert outside
+    got = {U.gen.packed for code in out.codes for U in code.members}
+    for rows in outside:
+        U = Subspace.from_matrix(MatGF.from_packed(q, 4, rows))
+        assert U.gen.packed != rows and U.gen.packed in got

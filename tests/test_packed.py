@@ -193,3 +193,45 @@ def test_add_sub_and_reshaping_match_the_field_tables(q):
         assert A.lines() == ["".join(map(str, r)) for r in a]
         assert MatGF(q, A.lines()) == A
     check()
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_from_blocks_keeps_exactly_the_full_rank_rref_blocks(q):
+    """``Subspace.from_blocks`` on many k x n blocks at once: random ones,
+    their RREF (zero rows last where the rank is below k) and near misses
+    of it.  A block is kept, as ``Subspace.from_matrix`` builds it and with
+    its own rows as generator, exactly when it is in RREF with rank k."""
+    f = field_new(q)
+
+    @EXAMPLES
+    @given(st.data())
+    def check(data):
+        k, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        entry = st.one_of(st.sampled_from((0, 1, q - 1)), st.integers(0, q - 1))
+        row = st.lists(entry, min_size=n, max_size=n)
+        blocks = []
+        for rows in data.draw(st.lists(st.lists(row, min_size=k, max_size=k),
+                                       min_size=1, max_size=4)):
+            R = [list(r) for r in rref(MatGF(q, rows))[0].data]
+            blocks += [rows, R, R[::-1]]
+            pivots = [lead(r) for r in R if any(r)]
+            if pivots:  # a pivot entry other than 1, an entry above a pivot
+                i = data.draw(st.integers(0, len(pivots) - 1))
+                c = data.draw(st.sampled_from([0, *range(2, q)]))
+                blocks.append(R[:i] + [[f.mul(c, x) for x in R[i]]] + R[i + 1:])
+                above = [list(r) for r in R]
+                above[0][pivots[i]] = data.draw(st.integers(1, q - 1))
+                blocks.append(above)
+        rows = [v for b in blocks for v in MatGF(q, b).packed]
+        subs, bad = Subspace.from_blocks(q, n, k, rows)
+        assert len(subs) == len(blocks)
+        assert bad == [i for i, U in enumerate(subs) if U is None]
+        for b, U in zip(blocks, subs):
+            M = MatGF(q, b)
+            assert (U is not None) == (is_rref(b) and rank(M) == k)
+            if U is not None:
+                V = Subspace.from_matrix(M)
+                assert U.gen.packed == M.packed == V.gen.packed
+                assert (U.q, U.n, U.k, U.pivots) == (V.q, V.n, V.k, V.pivots)
+                assert U == V and hash(U) == hash(V)
+    check()
