@@ -492,15 +492,23 @@ def coset_construction(A: CdcList, B: CdcList, H: LinearMatrixCode) -> Cdc:
 
 def _coset_blocks(A: CdcList, B: CdcList, H: LinearMatrixCode, label: str):
     """The labelled parts [Ua phi_Ub(W); 0 Ub] of index-paired list entries,
-    Ua outer, Ub inner, W over H's codewords; the caller checks the shapes."""
+    Ua outer, Ub inner, W over H's codewords; the caller checks the shapes.
+    Each run of consecutive pairs whose Ub share pivots, and so phi_Ub's
+    columns, is placed by one ``_place`` call."""
     q, n, k, d, W = A.q, A.n + B.n, A.k + B.k, A.intra_d, lanes(A.q).W
     parts = []
     for i, (CA, CB) in enumerate(zip(A.codes, B.codes)):
         subs = []
-        for Ua, Ub in itertools.product(CA.members, CB.members):
-            cols = [A.n + j for j in range(B.n) if j not in Ub.pivots]  # phi_B's
-            skeleton = [*(r << B.n * W for r in Ua.gen.packed), *Ub.gen.packed]
-            subs += _place(q, n, [skeleton], cols, H)
+        pairs = itertools.product(CA.members, CB.members)
+        for pivots, run in itertools.groupby(pairs, lambda p: p[1].pivots):
+            cols = [A.n + j for j in range(B.n) if j not in pivots]  # phi_B's
+            skeletons = [[*(r << B.n * W for r in Ua.gen.packed), *Ub.gen.packed]
+                         for Ua, Ub in run]
+            try:
+                subs += _place(q, n, skeletons, cols, H)
+            except VerificationFailed:  # pair by pair, so that a subspace
+                for skeleton in skeletons:  # in two pairs reaches union_cdcs
+                    subs += _place(q, n, [skeleton], cols, H)
         parts.append((f"{label}[{i}]", Cdc(q=q, n=n, k=k, d=d, members=tuple(subs))))
     return parts
 

@@ -7,21 +7,22 @@ by XOR for p = 2, 4-bit lanes for odd p, added by one integer add after
 which p is taken off each lane that reached p (adding 8 - p sets its guard
 bit 8).  Entries are padded to 1, 2, 4 or 8 bits and column 0 is the most
 significant, so comparing packed rows as ints is the lexicographic order of
-their digits.  Scaling maps a row's bytes through a 256-entry table.  A
-row of decimal digits is packed by one ``str.translate`` to its text in
-base 16 (base 2 below 4-bit entries) and one ``int``.  One Gauss-Jordan
-kernel, ``_eliminate``, serves ``rref``, ``rrief``, ``rank`` and
-``kernel_basis``.  ``rref`` skips it for rows already in RREF, which it
-tells in O(rows) int operations from the rows' bit lengths and the mask of
-the pivot entries (``_rref_shape``): lifts ``[I | W]``, echelon skeletons
-filled by the constructions and the blocks of a valid file all are.
-``Subspace.from_blocks`` makes that test for many k-row blocks at once, for
-``cdc._place`` and ``cli.read_cdc``.  ``MatGF.spread`` moves whole columns
-by masks and shifts for ``cdc._place``, which places every construction's
-codewords, for ``cdc.phi_embed`` and for ``rrief``.  Rows become digits
-only in ``_Lanes.lines``, many rows per call (the file writers, the
-certifier's coefficient index, the cached ``MatGF.data`` view and
-``member_mask``'s index).
+their digits.  Scaling maps a row's bytes through a 256-entry table.  A row
+of decimal digits is packed by one ``str.translate`` to its text in base 16
+(base 2 below 4-bit entries) and one ``int``.  One Gauss-Jordan kernel,
+``_eliminate``, serves ``rref``, ``rrief``, ``rank``, ``kernel_basis`` and
+``rankmetric.LinearMatrixCode.ranks`` (one call per point of a code's
+shorter side, or per codeword when the code has fewer than three codewords
+per point).  ``rref`` skips it for rows already in RREF, which it tells in
+O(rows) int operations from the rows' bit lengths and the mask of the pivot
+entries (``_rref_shape``): lifts ``[I | W]``, echelon skeletons filled by
+the constructions and the blocks of a valid file all are.  ``Subspace.from_blocks`` makes that test for many k-row blocks at
+once, for ``cdc._place`` and ``cli.read_cdc``.  ``MatGF.spread`` moves whole
+columns by masks and shifts for ``cdc._place``, which places every
+construction's codewords, for ``cdc.phi_embed`` and for ``rrief``.  Rows
+become digits only in ``_Lanes.lines``, many rows per call (the file
+writers, the certifier's coefficient index, the cached ``MatGF.data`` view
+and ``member_mask``'s index).
 
 Subspaces are always stored by their RREF generator, so equality and hashing
 are entrywise.  Column indices are 0-based internally; file formats and CLI
@@ -346,16 +347,6 @@ def echelon_pivots(M: MatGF):
 
 def rank(M: MatGF) -> int:
     return len(_eliminate(M.q, M.cols, M.packed, reduced=False)[1])
-
-
-def word_rank(q, rows, cols, v) -> int:
-    """Rank of the rows x cols matrix whose ``flatten()`` is v, eliminated
-    from its row fields without building a ``MatGF``.  The fields are taken
-    last row first, as rank does not depend on row order."""
-    s = cols * lanes(q).W
-    mask = (1 << s) - 1
-    return len(_eliminate(q, cols, [v >> i * s & mask for i in range(rows)],
-                          reduced=False)[1])
 
 
 def span_rank(q, matrices) -> int:

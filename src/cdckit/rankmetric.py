@@ -5,19 +5,58 @@ given-rank lower bounds, rank-restricted subsets, and lifting to subspaces.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .errors import (BadArguments, BadShape, TooLargeToEnumerate,
                      VerificationFailed)
 from .gf import expand_rows, ext_new, frobenius
-from .linalg import (MatGF, gaussian_binomial, lanes, rank, span_rank,
-                     word_rank)
+from .linalg import (MatGF, _eliminate, gaussian_binomial, lanes, rank,
+                     span_rank)
 
 ENUM_CAP = 2 ** 20          # hard cap for full code enumeration
 EXHAUSTIVE_RANK_CAP = 2 ** 16   # full min-rank verification below this size
 SAMPLE_SEED = 20240601
 SAMPLE_COUNT = 1000
+
+
+def _span(q, vs, n):
+    """Every combination of the packed rows vs of n entries: the combinations
+    so far, each plus every multiple of the next row, so the first
+    coefficient runs slowest."""
+    L, words = lanes(q), [0]
+    for v in vs:
+        words = L.sums(words, [L.scale(c, v) for c in range(q)], n)
+    return words
+
+
+def _counted_ranks(code) -> tuple:
+    """The rank of every codeword of code, in ``words`` order, counted from
+    the points that annihilate it.
+
+    With s = min(m, n), a matrix X of rank r is annihilated by exactly
+    (q^(s-r) - 1) / (q - 1) points y of PG(s - 1, q): yX = 0, or yX^T = 0
+    when n < m, so the shorter side is annihilated (Delsarte 1978).  The
+    codewords a point annihilates form a subcode.  For each point, one
+    elimination of the rows [yB_j | B_j] over the basis B_j leaves that
+    subcode's basis in the rows that lead in the B part; all the yB_j come
+    from one ``points`` pass over the basis rows side by side.  A codeword's
+    rank is read off how many of the subcodes hold it.
+    """
+    q, m, n, L = code.q, code.m, code.n, lanes(code.q)
+    words, mn, s, t = code.words, m * n, min(m, n), max(m, n)
+    sides = [(B if m <= n else B.transpose()).packed for B in code.basis]
+    f, d = t * L.W, len(sides)  # bits of one yB_j; matrices side by side
+    shifts = [(d - 1 - j) * f for j in range(d)]
+    wide = [sum([B[i] << sh for B, sh in zip(sides, shifts)]) for i in range(s)]
+    flats, mask, held = [B.flatten() for B in code.basis], (1 << f) - 1, Counter()
+    for v in L.points(wide, d * t):
+        rows = [(v >> sh & mask) << mn * L.W | w for sh, w in zip(shifts, flats)]
+        echelon, pivots = _eliminate(q, t + mn, rows, reduced=False)
+        held.update(_span(q, [r for r, c in zip(echelon, pivots) if c >= t], mn))
+    rank_of = {(q ** (s - r) - 1) // (q - 1): r for r in range(s + 1)}
+    return tuple(map(rank_of.__getitem__, map(held.__getitem__, words)))
 
 
 @dataclass(frozen=True)
@@ -51,24 +90,34 @@ class LinearMatrixCode:
     def words(self) -> tuple:
         """Every codeword's packed ``flatten()``, in ``codewords()`` order.
 
-        The span grows one basis matrix at a time: the words so far, each
-        plus every multiple of the next matrix, so the first coefficient
-        runs slowest.  Cached on the code, so each code is enumerated once.
+        The span grows one basis matrix at a time (``_span``), so the first
+        coefficient runs slowest.  Cached on the code, so each code is
+        enumerated once.
         """
         if not self.is_enumerable():
             raise TooLargeToEnumerate(f"{self.size} codewords exceed cap {ENUM_CAP}")
-        L, mn, words = lanes(self.q), self.m * self.n, [0]
-        for B in self.basis:
-            words = L.sums(words, [L.scale(c, B.flatten()) for c in range(self.q)], mn)
-        return tuple(words)
+        return tuple(_span(self.q, [B.flatten() for B in self.basis], self.m * self.n))
 
     @cached_property
     def ranks(self) -> tuple:
         """The rank of every codeword, in ``codewords()`` order (the zero
-        matrix first), read off its packed word.  Cached on the code, so each
-        code is ranked once."""
-        q, m, n = self.q, self.m, self.n
-        return tuple([word_rank(q, m, n, w) for w in self.words])
+        matrix first).  Cached on the code, so each code is ranked once.
+
+        A code with at least three codewords per point of its shorter side
+        is ranked by counting the points that annihilate each codeword
+        (``_counted_ranks``).  Counting takes one elimination per point and
+        holds every point at once, however few codewords there are, so a
+        smaller code, such as a small code in a tall matrix, is ranked by
+        one elimination of each codeword's rows, which is then as cheap or
+        cheaper.
+        """
+        q, m, n, words = self.q, self.m, self.n, self.words
+        if len(words) >= 3 * ((q ** min(m, n) - 1) // (q - 1)):
+            return _counted_ranks(self)
+        f = n * lanes(q).W
+        mask = (1 << f) - 1
+        return tuple([len(_eliminate(q, n, [w >> i * f & mask for i in range(m)],
+                                     reduced=False)[1]) for w in words])
 
     def is_independent(self) -> bool:
         """Whether the basis matrices are linearly independent, so that

@@ -11,9 +11,9 @@ from cdckit.cdc import (Cdc, CdcList, CwcSet, IdVec, build_coset_cdc_lists,
                         inverse_identifying_vector, lift_on_vector, multilevel,
                         pair_runs, parallel_linkage, phi_embed,
                         reorder_pairing, zip_runs)
-from cdckit.errors import (BadShape, DiagramMismatch, LengthMismatch, NotACwc,
-                           NotRref, ParameterMismatch, TooLargeToEnumerate,
-                           VerificationFailed)
+from cdckit.errors import (BadShape, DiagramMismatch, DuplicateCodeword,
+                           LengthMismatch, NotACwc, NotRref, ParameterMismatch,
+                           TooLargeToEnumerate, VerificationFailed)
 from cdckit.ferrers import FdrmCode, FerrersDiagram, coset_list, optimal_fdrmc
 from cdckit.gf import SUPPORTED_ORDERS
 from cdckit.linalg import MatGF, Subspace, enumerate_subspaces
@@ -341,6 +341,47 @@ def test_lifts_match_the_stacked_generators(q):
     H = gabidulin(q, 1, 2, 1)
     out = coset_construction(A, B, H)
     assert list(out.members) == stacked_blocks(A, B, H)
+
+
+def point_lists(q, a_points, b_points):
+    """Index-paired lists of one code each: points of GF(q)^2 and GF(q)^3
+    given as vectors, for ``coset_construction`` with a 1 x 2 filler."""
+    def code(n, vs):
+        return (Cdc(q=q, n=n, k=1, d=2,
+                    members=tuple(Subspace(q, n, [v]) for v in vs)),)
+    return (CdcList(q=q, n=2, k=1, intra_d=2, inter_d=1, sizes=((len(a_points), 1),),
+                    codes=code(2, a_points)),
+            CdcList(q=q, n=3, k=1, intra_d=2, inter_d=1, sizes=((len(b_points), 1),),
+                    codes=code(3, b_points)))
+
+
+@pytest.mark.parametrize("b_points,runs", [
+    # Ub pivots 0 0 1 2 under each of two Ua: six runs
+    ([(1, 0, 0), (1, 1, 0), (0, 1, 0), (0, 0, 1)], 6),
+    # one pivot for every Ub: the runs join across Ua, so one run
+    ([(1, 0, 0), (1, 1, 0), (1, 0, 1)], 1)])
+def test_coset_blocks_place_each_run_of_equal_pivots_once(monkeypatch, b_points, runs):
+    """Consecutive (Ua, Ub) pairs whose Ub share pivots are placed by one
+    ``_place`` call; members and their order stay the stacked oracle's."""
+    A, B = point_lists(3, [(1, 0), (0, 1)], b_points)
+    H, calls, real = gabidulin(3, 1, 2, 1), [], cdc._place
+    monkeypatch.setattr(cdc, "_place", lambda *a: calls.append(a) or real(*a))
+    out = coset_construction(A, B, H)
+    assert len(calls) == runs
+    assert list(out.members) == stacked_blocks(A, B, H)
+
+
+def test_coset_blocks_keep_their_duplicate_errors():
+    """A member repeated in a list code repeats subspaces across pairs, which
+    the union reports with the part; a filler that repeats a codeword
+    repeats subspaces within a pair, which the placement reports."""
+    A, B = point_lists(2, [(1, 0), (1, 0)], [(1, 0, 0), (1, 1, 0)])
+    with pytest.raises(DuplicateCodeword, match=r"both block\[0\] and block\[0\]"):
+        coset_construction(A, B, gabidulin(2, 1, 2, 1))
+    A, B = point_lists(2, [(1, 0), (0, 1)], [(1, 0, 0), (1, 1, 0)])
+    X = MatGF(2, [[1, 1]])
+    with pytest.raises(VerificationFailed, match="placement produced duplicate"):
+        coset_construction(A, B, LinearMatrixCode(2, 1, 2, (X, X), 1))
 
 
 def test_fillers_of_another_field_or_shape_are_rejected():

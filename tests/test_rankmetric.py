@@ -3,9 +3,11 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cdckit import rankmetric
 from cdckit.errors import BadArguments, BadShape, TooLargeToEnumerate
+from cdckit.ferrers import th43_optimal_fdrmc
 from cdckit.gf import SUPPORTED_ORDERS
-from cdckit.linalg import rank
+from cdckit.linalg import MatGF, rank
 from cdckit.rankmetric import (LinearMatrixCode, gabidulin, grmc_lower_bound,
                                lift, rank_distribution, restrict_ranks)
 from cdckit.verify import check_cdc
@@ -171,3 +173,110 @@ def test_ranks_match_the_rank_of_each_codeword(q, m, n, delta):
     g = gabidulin(q, m, n, delta)
     code = LinearMatrixCode(q, m, n, g.basis, delta)
     assert code.ranks == tuple(map(rank, code.codewords()))
+
+
+# largest dimension per field order that keeps a code at most 729 codewords
+ORACLE_DIM = {q: max(d for d in range(1, 10) if q ** d <= 729)
+              for q in SUPPORTED_ORDERS}
+
+
+@st.composite
+def rectangular_codes(draw, q):
+    """m x n codes with m != n, up to 5 x 5, of any dimension from 0 up:
+    random basis matrices, or in half of the codes, random ones mixed with
+    zero ones and sums of multiples of earlier ones (a dependent basis)."""
+    m, n = draw(st.sampled_from([(a, b) for a in range(1, 6)
+                                 for b in range(1, 6) if a != b]))
+    entries = st.lists(st.integers(0, q - 1), min_size=m * n, max_size=m * n)
+    basis, kinds = [], st.sampled_from(["random", "zero", "dependent"])
+    mixed = draw(st.booleans())
+    for _ in range(draw(st.integers(0, ORACLE_DIM[q]))):
+        kind = draw(kinds) if mixed else "random"
+        if kind == "dependent" and basis:
+            coeffs = st.lists(st.integers(0, q - 1), min_size=len(basis),
+                              max_size=len(basis))
+            B = LinearMatrixCode(q, m, n, tuple(basis), 1).combine(draw(coeffs))
+        else:
+            flat = draw(entries) if kind == "random" else [0] * (m * n)
+            B = MatGF(q, [flat[i * n:(i + 1) * n] for i in range(m)])
+        basis.append(B)
+    return LinearMatrixCode(q, m, n, tuple(basis), 1)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_counted_ranks_match_the_rank_of_each_codeword(q):
+    """The ranks counted from annihilating points, and the ranks the code
+    reports by either route, equal the rank of every codeword matrix, for
+    tall and wide codes, dependent bases included."""
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(rectangular_codes(q))
+    def check(code):
+        expected = tuple(map(rank, code.codewords()))
+        assert rankmetric._counted_ranks(code) == expected
+        assert code.ranks == expected
+    check()
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+@pytest.mark.parametrize("m,n", [(2, 5), (5, 2), (4, 3), (3, 4)])
+def test_counted_ranks_of_degenerate_codes(q, m, n):
+    """Dimension 0, a basis of zero matrices, and a basis that repeats one
+    matrix: every codeword still gets the rank of its matrix."""
+    Z = MatGF.zeros(q, m, n)
+    X = MatGF(q, [[(i + j) % q for j in range(n)] for i in range(m)])
+    for basis in ((), (Z,), (Z, Z), (X, X), (X, Z, X)):
+        code = LinearMatrixCode(q, m, n, basis, 1)
+        expected = tuple(map(rank, code.codewords()))
+        assert rankmetric._counted_ranks(code) == expected
+        assert code.ranks == expected
+    assert LinearMatrixCode(q, m, n, (), 1).ranks == (0,)
+
+
+def count_eliminations(monkeypatch, code):
+    """The ranks of code and the number of ``_eliminate`` calls they took."""
+    calls, real = [], rankmetric._eliminate
+
+    def eliminate(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(rankmetric, "_eliminate", eliminate)
+    return code.ranks, len(calls)
+
+
+@pytest.mark.parametrize("m,n,points", [(4, 4, 15), (5, 3, 7), (3, 5, 7)])
+def test_ranks_eliminate_once_per_point_of_the_shorter_side(monkeypatch, m, n, points):
+    """One elimination per point of PG(min(m, n) - 1, 2), on a fresh code:
+    [4, 1]_2 = 15 for 4 x 4 and [3, 1]_2 = 7 for 5 x 3 and 3 x 5."""
+    code = LinearMatrixCode(2, m, n, gabidulin(2, m, n, 2).basis, 2)
+    ranks, made = count_eliminations(monkeypatch, code)
+    assert made == points
+    assert ranks == tuple(map(rank, code.codewords()))
+
+
+@pytest.mark.parametrize("q,m,n,dim,calls", [
+    (2, 3, 5, 4, 16),   # 16 codewords < 3 x 7 points: one per codeword
+    (2, 3, 5, 5, 7),    # 32 codewords >= 3 x 7 points: one per point
+    (2, 5, 3, 4, 16),
+    (2, 5, 3, 5, 7),
+    (9, 5, 5, 1, 9)])   # 9 codewords, 7,381 points of PG(4, 9)
+def test_small_codes_in_tall_matrices_eliminate_once_per_codeword(
+        monkeypatch, q, m, n, dim, calls):
+    """Ranks take one elimination per point only when the code has at least
+    three codewords per point of the shorter side."""
+    basis = tuple(MatGF(q, [[(i * n + j + 1) * (b + 1) ** 2 % q if (i + b) % 2 or j > b
+                             else 0 for j in range(n)] for i in range(m)])
+                  for b in range(dim))
+    code = LinearMatrixCode(q, m, n, basis, 1)
+    ranks, made = count_eliminations(monkeypatch, code)
+    assert made == calls
+    assert ranks == tuple(map(rank, code.codewords()))
+
+
+def test_hook_code_is_ranked_once_per_codeword(monkeypatch):
+    """th43_optimal_fdrmc(19, 8, 3) is a 7 x 11 code of 27 codewords: 27
+    eliminations, where counting by points would take [7, 1]_3 = 1,093."""
+    hook = th43_optimal_fdrmc(19, 8, 3).code
+    code = LinearMatrixCode(3, 7, 11, hook.basis, hook.delta)
+    ranks, made = count_eliminations(monkeypatch, code)
+    assert made == 27
+    assert ranks == tuple(map(rank, code.codewords()))
