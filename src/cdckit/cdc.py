@@ -5,21 +5,23 @@ bookkeeping.
 
 Every constructor works in two modes: exact big-integer counting (sizes
 only), and materialization for desk-scale instances, which re-verifies the
-claimed distances downstream.
+claimed distances downstream.  A materialized code is its packed RREF rows
+(``Cdc.rows``); ``Cdc.members`` makes its ``Subspace``s only when read.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import (BadArguments, BadShape, DiagramMismatch,
                      DuplicateCodeword, LengthMismatch, NotACwc,
                      ParameterMismatch, VerificationFailed)
 from .ferrers import (FdrmCode, FerrersDiagram, coset_list, nested_pair,
                       singleton_bound, support_leaks)
-from .linalg import MatGF, Subspace, echelon_pivots, lanes, rank, rrief
+from .linalg import (MatGF, Subspace, _Blocks, _eliminate, echelon_pivots,
+                     lanes, rank, rrief)
 from .rankmetric import LinearMatrixCode, MatrixSet
 
 
@@ -58,18 +60,12 @@ class IdVec:
 
 
 def identifying_vector(U: Subspace) -> IdVec:
-    bits = [0] * U.n
-    for p in U.pivots:
-        bits[p] = 1
-    return IdVec(tuple(bits), "forward")
+    return IdVec(tuple(int(c in U.pivots) for c in range(U.n)), "forward")
 
 
 def inverse_identifying_vector(U: Subspace) -> IdVec:
-    bits = [0] * U.n
-    _, pivots = rrief(U.gen)
-    for p in pivots:
-        bits[p] = 1
-    return IdVec(tuple(bits), "inverse")
+    pivots = rrief(U.gen)[1]
+    return IdVec(tuple(int(c in pivots) for c in range(U.n)), "inverse")
 
 
 def hamming_guard(u: IdVec, v: IdVec) -> int:
@@ -104,16 +100,10 @@ def ferrers_of(v: IdVec) -> EchelonLayout:
         raise BadArguments("identifying vector must have positive weight")
     pivots = tuple(i for i, b in enumerate(v.bits) if b)
     nonpivots = [i for i, b in enumerate(v.bits) if not b]
-    if v.kind == "forward":
-        heights = [sum(1 for p in pivots if p < c) for c in nonpivots]
-        keep = [(c, h) for c, h in zip(nonpivots, heights) if h]
-        cols = tuple(h for _, h in keep)
-        dia = FerrersDiagram(cols)
-    else:
-        heights = [sum(1 for p in pivots if p > c) for c in nonpivots]
-        keep = [(c, h) for c, h in zip(nonpivots, heights) if h]
-        cols = tuple(sorted(h for _, h in keep))
-        dia = FerrersDiagram(cols, inverted=True)
+    forward = v.kind == "forward"  # column heights: pivots before (after) it
+    heights = [sum(p < c if forward else p > c for p in pivots) for c in nonpivots]
+    keep = [(c, h) for c, h in zip(nonpivots, heights) if h]
+    dia = FerrersDiagram(tuple(sorted(h for _, h in keep)), inverted=not forward)
     return EchelonLayout(vec=v, pivots=pivots, diagram=dia,
                          col_map=tuple(c for c, _ in keep))
 
@@ -122,48 +112,57 @@ def ferrers_of(v: IdVec) -> EchelonLayout:
 # subspace-code containers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Cdc:
-    """A set of k-dimensional subspaces of GF(q)^n at pairwise distance >= d."""
+    """A set of k-dimensional subspaces of GF(q)^n at pairwise distance >= d,
+    stored as ``rows``, the k packed RREF rows of each codeword in turn.  Its
+    ``members`` (``Subspace``s) are given instead, or made when first read."""
 
     q: int
     n: int
     k: int
     d: int
-    members: tuple
+    rows: tuple
     provenance: str = ""
 
-    def __post_init__(self):
-        for U in self.members:
-            if U.n != self.n or U.k != self.k or U.q != self.q:
+    def __init__(self, q, n, k, d, members=None, provenance="", *, rows=()):
+        if members is not None:
+            if any((U.q, U.n, U.k) != (q, n, k) for U in members):
                 raise ParameterMismatch("member with wrong ambient or dimension")
+            self.__dict__["members"] = members = tuple(members)
+            rows = [v for U in members for v in U.gen.packed]
+        self.__dict__.update(q=q, n=n, k=k, d=d, rows=tuple(rows), provenance=provenance)
+
+    @cached_property
+    def members(self):
+        return tuple(_Blocks(self.q, self.n, self.k, self.rows))
 
     @property
     def size(self):
-        return len(self.members)
+        return len(self.rows) // self.k
+
+    def blocks(self):  # the codewords as tuples of their k rows, in order
+        return list(zip(*[iter(self.rows)] * self.k))
 
 
 def union_cdcs(parts, d, provenance=""):
-    """Disjoint union of labelled member sets; a collision is a bug."""
-    seen = {}
-    members = []
-    q = n = k = None
-    for label, code in parts:
-        if code.size == 0:
-            continue
-        if q is None:
-            q, n, k = code.q, code.n, code.k
-        elif (q, n, k) != (code.q, code.n, code.k):
-            raise ParameterMismatch("union of incompatible codes")
-        for U in code.members:
-            if U in seen:
-                raise DuplicateCodeword(
-                    f"subspace produced by both {seen[U]} and {label}")
-            seen[U] = label
-            members.append(U)
-    if q is None:
-        raise BadArguments("union of empty parts")
-    return Cdc(q=q, n=n, k=k, d=d, members=tuple(members), provenance=provenance)
+    """Disjoint union of labelled codes; a collision is a bug, reported
+    with the labels of the two parts that hold it."""
+    shapes = {(code.q, code.n, code.k) for _, code in parts if code.size}
+    if len(shapes) != 1:
+        raise (ParameterMismatch("union of incompatible codes") if shapes
+               else BadArguments("union of empty parts"))
+    (q, n, k), = shapes
+    rows = [v for _, code in parts for v in code.rows]
+    if len(set(zip(*[iter(rows)] * k))) < len(rows) // k:
+        seen = {}
+        for label, code in parts:
+            for b in code.blocks():
+                if b in seen:
+                    raise DuplicateCodeword(
+                        f"subspace produced by both {seen[b]} and {label}")
+                seen[b] = label
+    return Cdc(q=q, n=n, k=k, d=d, rows=rows, provenance=provenance)
 
 
 @dataclass(frozen=True)
@@ -200,18 +199,21 @@ class CwcSet:
 # ---------------------------------------------------------------------------
 
 def _place(q, n, skeletons, cols, code):
-    """The distinct subspaces spanned by each skeleton (k packed rows of n
-    entries) with each codeword of ``code`` ORed into its top rows on ``cols``,
-    skeleton by skeleton in ``codewords()`` order; a basis is spread once.
-    Only generators that ``Subspace.from_blocks`` finds outside RREF are
-    eliminated."""
+    """The k RREF rows of each distinct subspace spanned by a skeleton (k
+    packed rows of n entries) with a codeword of ``code`` ORed into its top
+    rows on ``cols``, skeleton by skeleton in ``codewords()`` order.  The
+    flattened basis or members are spread in one pass, and only the blocks
+    ``Subspace.from_blocks`` finds outside RREF are eliminated."""
     mats = code.basis if isinstance(code, LinearMatrixCode) else code.members
-    if code.q != q or any((M.q, M.rows, M.cols) != (q, code.m, len(cols)) for M in mats):
-        raise BadShape(f"fillers must be {code.m}x{len(cols)} over GF({q})")
-    placed = tuple(M.spread(cols, n) for M in mats)
-    words = ([M.flatten() for M in placed] if isinstance(code, MatrixSet)
-             else LinearMatrixCode(q, code.m, n, placed, code.delta).words)
-    m, s = code.m, n * lanes(q).W  # row i of every codeword:
+    m, c = code.m, len(cols)
+    if code.q != q or any((M.q, M.rows, M.cols) != (q, m, c) for M in mats):
+        raise BadShape(f"fillers must be {m}x{c} over GF({q})")
+    words = MatGF.from_packed(q, m * c, [M.flatten() for M in mats]).spread(
+        [i * n + j for i in range(m) for j in cols], m * n).packed
+    if isinstance(code, LinearMatrixCode):  # every combination of the basis
+        words = LinearMatrixCode(q, m, n, tuple(MatGF.unflatten(q, m, n, w) for w in words),
+                                 code.delta).words
+    s = n * lanes(q).W  # row i of every codeword:
     tops = [[w >> (m - 1 - i) * s & (1 << s) - 1 for w in words] for i in range(m)]
     rows, k = [], m
     for skeleton in skeletons:  # a codeword fills the top m of the k rows
@@ -220,12 +222,11 @@ def _place(q, n, skeletons, cols, code):
         for i, r in enumerate(skeleton):
             block[i::k] = [r | t for t in tops[i]] if i < m else [r] * len(words)
         rows += block
-    subs, bad = Subspace.from_blocks(q, n, k, rows)
-    for i in bad:
-        subs[i] = Subspace.from_matrix(MatGF.from_packed(q, n, rows[i * k:i * k + k]))
-    if len(set(subs)) != len(subs):
+    for i in Subspace.from_blocks(q, n, k, rows)[1]:
+        rows[i * k:i * k + k] = _eliminate(q, n, rows[i * k:i * k + k])[0]
+    if len(set(zip(*[iter(rows)] * k))) < len(rows) // k:
         raise VerificationFailed("placement produced duplicate subspaces")
-    return subs
+    return rows
 
 
 def lift_on_vector(v: IdVec, code) -> Cdc:
@@ -252,8 +253,8 @@ def lift_on_vector(v: IdVec, code) -> Cdc:
     units = MatGF.identity(code.q, n).packed
     skeleton = [units[p] for p in (layout.pivots[::-1] if v.kind == "inverse"
                                    else layout.pivots)]
-    subs = _place(code.q, n, [skeleton], layout.col_map, filler)
-    return Cdc(q=code.q, n=n, k=v.weight, d=2 * code.delta, members=tuple(subs),
+    return Cdc(q=code.q, n=n, k=v.weight, d=2 * code.delta,
+               rows=_place(code.q, n, [skeleton], layout.col_map, filler),
                provenance=f"lift[{v}]")
 
 
@@ -379,10 +380,8 @@ def reorder_pairing(sizes_a, sizes_b):
 def coset_cdc_sizes(v: IdVec, delta1: int, delta2: int, q: int):
     """Per-vector coset-list parameters (D, s): coset size q^vmin(F, delta1)
     and list length q^(vmin(F, delta2) - vmin(F, delta1))."""
-    layout = ferrers_of(v)
-    dia = layout.diagram
-    a = singleton_bound(dia, delta1) if not dia.is_empty() else 0
-    b = singleton_bound(dia, delta2) if not dia.is_empty() else 0
+    dia = ferrers_of(v).diagram  # an empty diagram's bound is 0
+    a, b = singleton_bound(dia, delta1), singleton_bound(dia, delta2)
     return q ** a, q ** (b - a)
 
 
@@ -450,10 +449,8 @@ def build_coset_cdc_lists(cwc: CwcSet, delta1: int, delta2: int, q: int,
 def concat_cdc_lists(lists) -> CdcList:
     """Concatenate lists sharing parameters, reordered largest first."""
     first = lists[0]
-    for L in lists:
-        if (L.q, L.n, L.k, L.intra_d, L.inter_d) != \
-           (first.q, first.n, first.k, first.intra_d, first.inter_d):
-            raise ParameterMismatch("cannot concatenate mismatched lists")
+    if len({(L.q, L.n, L.k, L.intra_d, L.inter_d) for L in lists}) > 1:
+        raise ParameterMismatch("cannot concatenate mismatched lists")
     if any(L.codes is not None for L in lists):
         codes, runs = _largest_first(c for L in lists for c in (L.codes or ()))
         return CdcList(q=first.q, n=first.n, k=first.k, intra_d=first.intra_d,
@@ -498,18 +495,19 @@ def _coset_blocks(A: CdcList, B: CdcList, H: LinearMatrixCode, label: str):
     q, n, k, d, W = A.q, A.n + B.n, A.k + B.k, A.intra_d, lanes(A.q).W
     parts = []
     for i, (CA, CB) in enumerate(zip(A.codes, B.codes)):
-        subs = []
-        pairs = itertools.product(CA.members, CB.members)
-        for pivots, run in itertools.groupby(pairs, lambda p: p[1].pivots):
+        rows = []
+        pairs = itertools.product(CA.blocks(), CB.blocks())
+        for lengths, run in itertools.groupby(
+                pairs, lambda p: tuple(map(int.bit_length, p[1]))):
+            pivots = {B.n - 1 - (b - 1) // W for b in lengths}  # RREF rows
             cols = [A.n + j for j in range(B.n) if j not in pivots]  # phi_B's
-            skeletons = [[*(r << B.n * W for r in Ua.gen.packed), *Ub.gen.packed]
-                         for Ua, Ub in run]
+            skeletons = [[*(r << B.n * W for r in Ua), *Ub] for Ua, Ub in run]
             try:
-                subs += _place(q, n, skeletons, cols, H)
+                rows += _place(q, n, skeletons, cols, H)
             except VerificationFailed:  # pair by pair, so that a subspace
                 for skeleton in skeletons:  # in two pairs reaches union_cdcs
-                    subs += _place(q, n, [skeleton], cols, H)
-        parts.append((f"{label}[{i}]", Cdc(q=q, n=n, k=k, d=d, members=tuple(subs))))
+                    rows += _place(q, n, [skeleton], cols, H)
+        parts.append((f"{label}[{i}]", Cdc(q=q, n=n, k=k, d=d, rows=rows)))
     return parts
 
 
@@ -528,9 +526,9 @@ def parallel_linkage(U1: Cdc, U2: Cdc, M1: LinearMatrixCode, M2: MatrixSet) -> C
     if max(ranks, default=0) > cap:
         raise ParameterMismatch(f"right filler rank exceeds {cap}")
     n, W = U1.n + U2.n, lanes(U1.q).W
-    subs1 = _place(U1.q, n, [[r << U2.n * W for r in Ua.gen.packed]
-                             for Ua in U1.members], range(U1.n, n), M1)
-    subs2 = _place(U1.q, n, [Ub.gen.packed for Ub in U2.members], range(U1.n), M2)
-    parts = [("left-lifted", Cdc(q=U1.q, n=n, k=k, d=d, members=tuple(subs1))),
-             ("right-lifted", Cdc(q=U1.q, n=n, k=k, d=d, members=tuple(subs2)))]
+    left = _place(U1.q, n, [[r << U2.n * W for r in Ua] for Ua in U1.blocks()],
+                  range(U1.n, n), M1)
+    right = _place(U1.q, n, U2.blocks(), range(U1.n), M2)
+    parts = [("left-lifted", Cdc(q=U1.q, n=n, k=k, d=d, rows=left)),
+             ("right-lifted", Cdc(q=U1.q, n=n, k=k, d=d, rows=right))]
     return union_cdcs(parts, d=d, provenance="parallel-linkage")

@@ -3,8 +3,8 @@ builds, file verification, rank distributions, and diagram-code audits.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 All integers print in plain decimal; files are plain text and diffable.
-``.cdc`` files are written and read a whole code at a time; a file the
-whole-code reader refuses is walked line by line for its first error.
+``.cdc`` files are written and read a whole code's packed rows at a time; a
+file the whole-code reader refuses is walked line by line for its first error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import (BadArguments, CdcError, DegreeTooLarge, NotInRegistry,
                      ParseError, TooLarge, UsageError)
 from .ferrers import FdrmCode, FerrersDiagram, optimal_fdrmc, singleton_bound
 from .gf import SUPPORTED_ORDERS, is_prime_power
-from .linalg import MatGF, Subspace, lanes, span_rank
+from .linalg import MatGF, Subspace, _eliminate, lanes, span_rank
 from .rankmetric import LinearMatrixCode, rank_distribution
 from .theorems import (EXAMPLES, BoundResult, consistency_report,
                        example_bound, load_registry, table11_bound, th41_bound,
@@ -36,12 +36,11 @@ BUILD_CAP = 10 ** 6
 def write_cdc(code: Cdc, path: str):
     """One header line, then one k x n digit block per codeword, sorted,
     each after a blank line; all rows become digits in one pass."""
-    members = sorted(code.members, key=lambda U: U.gen.packed)
-    k = code.k
-    rows = lanes(code.q).lines([v for U in members for v in U.gen.packed], code.n)
-    lines = [""] * (len(members) * (k + 1) + 1)
+    k, blocks = code.k, sorted(code.blocks())
+    rows = lanes(code.q).lines([v for b in blocks for v in b], code.n)
+    lines = [""] * (len(blocks) * (k + 1) + 1)
     lines[0] = (f"cdc v1 q={code.q} n={code.n} k={k} d={code.d} "
-                f"count={len(members)}")
+                f"count={len(blocks)}")
     for i in range(k):
         lines[i + 2::k + 1] = rows[i::k]
     _write_lines(path, lines)
@@ -128,20 +127,20 @@ def read_cdc(path: str) -> Cdc:
         raise ParseError(f"need 1 <= k <= n, got k={k}, n={n}", line=1)
     if d < 1:
         raise ParseError(f"d={d} is not positive", line=1)
-    members = _read_members(raw, q, n, k)
-    if members is None:  # the walk finds the first error in file order
-        members = [_parse_block(q, n, rows, start)
-                   for start, rows in _read_blocks(raw, q, n, k)]
-    if len(members) != count:
-        raise ParseError(f"header promises {count} codewords, found {len(members)}",
+    rows = _read_rows(raw, q, n, k)
+    if rows is None:  # the walk finds the first error in file order
+        rows = [v for start, block in _read_blocks(raw, q, n, k)
+                for v in _parse_block(q, n, block, start)]
+    if len(rows) != count * k:
+        raise ParseError(f"header promises {count} codewords, found {len(rows) // k}",
                          line=1)
-    return Cdc(q=q, n=n, k=k, d=d, members=tuple(members), provenance="file")
+    return Cdc(q=q, n=n, k=k, d=d, rows=rows, provenance="file")
 
 
-def _read_members(raw, q, n, k):
-    """The codewords of the body in whole-file passes, if no blank line is
-    inside a block (after a multiple of k rows), every row is n digits
-    below q and every block is in RREF of rank k; else None."""
+def _read_rows(raw, q, n, k):
+    """The packed rows of the body's codewords in whole-file passes, if no
+    blank line is inside a block (after a multiple of k rows), every row is
+    n digits below q and every block is in RREF of rank k; else None."""
     lines = list(map(str.strip, raw[1:]))
     # the j-th blank line, at index i, comes after i - j rows
     blank = itertools.compress(itertools.count(), map(operator.not_, lines))
@@ -155,20 +154,17 @@ def _read_members(raw, q, n, k):
     packed = list(map(int, " ".join(lines).translate(L.text).split(),
                       itertools.repeat(L.base)))
     del lines
-    members, bad = Subspace.from_blocks(q, n, k, packed)
-    return None if bad else members
+    return None if Subspace.from_blocks(q, n, k, packed)[1] else packed
 
 
 def _parse_block(q, n, rows, block_start):
-    M = MatGF.from_packed(q, n, rows)
-    try:
-        U = Subspace.from_matrix(M)
-    except BadArguments as e:  # the block has rank below k
-        raise ParseError(str(e), line=block_start)
-    if U.gen != M:
+    reduced, pivots = _eliminate(q, n, rows)
+    if len(pivots) < len(rows):
+        raise ParseError("generator rows are linearly dependent", line=block_start)
+    if reduced != rows:
         raise ParseError("generator block is not in reduced echelon form",
                          line=block_start)
-    return U
+    return rows
 
 
 def write_fdrmc(code: FdrmCode, path: str):

@@ -9,20 +9,19 @@ bit 8).  Entries are padded to 1, 2, 4 or 8 bits and column 0 is the most
 significant, so comparing packed rows as ints is the lexicographic order of
 their digits.  Scaling maps a row's bytes through a 256-entry table.  A row
 of decimal digits is packed by one ``str.translate`` to its text in base 16
-(base 2 below 4-bit entries) and one ``int``.  One Gauss-Jordan kernel,
-``_eliminate``, serves ``rref``, ``rrief``, ``rank``, ``kernel_basis`` and
-``rankmetric.LinearMatrixCode.ranks`` (one call per point of a code's
-shorter side, or per codeword when the code has fewer than three codewords
-per point).  ``rref`` skips it for rows already in RREF, which it tells in
-O(rows) int operations from the rows' bit lengths and the mask of the pivot
-entries (``_rref_shape``): lifts ``[I | W]``, echelon skeletons filled by
-the constructions and the blocks of a valid file all are.  ``Subspace.from_blocks`` makes that test for many k-row blocks at
-once, for ``cdc._place`` and ``cli.read_cdc``.  ``MatGF.spread`` moves whole
-columns by masks and shifts for ``cdc._place``, which places every
-construction's codewords, for ``cdc.phi_embed`` and for ``rrief``.  Rows
-become digits only in ``_Lanes.lines``, many rows per call (the file
-writers, the certifier's coefficient index, the cached ``MatGF.data`` view
-and ``member_mask``'s index).
+(base 2 below 4-bit entries) and one ``int``.
+
+A code of k-dimensional subspaces is packed rows too, from construction to
+file to certificate: the k RREF rows of every codeword, codeword after
+codeword (``cdc.Cdc.rows``).  ``Subspace.from_blocks`` tests all its k-row
+blocks for RREF of rank k in a few whole-code passes over the rows' bit
+lengths and pivot masks (``_rref_shape``, which also lets ``rref`` skip
+rows already in RREF), and makes a ``Subspace`` per block only when one is
+read (``_Blocks``).  One Gauss-Jordan kernel, ``_eliminate``, serves
+``rref``, ``rank``, the blocks ``from_blocks`` rejects, the certifier's
+pairs and ``rankmetric.LinearMatrixCode.ranks``.  ``MatGF.spread`` moves
+whole columns by masks and shifts.  Rows become digits only in
+``_Lanes.lines``, many rows per call.
 
 Subspaces are always stored by their RREF generator, so equality and hashing
 are entrywise.  Column indices are 0-based internally; file formats and CLI
@@ -393,24 +392,17 @@ class Subspace:
         """The subspaces spanned by each k consecutive packed rows of n
         entries in RREF of rank k, None in place of the other blocks, and
         the indices of those: ``_rref_shape`` once per distinct pattern of
-        bit lengths, then one pass over all blocks per row position."""
+        bit lengths, then one pass over all blocks per row position.  The
+        subspaces are made per block when read (``_Blocks``)."""
         pats = list(zip(*[map(int.bit_length, rows)] * k))
         W, none = lanes(q).W, (0, -1, None)  # rows under mask 0 never sum to -1
         shapes = {p: all(p) and _rref_shape(W, n, p) or none for p in set(pats)}
-        masks, sums, pivots = zip(*map(shapes.__getitem__, pats)) if pats else ((),) * 3
+        masks, sums, _ = zip(*map(shapes.__getitem__, pats)) if pats else ((),) * 3
         got = [0] * len(pats)
         for i in range(k):
             got = list(map(operator.add, got, map(operator.and_, rows[i::k], masks)))
         bad = list(itertools.compress(itertools.count(), map(operator.ne, got, sums)))
-        subs, new = [], object.__new__
-        for g, pv in zip(zip(*[iter(rows)] * k), pivots):
-            M, U = new(MatGF), new(cls)
-            M.q, M.rows, M.cols, M.packed, M._data, M._hash = q, k, n, g, None, None
-            U.q, U.n, U.k, U.gen, U.pivots, U._hash, U._mask = q, n, k, M, pv, None, None
-            subs.append(U)
-        for i in bad:
-            subs[i] = None
-        return subs, bad
+        return _Blocks(q, n, k, rows, bad), bad
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.q == other.q
@@ -444,6 +436,22 @@ class Subspace:
                 m |= 1 << int(s, self.q)
             self._mask = m
         return self._mask
+
+
+class _Blocks:
+    """The subspaces spanned by each k consecutive packed rows of n entries,
+    made when read, with None at the indices in ``skip``."""
+
+    def __init__(self, q, n, k, rows, skip=()):
+        self.q, self.n, self.k, self.rows, self.skip = q, n, k, rows, set(skip)
+
+    def __len__(self):
+        return len(self.rows) // self.k
+
+    def __getitem__(self, i):  # an IndexError past the end ends iteration
+        q, n, k, i = self.q, self.n, self.k, range(len(self))[i]
+        return None if i in self.skip else Subspace(
+            q, n, MatGF.from_packed(q, n, self.rows[i * k:i * k + k]))
 
 
 def subspace_distance(U: Subspace, V: Subspace) -> int:

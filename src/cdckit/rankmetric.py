@@ -281,7 +281,6 @@ def lift(code, side: str = "left"):
     q, m, n, delta = code.q, code.m, code.n, code.delta
     units = MatGF.identity(q, m + n).packed
     # a code beyond ENUM_CAP raises TooLargeToEnumerate in _place
-    subs = (_place(q, m + n, [units[:m]], range(m, m + n), code) if side == "left"
+    rows = (_place(q, m + n, [units[:m]], range(m, m + n), code) if side == "left"
             else _place(q, m + n, [units[n:]], range(n), code))
-    return Cdc(q=q, n=m + n, k=m, d=2 * delta, members=tuple(subs),
-               provenance=f"lifted[{side}]")
+    return Cdc(q=q, n=m + n, k=m, d=2 * delta, rows=rows, provenance=f"lifted[{side}]")

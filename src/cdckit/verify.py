@@ -5,18 +5,15 @@ diagram-code audits.
 Exhaustive certification hashes subspaces instead of comparing pairs: two
 k-dimensional codewords are closer than d exactly when they share a
 (k - ceil(d/2) + 1)-dimensional one, so hashing those finds every violation
-in time linear in the number of codewords.  The keys are built for all
-codewords at once, sliced across codewords rather than across bits: row j
-of every RREF generator is one lane of a wide int, the points of the span
-are computed once on those k wide rows, and one ``int.to_bytes`` and a
-memoryview cast split each wide key into one key per codeword, so the
-per-codeword work left in Python is hashing.  The number of keys a pair
-shares gives its distance.  Only a code whose tables would exceed the work
-cap (few codewords of large dimension) is ranked pair by pair.  The
-maximum-size search builds its graph from the same collision groups.
-GL(n, q) acts on that graph, so the search is rooted at one point and one
-neighbour per intersection dimension, and it stops once it has coloured
-``CLIQUE_WORK_CAP`` vertices.
+in time linear in the number of codewords.  The keys of all codewords are
+built at once from the code's packed rows, sliced across codewords
+(``_keys``), so the per-codeword work left in Python is hashing.  The
+number of keys a pair shares gives its distance.  Sampled pairs, and every
+pair of a code whose tables would exceed the work cap (few codewords of
+large dimension), are ranked by eliminating their 2k rows.  The search for
+a maximum code builds its graph from the same collision groups; GL(n, q)
+acts on it, so the search starts from one point and one neighbour per
+intersection dimension, until it has coloured ``CLIQUE_WORK_CAP`` vertices.
 """
 
 from __future__ import annotations
@@ -25,11 +22,12 @@ import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, compress
+from itertools import combinations, compress, repeat
 
+from .cdc import Cdc
 from .errors import TooLarge
 from .ferrers import FdrmCode, singleton_bound, support_leaks
-from .linalg import (enumerate_subspaces, gaussian_binomial, lanes,
+from .linalg import (_eliminate, enumerate_subspaces, gaussian_binomial, lanes,
                      subspace_distance)
 
 EXHAUSTIVE_PAIR_CAP = 10 ** 6   # table entries hashed or pairs compared
@@ -73,27 +71,26 @@ class VerifyReport:
         return out
 
 
-def _keys(members, t):
+def _keys(code, t):
     """For each RREF t x k matrix C, the keys of the t-subspaces C G of all
-    codewords, in members order: equal keys are equal subspaces.
+    codewords, in code order: equal keys are equal subspaces.
 
     For RREF generator G and RREF t x k matrix C, C G is already the RREF of
     a t-subspace, as G is the identity on its pivots.  Its rows are member
     vectors whose first nonzero coefficient is 1 (``_Lanes.points``), so a
     key is t of those points shifted into t row fields.  All codewords are
-    keyed at once: row j of every generator goes into one wide int, codeword
-    i in lane i of 8 w bytes, wide enough for t row fields.  The points
-    recursion runs once on those k wide rows; lane sums and byte-table
-    scaling keep the padding of every lane zero.  ``to_bytes`` with a
-    memoryview cast then splits each wide key into the codewords' words,
-    w to a key.
+    keyed at once: row j of every codeword, ``code.rows[j::k]``, goes into
+    one wide int, codeword i in lane i of 8 w bytes, wide enough for t row
+    fields.  The points recursion runs once on those k wide rows; lane sums
+    and byte-table scaling keep the padding of every lane zero.
+    ``to_bytes`` with a memoryview cast then splits each wide key into the
+    codewords' words, w to a key.
     """
-    q, n, k = members[0].q, members[0].n, members[0].k
-    L, M = lanes(q), len(members)
+    q, n, k, M, L = code.q, code.n, code.k, code.size, lanes(code.q)
     width = n * L.W
     w = -(-max(t, 1) * width // 64)  # 64-bit words per lane
-    wide = [int.from_bytes(b"".join([U.gen.packed[j].to_bytes(8 * w, "little")
-                                     for U in members]), "little")
+    wide = [int.from_bytes(b"".join(map(int.to_bytes, code.rows[j::k],
+                                        repeat(8 * w), repeat("little"))), "little")
             for j in range(k)]
     points = L.points(wide, M * 64 * w // L.W)
 
@@ -109,19 +106,19 @@ def _keys(members, t):
         yield words if w == 1 else list(zip(*[iter(words)] * w))
 
 
-def _repeats(members, t):
+def _repeats(code, t):
     """The key lists of ``_keys`` that repeat a key of an earlier codeword or
     C: one set holds every key, and a C whose keys do not all grow it
     repeats one."""
     seen = set()
-    for keys in _keys(members, t):
+    for keys in _keys(code, t):
         size = len(seen)
         seen.update(keys)
         if len(seen) - size < len(keys):
             yield keys
 
 
-def _collisions(members, t):
+def _collisions(code, t):
     """Groups of codeword indices, ascending, sharing a t-dimensional
     subspace.
 
@@ -130,24 +127,25 @@ def _collisions(members, t):
     C's repeat a key; a passing code ends there.  A second pass builds the
     keys again and groups owners only for the keys of those C's."""
     repeated = set()
-    for keys in _repeats(members, t):
+    for keys in _repeats(code, t):
         repeated.update(keys)
     if not repeated:
         return []
     groups = {}
-    for keys in _keys(members, t):
+    for keys in _keys(code, t):
         for i in compress(range(len(keys)), map(repeated.__contains__, keys)):
             groups.setdefault(keys[i], []).append(i)
     return [sorted(g) for g in groups.values() if len(g) > 1]
 
 
-def _shared(members, t):
+def _shared(code, t):
     """Whether two codewords share a t-dimensional subspace.  The test runs
-    on doubling prefixes of members, from 64 on, so that a pair among the
-    first codewords ends it early."""
+    on doubling prefixes of the code, from 64 codewords on, so that a pair
+    among the first codewords ends it early."""
     m = 64
-    while next(_repeats(members[:m], t), None) is None:
-        if m >= len(members):
+    while next(_repeats(Cdc(code.q, code.n, code.k, code.d,
+                            rows=code.rows[:m * code.k]), t), None) is None:
+        if m >= code.size:
             return False
         m *= 2
     return True
@@ -160,27 +158,27 @@ def _key_level(k, declared):
     return max(0, min(k + 1, k - (declared + 1) // 2 + 1))
 
 
-def _table_entries(members, k, declared):
+def _table_entries(code):
     """Table entries hashing builds at most: per codeword and level
     t <= max(t0, 1), t row fields of q^k vectors and [k, t]_q keys."""
-    q, t0 = members[0].q, _key_level(k, declared)
-    return len(members) * sum(t * q ** k + gaussian_binomial(k, t, q)
-                              for t in range(1, min(max(t0, 1), k) + 1))
+    q, k, t0 = code.q, code.k, _key_level(code.k, code.d)
+    return code.size * sum(t * q ** k + gaussian_binomial(k, t, q)
+                           for t in range(1, min(max(t0, 1), k) + 1))
 
 
-def _certify(members, k, declared, budget):
+def _certify(code, budget):
     """(minimum distance, violations) over all pairs.  Codewords meeting in
     dimension s share [s, t]_q t-subspaces, which grows with s for t >= 1:
     at t = max(t0, 1), the collision groups holding a pair give its s and
     distance 2 (k - s), and s < t for a pair in none.  Violations have
     s >= t0; without one, the largest t at which two codewords collide
     gives 2 (k - t).  Over ``budget`` table entries, every pair is ranked."""
-    M, q = len(members), members[0].q
-    t0 = _key_level(k, declared)
-    if _table_entries(members, k, declared) > budget:
-        return _scan_pairs(members, combinations(range(M), 2), k, declared)
+    M, q, k = code.size, code.q, code.k
+    t0 = _key_level(k, code.d)
+    if _table_entries(code) > budget:
+        return _scan_pairs(code, combinations(range(M), 2))
     t = max(t0, 1)
-    shared = Counter(pair for group in _collisions(members, t)
+    shared = Counter(pair for group in _collisions(code, t)
                      for pair in combinations(group, 2))
     dim = {gaussian_binomial(s, t, q): s for s in range(t, k + 1)}
     violations = [(i, j, 2 * (k - dim.get(shared[i, j], 0))) for i, j
@@ -188,18 +186,21 @@ def _certify(members, k, declared, budget):
     if violations:
         return min(d for _, _, d in violations), violations
     for t in range(t0 - 1, 0, -1):
-        if _shared(members, t):
+        if _shared(code, t):
             return 2 * (k - t), []
     return 2 * k, []
 
 
-def _scan_pairs(members, pairs, k, declared):
-    """(minimum distance, violations) over the given (i, j) pairs, by rank."""
+def _scan_pairs(code, pairs):
+    """(minimum distance, violations) over the given (i, j) pairs, by the
+    rank of each pair's 2k stacked rows."""
+    q, n, k, rows = code.q, code.n, code.k, code.rows
     min_dist, violations = 2 * k, []
     for i, j in pairs:
-        d = subspace_distance(members[i], members[j])
+        stacked = rows[i * k:i * k + k] + rows[j * k:j * k + k]
+        d = 2 * len(_eliminate(q, n, stacked, reduced=False)[1]) - 2 * k
         min_dist = min(min_dist, d)
-        if d < declared:
+        if d < code.d:
             violations.append((i, j, d))
     return min_dist, violations
 
@@ -222,26 +223,24 @@ def check_cdc(code, mode: str = "exhaustive", seed: int = 2024,
     pair is too close, so the work is every pair.
     Sampled mode checks a seed-deterministic set of distinct pairs.
     """
-    members, k, declared = code.members, code.k, code.d
-    M = len(members)
+    M, k, declared = code.size, code.k, code.d
     target = f"({code.n},{M},{code.d},{code.k})_{code.q}-CDC"
     if M < 2:
         return VerifyReport(target=target, mode=mode, min_distance_found=None,
                             declared=declared)
     total_pairs = M * (M - 1) // 2
     if mode == "exhaustive":
-        work = (min(_table_entries(members, k, declared), total_pairs)
+        work = (min(_table_entries(code), total_pairs)
                 if _key_level(k, declared) else total_pairs)
         if work > max_pairs:
             raise TooLarge(f"certificate needs {work} table entries or "
                            f"pairs, above cap {max_pairs}")
         checked = total_pairs
-        min_dist, violations = _certify(members, k, declared, max_pairs)
+        min_dist, violations = _certify(code, max_pairs)
     elif mode == "sampled":
         checked = min(pairs, total_pairs)
         drawn = random.Random(seed).sample(range(total_pairs), checked)
-        min_dist, violations = _scan_pairs(members, map(_unrank_pair, drawn),
-                                           k, declared)
+        min_dist, violations = _scan_pairs(code, map(_unrank_pair, drawn))
         mode = f"sampled(seed={seed})"
     else:
         raise ValueError(f"unknown mode {mode!r}")
@@ -325,7 +324,7 @@ def brute_force_optimum(q: int, n: int, k: int, d: int) -> int:
     k = min(k, n - k)
     points = list(enumerate_subspaces(q, n, k))
     adj = [((1 << G) - 1) ^ (1 << i) for i in range(G)]
-    for group in _collisions(points, _key_level(k, d)):
+    for group in _collisions(Cdc(q, n, k, d, members=points), _key_level(k, d)):
         close = sum(1 << i for i in group)
         for i in group:
             adj[i] &= ~close
@@ -357,7 +356,7 @@ def audit_fdrmc(code: FdrmCode) -> VerifyReport:
         pairs = code.size - 1
         if min_rank < code.delta:
             violations.append(("distance", min_rank))
-    bound = singleton_bound(dia, code.delta) if not dia.is_empty() else 0
+    bound = singleton_bound(dia, code.delta)
     if code.optimal and code.dim != bound:
         violations.append(("optimality", code.dim, bound))
     return VerifyReport(

@@ -384,6 +384,43 @@ def test_coset_blocks_keep_their_duplicate_errors():
         coset_construction(A, B, LinearMatrixCode(2, 1, 2, (X, X), 1))
 
 
+def test_union_and_placement_keep_their_messages():
+    """The union names the two parts of a repeated subspace, in part order,
+    also when one part repeats it; the placement reports a filler that
+    repeats a codeword."""
+    small, large = lift(gabidulin(2, 2, 2, 2)), lift(gabidulin(2, 2, 2, 1))
+    with pytest.raises(DuplicateCodeword) as e:
+        cdc.union_cdcs([("mrd", small), ("full", large)], d=2)
+    assert str(e.value) == "subspace produced by both mrd and full"
+    twice = Cdc(q=2, n=4, k=2, d=2, members=small.members[:2] * 2)
+    with pytest.raises(DuplicateCodeword) as e:
+        cdc.union_cdcs([("empty", Cdc(q=2, n=4, k=2, d=2, members=())),
+                        ("twice", twice)], d=2)
+    assert str(e.value) == "subspace produced by both twice and twice"
+    X = MatGF(2, [[1, 1], [0, 1]])
+    units = MatGF.identity(2, 4).packed
+    with pytest.raises(VerificationFailed) as e:
+        cdc._place(2, 4, [units[:2]], range(2, 4), MatrixSet(2, 2, 2, (X, X), 2))
+    assert str(e.value) == "placement produced duplicate subspaces"
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_a_code_made_from_rows_equals_one_made_from_members(q):
+    code = lift(gabidulin(q, 2, 3, 2), "right")
+    assert "members" not in vars(code)
+    members = tuple(Subspace.from_matrix(MatGF.from_packed(q, code.n, b))
+                    for b in code.blocks())
+    same = Cdc(q=q, n=code.n, k=code.k, d=code.d, members=members,
+               provenance=code.provenance)
+    assert same == code and hash(same) == hash(code)
+    assert same.size == code.size == q ** 3 and same.rows == code.rows
+    assert code.members == members and code.members is code.members
+    for wrong in ((q, code.n + 1, code.k), (q, code.n, code.k + 1),
+                  (5 - q % 2, code.n, code.k)):
+        with pytest.raises(ParameterMismatch):
+            Cdc(*wrong, d=code.d, members=members)
+
+
 def test_fillers_of_another_field_or_shape_are_rejected():
     for side in ("left", "right"):  # a 3x2 member in a code of 2x2 matrices
         with pytest.raises(BadShape):

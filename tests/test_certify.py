@@ -82,7 +82,7 @@ def test_certifier_matches_pairwise_oracle(q):
             len(code.members) - 1) // 2
         if len(code.members) > 1:  # both ways: hashing, and pair by pair
             for budget in (math.inf, 0):
-                assert _certify(code.members, code.k, code.d, budget) == (
+                assert _certify(code, budget) == (
                     found, violations)
     check()
 
@@ -139,7 +139,7 @@ def test_hashing_is_used_whenever_its_tables_fit_the_cap(monkeypatch):
     # the cap, so a code is certified without comparing a pair, whether it
     # passes or fails (declared d = 5 and 7: t0 = 1 and t0 = 0)
     code = lift(gabidulin(2, 3, 3, 2))
-    assert 2016 < _table_entries(code.members, 3, 4) < EXHAUSTIVE_PAIR_CAP
+    assert 2016 < _table_entries(code) < EXHAUSTIVE_PAIR_CAP
     failing = [Cdc(q=2, n=6, k=3, d=d, members=code.members) for d in (5, 7)]
     expected = [scan_all(c) for c in failing]
     assert [len(v) for _, v in expected] == [1568, 2016]
@@ -147,7 +147,7 @@ def test_hashing_is_used_whenever_its_tables_fit_the_cap(monkeypatch):
     def no_pairs(U, V):
         raise AssertionError("compared a pair")
 
-    monkeypatch.setattr("cdckit.verify.subspace_distance", no_pairs)
+    monkeypatch.setattr("cdckit.verify._scan_pairs", no_pairs)
     rep = check_cdc(code)
     assert rep.passed and rep.min_distance_found == 4
     assert rep.pairs_checked == 2016
@@ -166,7 +166,7 @@ def test_hashing_is_used_whenever_its_tables_fit_the_cap(monkeypatch):
 def scan_all(code):
     """(minimum distance, violations) over every pair, by ``_scan_pairs``."""
     pairs = combinations(range(len(code.members)), 2)
-    return _scan_pairs(code.members, pairs, code.k, code.d)
+    return _scan_pairs(code, pairs)
 
 
 def random_subspace(rnd, q, n, k, rows=()):
@@ -186,7 +186,7 @@ def sharing(rnd, U, s):
 
 
 def assert_certified_as_oracle(code):
-    assert _table_entries(code.members, code.k, code.d) <= EXHAUSTIVE_PAIR_CAP
+    assert _table_entries(code) <= EXHAUSTIVE_PAIR_CAP
     found, violations = scan_all(code)
     rep = check_cdc(code)
     assert (rep.min_distance_found, rep.violations) == (found, violations)

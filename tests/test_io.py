@@ -4,7 +4,8 @@
 ``cli.read_cdc`` must read what the line-by-line reader reads, or fail
 with its message at its line, for every supported q and for every layout
 the reader accepts.  ``cdc._place`` must place what eliminating each
-generator on its own places, in the same order.
+generator on its own places, in the same order.  Build, file and
+certificate work on a code's packed rows and never make its ``members``.
 """
 
 import pytest
@@ -17,9 +18,11 @@ from cdckit.cdc import (Cdc, CwcSet, IdVec, build_coset_cdc_lists,
                         multilevel)
 from cdckit.ferrers import optimal_fdrmc
 from cdckit.gf import SUPPORTED_ORDERS
-from cdckit.linalg import MatGF, Subspace, rref
+from cdckit.linalg import MatGF, Subspace, _eliminate, rref
 from cdckit.rankmetric import gabidulin
 from cdckit.theorems import thm31_build, thm32_build
+from cdckit.verify import check_cdc
+from test_pins import COMBINED_SHA, sha256
 
 EXAMPLES = settings(max_examples=12, derandomize=True, deadline=None)
 
@@ -182,3 +185,48 @@ def test_inverse_vector_placements_outside_rref_are_eliminated(monkeypatch, q):
     for rows in outside:
         U = Subspace.from_matrix(MatGF.from_packed(q, 4, rows))
         assert U.gen.packed != rows and U.gen.packed in got
+
+
+def unbuilt(code):
+    """Whether the code's cached ``members`` is still unmade."""
+    return "members" not in vars(code)
+
+
+def eliminated(code):
+    """Each codeword's rows and pivots from eliminating its rows on its own."""
+    return [(tuple(R), P) for R, P in (_eliminate(code.q, code.n, list(b))
+                                       for b in code.blocks())]
+
+
+def round_trip(tmp_path, code):
+    """Write, read and certify code, then check that neither code made its
+    members, that the file has the row-by-row writer's bytes, and that the
+    members, once made, are the oracles' in order; returns the file."""
+    path, oracle_path = tmp_path / "code.cdc", tmp_path / "oracle.cdc"
+    cli.write_cdc(code, str(path))
+    back = cli.read_cdc(str(path))
+    assert check_cdc(back).passed
+    assert unbuilt(code) and unbuilt(back)
+    cdc_oracle.write_cdc(code, str(oracle_path))
+    assert path.read_bytes() == oracle_path.read_bytes()
+    assert members(code) == eliminated(code)
+    assert back.members == cdc_oracle.read_cdc(str(path)).members
+    assert members(back) == eliminated(back)
+    return path
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_multilevel_pipeline_never_makes_members(tmp_path, q):
+    vectors = [IdVec.from_string(s) for s in ("1100", "0011")]
+    code = multilevel([(v, optimal_fdrmc(ferrers_of(v).diagram, 2, q))
+                       for v in vectors], 2)
+    assert code.size == q ** 2 + 1
+    round_trip(tmp_path, code)
+
+
+def test_combined_pipeline_never_makes_members(tmp_path):
+    U1 = Cdc(q=2, n=4, k=4, d=4,
+             members=(Subspace.from_matrix(MatGF.identity(2, 4)),))
+    code = thm32_build(U1, U1, *tiny_lists(2), r_hat=0)
+    assert code.size == 4690
+    assert sha256(round_trip(tmp_path, code)) == COMBINED_SHA
