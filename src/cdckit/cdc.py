@@ -20,9 +20,9 @@ from .errors import (BadArguments, BadShape, DiagramMismatch,
                      ParameterMismatch, VerificationFailed)
 from .ferrers import (FdrmCode, FerrersDiagram, coset_list, nested_pair,
                       singleton_bound, support_leaks)
-from .linalg import (MatGF, Subspace, _Blocks, _eliminate, echelon_pivots,
+from .linalg import (MatGF, Subspace, _eliminate, _non_rref, echelon_pivots,
                      lanes, rank, rrief)
-from .rankmetric import LinearMatrixCode, MatrixSet
+from .rankmetric import LinearMatrixCode, MatrixSet, _span
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +135,8 @@ class Cdc:
 
     @cached_property
     def members(self):
-        return tuple(_Blocks(self.q, self.n, self.k, self.rows))
+        q, n = self.q, self.n
+        return tuple(Subspace(q, n, MatGF.from_packed(q, n, b)) for b in self.blocks())
 
     @property
     def size(self):
@@ -203,7 +204,7 @@ def _place(q, n, skeletons, cols, code):
     packed rows of n entries) with a codeword of ``code`` ORed into its top
     rows on ``cols``, skeleton by skeleton in ``codewords()`` order.  The
     flattened basis or members are spread in one pass, and only the blocks
-    ``Subspace.from_blocks`` finds outside RREF are eliminated."""
+    ``_non_rref`` finds outside RREF are eliminated."""
     mats = code.basis if isinstance(code, LinearMatrixCode) else code.members
     m, c = code.m, len(cols)
     if code.q != q or any((M.q, M.rows, M.cols) != (q, m, c) for M in mats):
@@ -211,8 +212,7 @@ def _place(q, n, skeletons, cols, code):
     words = MatGF.from_packed(q, m * c, [M.flatten() for M in mats]).spread(
         [i * n + j for i in range(m) for j in cols], m * n).packed
     if isinstance(code, LinearMatrixCode):  # every combination of the basis
-        words = LinearMatrixCode(q, m, n, tuple(MatGF.unflatten(q, m, n, w) for w in words),
-                                 code.delta).words
+        words = _span(q, words, m * n)
     s = n * lanes(q).W  # row i of every codeword:
     tops = [[w >> (m - 1 - i) * s & (1 << s) - 1 for w in words] for i in range(m)]
     rows, k = [], m
@@ -222,7 +222,7 @@ def _place(q, n, skeletons, cols, code):
         for i, r in enumerate(skeleton):
             block[i::k] = [r | t for t in tops[i]] if i < m else [r] * len(words)
         rows += block
-    for i in Subspace.from_blocks(q, n, k, rows)[1]:
+    for i in _non_rref(q, n, k, rows):
         rows[i * k:i * k + k] = _eliminate(q, n, rows[i * k:i * k + k])[0]
     if len(set(zip(*[iter(rows)] * k))) < len(rows) // k:
         raise VerificationFailed("placement produced duplicate subspaces")

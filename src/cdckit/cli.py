@@ -19,7 +19,7 @@ from .errors import (BadArguments, CdcError, DegreeTooLarge, NotInRegistry,
                      ParseError, TooLarge, UsageError)
 from .ferrers import FdrmCode, FerrersDiagram, optimal_fdrmc, singleton_bound
 from .gf import SUPPORTED_ORDERS, is_prime_power
-from .linalg import MatGF, Subspace, _eliminate, lanes, span_rank
+from .linalg import MatGF, _eliminate, _non_rref, lanes, span_rank
 from .rankmetric import LinearMatrixCode, rank_distribution
 from .theorems import (EXAMPLES, BoundResult, consistency_report,
                        example_bound, load_registry, table11_bound, th41_bound,
@@ -154,7 +154,7 @@ def _read_rows(raw, q, n, k):
     packed = list(map(int, " ".join(lines).translate(L.text).split(),
                       itertools.repeat(L.base)))
     del lines
-    return None if Subspace.from_blocks(q, n, k, packed)[1] else packed
+    return None if _non_rref(q, n, k, packed) else packed
 
 
 def _parse_block(q, n, rows, block_start):
@@ -356,17 +356,19 @@ def cmd_build(args) -> int:
             vectors = [IdVec.from_string(s)
                        for s in args.multilevel.split(",") if s.strip()]
             CwcSet(vectors=tuple(vectors), min_hd=2 * args.delta)
-            entries = [(v, optimal_fdrmc(ferrers_of(v).diagram, args.delta, q))
-                       for v in vectors]
+            diagrams = [ferrers_of(v).diagram for v in vectors]
+            # each lift has q^(dimension bound) codewords: counted, not built
+            total = sum(q ** singleton_bound(dia, args.delta) for dia in diagrams)
+            if total > BUILD_CAP:
+                if args.force_count_only:
+                    print(f"count-only: {total} codewords")
+                    return 0
+                raise TooLarge(f"{total} codewords exceed build cap {BUILD_CAP}; "
+                               f"pass --force-count-only for the size")
+            entries = [(v, optimal_fdrmc(dia, args.delta, q))
+                       for v, dia in zip(vectors, diagrams)]
         except (BadArguments, DegreeTooLarge) as e:
             raise UsageError(f"--multilevel {args.multilevel!r}: {e}")
-        total = sum(code.size for _, code in entries)
-        if total > BUILD_CAP:
-            if args.force_count_only:
-                print(f"count-only: {total} codewords")
-                return 0
-            raise TooLarge(f"{total} codewords exceed build cap {BUILD_CAP}; "
-                           f"pass --force-count-only for the size")
         code = multilevel(entries, args.delta)
         write_cdc(code, args.out)
         print(f"wrote {code.size} codewords to {args.out} "

@@ -13,15 +13,17 @@ of decimal digits is packed by one ``str.translate`` to its text in base 16
 
 A code of k-dimensional subspaces is packed rows too, from construction to
 file to certificate: the k RREF rows of every codeword, codeword after
-codeword (``cdc.Cdc.rows``).  ``Subspace.from_blocks`` tests all its k-row
-blocks for RREF of rank k in a few whole-code passes over the rows' bit
-lengths and pivot masks (``_rref_shape``, which also lets ``rref`` skip
-rows already in RREF), and makes a ``Subspace`` per block only when one is
-read (``_Blocks``).  One Gauss-Jordan kernel, ``_eliminate``, serves
-``rref``, ``rank``, the blocks ``from_blocks`` rejects, the certifier's
-pairs and ``rankmetric.LinearMatrixCode.ranks``.  ``MatGF.spread`` moves
-whole columns by masks and shifts.  Rows become digits only in
-``_Lanes.lines``, many rows per call.
+codeword (``cdc.Cdc.rows``).  ``_non_rref`` tests all its k-row blocks for
+RREF of rank k in a few whole-code passes over the rows' bit lengths and
+pivot masks (``_rref_shape``, which also lets ``rref`` skip rows already in
+RREF).  The Grassmannian is enumerated as flattened RREF generators
+(``_rref_flats``) and distances are taken from rows (``_pair_distance``),
+so a ``Subspace`` is made only on request: ``Subspace``, ``from_blocks``,
+``enumerate_subspaces``, ``cdc.Cdc.members``.  One Gauss-Jordan kernel,
+``_eliminate``, serves ``rref``, ``rank``, the blocks ``_non_rref``
+rejects, pair distances and ``rankmetric.LinearMatrixCode.ranks``.
+``MatGF.spread`` moves whole columns by masks and shifts.  Rows become
+digits only in ``_Lanes.lines``, many rows per call.
 
 Subspaces are always stored by their RREF generator, so equality and hashing
 are entrywise.  Column indices are 0-based internally; file formats and CLI
@@ -313,6 +315,22 @@ def _rref_shape(W, n, lengths):
             sum([1 << s for s in shifts]), tuple([n - 1 - s // W for s in shifts]))
 
 
+def _non_rref(q, n, k, rows):
+    """The indices of the blocks of k consecutive packed rows of n entries
+    that are not in RREF of rank k: ``_rref_shape`` once per distinct
+    pattern of bit lengths, then one pass over all blocks per row
+    position; a block is in RREF exactly when its rows, ANDed with its
+    pattern's pivot mask, sum to its unit pivot entries."""
+    pats = list(zip(*[map(int.bit_length, rows)] * k))
+    W, none = lanes(q).W, (0, -1, None)  # rows under mask 0 never sum to -1
+    shapes = {p: all(p) and _rref_shape(W, n, p) or none for p in set(pats)}
+    masks, sums, _ = zip(*map(shapes.__getitem__, pats)) if pats else ((),) * 3
+    got = [0] * len(pats)
+    for i in range(k):
+        got = list(map(operator.add, got, map(operator.and_, rows[i::k], masks)))
+    return list(itertools.compress(itertools.count(), map(operator.ne, got, sums)))
+
+
 def rref(M: MatGF):
     """Reduced row echelon form; row space preserved, pivots ascending.
     A matrix already in RREF (``_rref_shape``) is returned as it is."""
@@ -391,18 +409,11 @@ class Subspace:
     def from_blocks(cls, q, n, k, rows):
         """The subspaces spanned by each k consecutive packed rows of n
         entries in RREF of rank k, None in place of the other blocks, and
-        the indices of those: ``_rref_shape`` once per distinct pattern of
-        bit lengths, then one pass over all blocks per row position.  The
-        subspaces are made per block when read (``_Blocks``)."""
-        pats = list(zip(*[map(int.bit_length, rows)] * k))
-        W, none = lanes(q).W, (0, -1, None)  # rows under mask 0 never sum to -1
-        shapes = {p: all(p) and _rref_shape(W, n, p) or none for p in set(pats)}
-        masks, sums, _ = zip(*map(shapes.__getitem__, pats)) if pats else ((),) * 3
-        got = [0] * len(pats)
-        for i in range(k):
-            got = list(map(operator.add, got, map(operator.and_, rows[i::k], masks)))
-        bad = list(itertools.compress(itertools.count(), map(operator.ne, got, sums)))
-        return _Blocks(q, n, k, rows, bad), bad
+        the indices of those (``_non_rref``)."""
+        bad = _non_rref(q, n, k, rows)
+        skip = set(bad)
+        return [None if i in skip else cls(q, n, MatGF.from_packed(q, n, b))
+                for i, b in enumerate(zip(*[iter(rows)] * k))], bad
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.q == other.q
@@ -438,28 +449,16 @@ class Subspace:
         return self._mask
 
 
-class _Blocks:
-    """The subspaces spanned by each k consecutive packed rows of n entries,
-    made when read, with None at the indices in ``skip``."""
-
-    def __init__(self, q, n, k, rows, skip=()):
-        self.q, self.n, self.k, self.rows, self.skip = q, n, k, rows, set(skip)
-
-    def __len__(self):
-        return len(self.rows) // self.k
-
-    def __getitem__(self, i):  # an IndexError past the end ends iteration
-        q, n, k, i = self.q, self.n, self.k, range(len(self))[i]
-        return None if i in self.skip else Subspace(
-            q, n, MatGF.from_packed(q, n, self.rows[i * k:i * k + k]))
-
-
 def subspace_distance(U: Subspace, V: Subspace) -> int:
     """dim(U) + dim(V) - 2 dim(U intersect V), via the rank of the stack."""
     if U.n != V.n or U.q != V.q:
         raise AmbientMismatch("subspaces in different ambient spaces")
-    stacked = U.gen.vstack(V.gen)
-    return 2 * rank(stacked) - U.k - V.k
+    return _pair_distance(U.q, U.n, U.gen.packed, V.gen.packed)
+
+
+def _pair_distance(q, n, a, b):
+    """``subspace_distance`` of the spans of independent packed rows a, b."""
+    return 2 * len(_eliminate(q, n, [*a, *b], reduced=False)[1]) - len(a) - len(b)
 
 
 @lru_cache(maxsize=None)
@@ -476,9 +475,15 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 
 def enumerate_subspaces(q, n, k):
-    """All k-dimensional subspaces of GF(q)^n, by RREF generator: pivot
-    columns in lexicographic order, then the free entries read base q, row
-    after row, the first slowest."""
+    """All k-dimensional subspaces of GF(q)^n, in ``_rref_flats`` order."""
+    for f in _rref_flats(q, n, k):
+        yield Subspace.from_matrix(MatGF.unflatten(q, k, n, f))
+
+
+def _rref_flats(q, n, k):
+    """The flattened RREF generator of every k-dimensional subspace of
+    GF(q)^n: pivot columns in lexicographic order, then the free entries
+    read base q, row after row, the first slowest."""
     L = lanes(q)
 
     def at(i, c):  # bit offset of entry (i, c) in the flattened k x n matrix
@@ -489,5 +494,4 @@ def enumerate_subspaces(q, n, k):
             for c in range(p + 1, n):
                 if c not in pivots:
                     flats = [f | v << at(i, c) for f in flats for v in L.code]
-        for f in flats:
-            yield Subspace.from_matrix(MatGF.unflatten(q, k, n, f))
+        yield from flats

@@ -24,7 +24,9 @@ SAMPLE_COUNT = 1000
 def _span(q, vs, n):
     """Every combination of the packed rows vs of n entries: the combinations
     so far, each plus every multiple of the next row, so the first
-    coefficient runs slowest."""
+    coefficient runs slowest; above ``ENUM_CAP`` words it raises."""
+    if q ** len(vs) > ENUM_CAP:
+        raise TooLargeToEnumerate(f"{q ** len(vs)} codewords exceed cap {ENUM_CAP}")
     L, words = lanes(q), [0]
     for v in vs:
         words = L.sums(words, [L.scale(c, v) for c in range(q)], n)
@@ -94,8 +96,6 @@ class LinearMatrixCode:
         coefficient runs slowest.  Cached on the code, so each code is
         enumerated once.
         """
-        if not self.is_enumerable():
-            raise TooLargeToEnumerate(f"{self.size} codewords exceed cap {ENUM_CAP}")
         return tuple(_span(self.q, [B.flatten() for B in self.basis], self.m * self.n))
 
     @cached_property
@@ -280,7 +280,7 @@ def lift(code, side: str = "left"):
         raise BadArguments("side must be 'left' or 'right'")
     q, m, n, delta = code.q, code.m, code.n, code.delta
     units = MatGF.identity(q, m + n).packed
-    # a code beyond ENUM_CAP raises TooLargeToEnumerate in _place
+    # a code beyond ENUM_CAP raises TooLargeToEnumerate in _place (_span)
     rows = (_place(q, m + n, [units[:m]], range(m, m + n), code) if side == "left"
             else _place(q, m + n, [units[n:]], range(n), code))
     return Cdc(q=q, n=m + n, k=m, d=2 * delta, rows=rows, provenance=f"lifted[{side}]")

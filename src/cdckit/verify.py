@@ -10,16 +10,20 @@ built at once from the code's packed rows, sliced across codewords
 (``_keys``), so the per-codeword work left in Python is hashing.  The
 number of keys a pair shares gives its distance.  Sampled pairs, and every
 pair of a code whose tables would exceed the work cap (few codewords of
-large dimension), are ranked by eliminating their 2k rows.  The search for
-a maximum code builds its graph from the same collision groups; GL(n, q)
-acts on it, so the search starts from one point and one neighbour per
-intersection dimension, until it has coloured ``CLIQUE_WORK_CAP`` vertices.
+large dimension), are ranked by eliminating their 2k rows
+(``linalg._pair_distance``).  The search for a maximum code builds its
+graph from the same collision groups; GL(n, q) acts on it, so the search
+starts from one point and one neighbour per intersection dimension, until
+it has coloured ``CLIQUE_WORK_CAP`` vertices.  All of it works on packed
+rows (``linalg._rref_flats`` for the keys' C and the search's points), so
+no ``Subspace`` is made.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, compress, repeat
@@ -27,8 +31,7 @@ from itertools import combinations, compress, repeat
 from .cdc import Cdc
 from .errors import TooLarge
 from .ferrers import FdrmCode, singleton_bound, support_leaks
-from .linalg import (_eliminate, enumerate_subspaces, gaussian_binomial, lanes,
-                     subspace_distance)
+from .linalg import MatGF, _pair_distance, _rref_flats, gaussian_binomial, lanes
 
 EXHAUSTIVE_PAIR_CAP = 10 ** 6   # table entries hashed or pairs compared
 GRASSMANNIAN_CAP = 2000         # points of a brute-force clique search
@@ -80,27 +83,31 @@ def _keys(code, t):
     vectors whose first nonzero coefficient is 1 (``_Lanes.points``), so a
     key is t of those points shifted into t row fields.  All codewords are
     keyed at once: row j of every codeword, ``code.rows[j::k]``, goes into
-    one wide int, codeword i in lane i of 8 w bytes, wide enough for t row
-    fields.  The points recursion runs once on those k wide rows; lane sums
-    and byte-table scaling keep the padding of every lane zero.
-    ``to_bytes`` with a memoryview cast then splits each wide key into the
-    codewords' words, w to a key.
+    one wide int through an ``array`` of 64-bit words, codeword i in lane i
+    of w words, wide enough for t row fields.  The points recursion runs
+    once on those k wide rows; lane sums and byte-table scaling keep the
+    padding of every lane zero.  A memoryview cast of ``to_bytes`` then
+    splits each wide key into the codewords' words, w to a key.
     """
     q, n, k, M, L = code.q, code.n, code.k, code.size, lanes(code.q)
     width = n * L.W
-    w = -(-max(t, 1) * width // 64)  # 64-bit words per lane
-    wide = [int.from_bytes(b"".join(map(int.to_bytes, code.rows[j::k],
-                                        repeat(8 * w), repeat("little"))), "little")
-            for j in range(k)]
+    w, u = -(-max(t, 1) * width // 64), -(-width // 64)  # words per lane, per row
+    lane, wide = array("Q", bytes(8 * w * M)), []
+    for j in range(k):
+        words = array("Q", code.rows[j::k] if u == 1 else b"".join(map(
+            int.to_bytes, code.rows[j::k], repeat(8 * u), repeat("little"))))
+        for o in range(u):
+            lane[o::w] = words[o::u]
+        wide.append(int.from_bytes(lane, "little"))
     points = L.points(wide, M * 64 * w // L.W)
 
     def point(row):
         """Index in points of the coefficients in digit string row."""
         i = row.index("1")
         return (q ** k - q ** (k - i)) // (q - 1) + int(row[i + 1:] or "0", q)
-    for C in enumerate_subspaces(q, k, t):
+    for C in _rref_flats(q, k, t):
         key = 0
-        for r, row in enumerate(C.gen.lines()):
+        for r, row in enumerate(MatGF.unflatten(q, t, k, C).lines()):
             key |= points[point(row)] << r * width
         words = memoryview(key.to_bytes(8 * w * M, "little")).cast("Q").tolist()
         yield words if w == 1 else list(zip(*[iter(words)] * w))
@@ -138,19 +145,6 @@ def _collisions(code, t):
     return [sorted(g) for g in groups.values() if len(g) > 1]
 
 
-def _shared(code, t):
-    """Whether two codewords share a t-dimensional subspace.  The test runs
-    on doubling prefixes of the code, from 64 codewords on, so that a pair
-    among the first codewords ends it early."""
-    m = 64
-    while next(_repeats(Cdc(code.q, code.n, code.k, code.d,
-                            rows=code.rows[:m * code.k]), t), None) is None:
-        if m >= code.size:
-            return False
-        m *= 2
-    return True
-
-
 def _key_level(k, declared):
     """t0 = k - ceil(declared / 2) + 1: two codewords are closer than
     ``declared`` exactly when they share a t0-dimensional subspace (k + 1,
@@ -185,8 +179,8 @@ def _certify(code, budget):
                   in (sorted(shared) if t0 else combinations(range(M), 2))]
     if violations:
         return min(d for _, _, d in violations), violations
-    for t in range(t0 - 1, 0, -1):
-        if _shared(code, t):
+    for t in range(t0 - 1, 0, -1):  # the first repeated key ends a level
+        if next(_repeats(code, t), None) is not None:
             return 2 * (k - t), []
     return 2 * k, []
 
@@ -197,8 +191,7 @@ def _scan_pairs(code, pairs):
     q, n, k, rows = code.q, code.n, code.k, code.rows
     min_dist, violations = 2 * k, []
     for i, j in pairs:
-        stacked = rows[i * k:i * k + k] + rows[j * k:j * k + k]
-        d = 2 * len(_eliminate(q, n, stacked, reduced=False)[1]) - 2 * k
+        d = _pair_distance(q, n, rows[i * k:i * k + k], rows[j * k:j * k + k])
         min_dist = min(min_dist, d)
         if d < code.d:
             violations.append((i, j, d))
@@ -322,16 +315,16 @@ def brute_force_optimum(q: int, n: int, k: int, d: int) -> int:
     if d <= 2:
         return G  # distinct subspaces of equal dimension are >= 2 apart
     k = min(k, n - k)
-    points = list(enumerate_subspaces(q, n, k))
+    rows = [v for f in _rref_flats(q, n, k) for v in MatGF.unflatten(q, k, n, f).packed]
     adj = [((1 << G) - 1) ^ (1 << i) for i in range(G)]
-    for group in _collisions(Cdc(q, n, k, d, members=points), _key_level(k, d)):
+    for group in _collisions(Cdc(q, n, k, d, rows=rows), _key_level(k, d)):
         close = sum(1 << i for i in group)
         for i in group:
             adj[i] &= ~close
     classes = {}  # distance from point 0 -> its neighbours at that distance
     for w in range(1, G):
         if adj[0] >> w & 1:
-            dist = subspace_distance(points[0], points[w])
+            dist = _pair_distance(q, n, rows[:k], rows[w * k:w * k + k])
             classes[dist] = classes.get(dist, 0) | 1 << w
     roots, done = [], 0
     for members in classes.values():

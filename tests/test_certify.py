@@ -210,6 +210,17 @@ def test_keys_wider_than_one_word(q, n):
     assert [v[:2] for v in rep.violations] == [(3, 35), (3, 38), (35, 38)]
 
 
+@pytest.mark.parametrize("q, n", [(2, 70), (9, 9)])
+def test_rows_wider_than_one_word_that_differ_only_in_their_top_word(q, n):
+    """Row entries past the last 64 bits go into the lane too: two lines
+    whose rows end in the same 64 bits are still two codewords."""
+    tail = "1" + "".join(str(random.Random(n).randrange(q)) for _ in range(n - 2))
+    rows = [lanes(q).pack("1" + tail), lanes(q).pack("0" + tail)]
+    assert n * lanes(q).W > 64 and rows[0] % 2 ** 64 == rows[1] % 2 ** 64
+    rep = check_cdc(Cdc(q=q, n=n, k=1, d=2, rows=rows))
+    assert rep.passed and rep.min_distance_found == 2
+
+
 def test_only_collision_is_between_the_last_two_of_many_codewords():
     rnd = random.Random(3)
     q, n, k = 2, 16, 3

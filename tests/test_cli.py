@@ -4,7 +4,10 @@ import sys
 
 import pytest
 
+from cdckit.cdc import IdVec, ferrers_of, multilevel
 from cdckit.cli import main, read_cdc, read_fdrmc
+from cdckit.ferrers import optimal_fdrmc
+from cdckit.gf import SUPPORTED_ORDERS
 from cdckit.theorems import th41_bound
 
 
@@ -171,6 +174,70 @@ def test_build_count_only_fallback(tmp_path, capsys, monkeypatch):
                                 "--delta", "2", "--out", str(out),
                                 "--force-count-only"], capsys)
     assert code == 0 and "count-only: 5" in outtext
+
+
+COUNT_ONLY_27 = ["build", "--multilevel", "111111111111110000000000000,"
+                 "000000000000011111111111111", "-q", "2", "--delta", "2",
+                 "--force-count-only"]
+
+
+def test_count_only_builds_nothing(tmp_path, capsys, monkeypatch):
+    """The count is the sum of q^(dimension bound) over the vectors'
+    diagrams, so no diagram code is built for it: 2^168 + 1 here."""
+    import cdckit.cli as cli_mod
+
+    def unbuildable(*args):
+        raise AssertionError("count-only built a diagram code")
+    monkeypatch.setattr(cli_mod, "optimal_fdrmc", unbuildable)
+    code, out, _ = run_cli(COUNT_ONLY_27 + ["--out", str(tmp_path / "x.cdc")], capsys)
+    assert code == 0 and out == f"count-only: {2 ** 168 + 1} codewords\n"
+    assert not (tmp_path / "x.cdc").exists()
+    code, _, err = run_cli(COUNT_ONLY_27[:-1] + ["--out", str(tmp_path / "x.cdc")],
+                           capsys)
+    assert code == 1 and f"{2 ** 168 + 1} codewords exceed build cap" in err
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+@pytest.mark.parametrize("vectors, delta", [
+    (("1100", "0011"), 2),      # q^2 + 1
+    (("1010", "0101"), 1),      # q^3 + q
+    (("11000", "00110"), 2)])   # q^3 + 1: a diagram whose bound is 0
+def test_count_only_equals_the_built_size(tmp_path, capsys, monkeypatch, q,
+                                          vectors, delta):
+    import cdckit.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "BUILD_CAP", 0)
+    code, out, _ = run_cli(["build", "--multilevel", ",".join(vectors), "-q",
+                            str(q), "--delta", str(delta), "--out",
+                            str(tmp_path / "x.cdc"), "--force-count-only"], capsys)
+    ids = [IdVec.from_string(v) for v in vectors]
+    built = multilevel([(v, optimal_fdrmc(ferrers_of(v).diagram, delta, q))
+                        for v in ids], delta)
+    assert code == 0 and out == f"count-only: {built.size} codewords\n"
+
+
+def test_bound_example_notes(capsys):
+    code, out, _ = run_cli(["bound", "-q", "2", "-n", "17", "-d", "6", "-k", "8",
+                            "--source", "example:5"], capsys)
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "  note: published total exceeds recomputation",
+        "  note: published vector tables violate their across-list distance"]
+
+
+def test_table11_csv_consistency_columns(capsys):
+    code, out, _ = run_cli(["table11", "--format", "csv", "--consistency"], capsys)
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == "q,n,d,k,new,old,diff,status,recomputed,consistent"
+    assert lines[-1] == "# consistency: 53/65 rows match their reconstruction"
+    rows = [line.split(",") for line in lines[1:-1]]
+    assert len(rows) == 65 and {len(r) for r in rows} == {10}
+    assert lines[1] == ("2,18,8,9,18015215399116937,18015215398101558,1015379,"
+                        "ok,18015215399116937,yes")
+    off = [r for r in rows if r[9] == "no"]
+    assert len(off) == 12 and all(r[9] == "yes" for r in rows if r not in off)
+    assert all(int(r[8]) < int(r[4]) for r in off)
+    assert {(r[1], r[2], r[3]) for r in off} == {("15", "6", "6"), ("17", "6", "8")}
 
 
 def test_usage_error_exit_code():
@@ -407,6 +474,16 @@ BUILD_F = ["build", "--fdrmc", "F=[1,2,4]", "-q", "2", "--delta", "2"]
                                    "{tmp}/x.cdc"],
                  "usage error: pass exactly one of --multilevel and --fdrmc",
                  id="build-multilevel-and-fdrmc"),
+    pytest.param(None, ["bound", "-q", "2", "-n", "18", "-d", "7", "-k", "9",
+                        "--source", "th41"],
+                 "usage error: construction sources need an even distance",
+                 id="th41-odd-distance"),
+    pytest.param(None, ["bound", "-q", "2", "-n", "18", "-d", "8", "-k", "9",
+                        "--source", "th42"],
+                 "usage error: unknown source 'th42': not auto, table11, th41, "
+                 "th44 or example:3|4|5|8", id="unknown-source"),
+    pytest.param(None, ["bound", "-q", "2", "-n", "10", "-d", "4", "-k", "3"],
+                 "usage error: no applicable source", id="auto-without-source"),
 ])
 def test_bad_arguments_exit_2(tmp_path, capsys, registry, argv, message):
     if registry is not None:

@@ -182,6 +182,26 @@ def test_nested_pair_rejects_an_inner_code_outside_the_outer(monkeypatch):
         nested_pair(FerrersDiagram((2, 2)), 2, 1, 2)
 
 
+def test_optimal_fdrmc_raises_below_the_bound():
+    """F=[1,1,1,5,5,6,6,6,6] at delta 3, the diagram no route here builds:
+    the bound is 22, and the MRD support intersection reaches 19."""
+    F = FerrersDiagram((1, 1, 1, 5, 5, 6, 6, 6, 6))
+    assert singleton_bound(F, 3) == 22
+    with pytest.raises(ConditionNotMet, match="gives dimension 19, bound is 22;"):
+        optimal_fdrmc(F, 3, 2)
+
+
+def test_audit_flags_a_code_below_its_claimed_optimum():
+    from cdckit.ferrers import FdrmCode
+    from cdckit.rankmetric import LinearMatrixCode
+    F = FerrersDiagram((1, 2, 4))
+    full = optimal_fdrmc(F, 2, 2)
+    sub = LinearMatrixCode(2, F.m, F.n, full.code.basis[:-1], 2)  # still delta 2
+    rep = audit_fdrmc(FdrmCode(diagram=F, code=sub, delta=2, optimal=True))
+    assert rep.violations == [("optimality", full.dim - 1, full.dim)]
+    assert not rep.passed and rep.min_distance_found >= 2
+
+
 def test_coset_list_full_square():
     pair = nested_pair(FerrersDiagram((2, 2)), 2, 1, 2)
     cosets = coset_list(pair)

@@ -18,10 +18,10 @@ from cdckit.cdc import (Cdc, CwcSet, IdVec, build_coset_cdc_lists,
                         multilevel)
 from cdckit.ferrers import optimal_fdrmc
 from cdckit.gf import SUPPORTED_ORDERS
-from cdckit.linalg import MatGF, Subspace, _eliminate, rref
-from cdckit.rankmetric import gabidulin
+from cdckit.linalg import MatGF, Subspace, _eliminate, _non_rref, rref
+from cdckit.rankmetric import gabidulin, lift
 from cdckit.theorems import thm31_build, thm32_build
-from cdckit.verify import check_cdc
+from cdckit.verify import brute_force_optimum, check_cdc
 from test_pins import COMBINED_SHA, sha256
 
 EXAMPLES = settings(max_examples=12, derandomize=True, deadline=None)
@@ -120,11 +120,10 @@ def test_first_error_in_file_order(tmp_path, q, body, message):
     assert got[:2] == ("error", message)
 
 
-def eliminate_all(cls, q, n, k, rows):
-    """``Subspace.from_blocks`` declaring every block outside RREF, so that
-    ``_place`` eliminates every generator with ``Subspace.from_matrix``."""
-    blocks = len(rows) // k if rows else 0
-    return [None] * blocks, list(range(blocks))
+def eliminate_all(q, n, k, rows):
+    """``linalg._non_rref`` declaring every block outside RREF, so that
+    ``_place`` eliminates every generator on its own."""
+    return list(range(len(rows) // k))
 
 
 def tiny_lists(q):
@@ -161,7 +160,7 @@ def test_place_matches_eliminating_each_generator(monkeypatch, q):
     for name, build in constructions(q):
         placed = build()
         with monkeypatch.context() as m:
-            m.setattr(Subspace, "from_blocks", classmethod(eliminate_all))
+            m.setattr("cdckit.cdc._non_rref", eliminate_all)
             eliminated = build()
         assert members(placed) == members(eliminated), name
         assert placed.size, name
@@ -169,15 +168,15 @@ def test_place_matches_eliminating_each_generator(monkeypatch, q):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_inverse_vector_placements_outside_rref_are_eliminated(monkeypatch, q):
-    """The inverse-vector lists place generators outside RREF; those reach
-    ``Subspace.from_matrix``, whose members differ from their generators."""
-    from_blocks, outside = Subspace.from_blocks.__func__, []
+    """The inverse-vector lists place generators outside RREF; those are
+    eliminated, so the members differ from their generators."""
+    outside = []
 
-    def spy(cls, q, n, k, rows):
-        subs, bad = from_blocks(cls, q, n, k, rows)
+    def spy(q, n, k, rows):
+        bad = _non_rref(q, n, k, rows)
         outside.extend(tuple(rows[i * k:i * k + k]) for i in bad)
-        return subs, bad
-    monkeypatch.setattr(Subspace, "from_blocks", classmethod(spy))
+        return bad
+    monkeypatch.setattr("cdckit.cdc._non_rref", spy)
     iv = CwcSet(vectors=(IdVec.from_string("0011", kind="inverse"),), min_hd=4)
     out = build_coset_cdc_lists(iv, 2, 1, q, build=True)
     assert outside
@@ -230,3 +229,43 @@ def test_combined_pipeline_never_makes_members(tmp_path):
     code = thm32_build(U1, U1, *tiny_lists(2), r_hat=0)
     assert code.size == 4690
     assert sha256(round_trip(tmp_path, code)) == COMBINED_SHA
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_no_subspace_is_made_on_the_packed_paths(monkeypatch, tmp_path, q):
+    """Placement, the file passes, every certificate mode and the clique
+    search work on packed rows: none of them constructs a ``Subspace``."""
+    made, init = [], Subspace.__init__
+
+    def counted(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    def none_made(name, fn, *args, **kwargs):
+        out = fn(*args, **kwargs)
+        assert made == [], name
+        return out
+    monkeypatch.setattr(Subspace, "__init__", counted)
+    vectors = [IdVec.from_string(s) for s in ("1100", "0011")]
+    fw = CwcSet(vectors=(vectors[0],), min_hd=4)
+    iv = CwcSet(vectors=(IdVec.from_string("0011", kind="inverse"),), min_hd=4)
+    none_made("lift", lift, gabidulin(q, 2, 2, 2))
+    code = none_made("multilevel", multilevel, [
+        (v, optimal_fdrmc(ferrers_of(v).diagram, 2, q)) for v in vectors], 2)
+    lists = [none_made("coset lists", build_coset_cdc_lists, cwc, 2, 1, q,
+                       r=0, build=True) for cwc in (fw, iv)]
+    none_made("coset_construction", coset_construction, *lists, gabidulin(q, 2, 2, 2))
+    path = str(tmp_path / "code.cdc")
+    none_made("write_cdc", cli.write_cdc, code, path)
+    back = none_made("read_cdc", cli.read_cdc, path)
+    assert none_made("passing check_cdc", check_cdc, back).passed
+    assert none_made("sampled check_cdc", check_cdc, back, mode="sampled",
+                     pairs=50).passed
+    close = Cdc(q=q, n=3, k=2, d=4, rows=lift(gabidulin(q, 2, 1, 1)).rows)
+    assert none_made("failing check_cdc", check_cdc, close).violations
+    # on dimension min(k, n - k) = 1 at n = 3, and the (4, 2, 4) search where
+    # it takes under a second
+    for n in (3, 4) if q <= 4 else (3,):
+        assert none_made("brute_force_optimum", brute_force_optimum, q, n, 2, 4) \
+            == (1 if n == 3 else q ** 2 + 1)
+    assert back.members and len(made) == back.size  # the count counts

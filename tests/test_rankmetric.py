@@ -280,3 +280,20 @@ def test_hook_code_is_ranked_once_per_codeword(monkeypatch):
     ranks, made = count_eliminations(monkeypatch, code)
     assert made == 27
     assert ranks == tuple(map(rank, code.codewords()))
+
+
+def test_verify_min_rank_rejects_a_rank_below_the_claim():
+    """Both branches: every codeword ranked (a 2 x 2 code of rank 1), and
+    1,000 sampled above ``EXHAUSTIVE_RANK_CAP`` (2^17 matrices whose two
+    rows are equal, so of rank 1)."""
+    from cdckit.errors import VerificationFailed
+    from cdckit.rankmetric import EXHAUSTIVE_RANK_CAP, verify_min_rank
+    small = LinearMatrixCode(2, 2, 2, (MatGF(2, [[1, 0], [0, 0]]),), 2)
+    with pytest.raises(VerificationFailed, match="^min nonzero rank 1 below claimed 2$"):
+        verify_min_rank(small)
+    units = [[int(i == j) for j in range(17)] for i in range(17)]
+    big = LinearMatrixCode(2, 2, 17, tuple(MatGF(2, [e, e]) for e in units), 2)
+    assert big.size > EXHAUSTIVE_RANK_CAP and big.is_independent()
+    with pytest.raises(VerificationFailed,
+                       match="^sampled nonzero rank 1 below claimed 2$"):
+        verify_min_rank(big)
