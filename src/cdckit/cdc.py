@@ -7,6 +7,9 @@ Every constructor works in two modes: exact big-integer counting (sizes
 only), and materialization for desk-scale instances, which re-verifies the
 claimed distances downstream.  A materialized code is its packed RREF rows
 (``Cdc.rows``); ``Cdc.members`` makes its ``Subspace``s only when read.
+A rank-metric filler is placed from its packed words, a ``MatrixSet``'s
+``words`` or a linear code's spread basis, and no ``MatGF`` is made per
+codeword.
 """
 
 from __future__ import annotations
@@ -47,6 +50,11 @@ class IdVec:
     def from_string(cls, s, kind="forward"):
         return cls(tuple(s.strip()), kind)
 
+    @classmethod
+    def from_pivots(cls, n, pivots, kind="forward"):
+        """The vector of length n with ones at the pivot columns."""
+        return cls(tuple(int(c in pivots) for c in range(n)), kind)
+
     @property
     def n(self):
         return len(self.bits)
@@ -60,12 +68,11 @@ class IdVec:
 
 
 def identifying_vector(U: Subspace) -> IdVec:
-    return IdVec(tuple(int(c in U.pivots) for c in range(U.n)), "forward")
+    return IdVec.from_pivots(U.n, U.pivots)
 
 
 def inverse_identifying_vector(U: Subspace) -> IdVec:
-    pivots = rrief(U.gen)[1]
-    return IdVec(tuple(int(c in pivots) for c in range(U.n)), "inverse")
+    return IdVec.from_pivots(U.n, rrief(U.gen)[1], "inverse")
 
 
 def hamming_guard(u: IdVec, v: IdVec) -> int:
@@ -203,15 +210,16 @@ def _place(q, n, skeletons, cols, code):
     """The k RREF rows of each distinct subspace spanned by a skeleton (k
     packed rows of n entries) with a codeword of ``code`` ORed into its top
     rows on ``cols``, skeleton by skeleton in ``codewords()`` order.  The
-    flattened basis or members are spread in one pass, and only the blocks
-    ``_non_rref`` finds outside RREF are eliminated."""
-    mats = code.basis if isinstance(code, LinearMatrixCode) else code.members
-    m, c = code.m, len(cols)
-    if code.q != q or any((M.q, M.rows, M.cols) != (q, m, c) for M in mats):
+    flattened basis, or a ``MatrixSet``'s words, are spread in one pass, and
+    only the blocks ``_non_rref`` finds outside RREF are eliminated."""
+    linear, m, c = isinstance(code, LinearMatrixCode), code.m, len(cols)
+    if (code.q, code.n) != (q, c) or linear and any(
+            (M.q, M.rows, M.cols) != (q, m, c) for M in code.basis):
         raise BadShape(f"fillers must be {m}x{c} over GF({q})")
-    words = MatGF.from_packed(q, m * c, [M.flatten() for M in mats]).spread(
+    words = MatGF.from_packed(q, m * c, [B.flatten() for B in code.basis] if linear
+                              else code.words).spread(
         [i * n + j for i in range(m) for j in cols], m * n).packed
-    if isinstance(code, LinearMatrixCode):  # every combination of the basis
+    if linear:  # every combination of the basis
         words = _span(q, words, m * n)
     s = n * lanes(q).W  # row i of every codeword:
     tops = [[w >> (m - 1 - i) * s & (1 << s) - 1 for w in words] for i in range(m)]
@@ -241,7 +249,7 @@ def lift_on_vector(v: IdVec, code) -> Cdc:
             raise DiagramMismatch(f"code diagram {code.diagram} vs vector diagram {dia}")
         filler, spanning = code.code, code.code.basis
     elif isinstance(code, MatrixSet):
-        filler, spanning = code, code.members
+        filler, spanning = code, (code.support,)
     else:
         raise BadArguments(f"cannot lift a {type(code).__name__}")
     if (filler.m, filler.n) != (dia.m, dia.n):  # _place checks the matrices
@@ -435,9 +443,9 @@ def build_coset_cdc_lists(cwc: CwcSet, delta1: int, delta2: int, q: int,
               for _, _, v in per]
     codes = []
     for j in range(per[0][0]):
-        entries = [(v, cs[j]) for v, cs in cosets if j < len(cs) and cs[j].members]
+        entries = [(v, cs[j]) for v, cs in cosets if j < len(cs) and cs[j].size]
         codes.append(multilevel(entries, delta1) if entries
-                     else Cdc(q=q, n=n, k=k, d=2 * delta1, members=()))
+                     else Cdc(q=q, n=n, k=k, d=2 * delta1))
     codes, runs = _largest_first(codes)
     out = CdcList(q=q, n=n, k=k, intra_d=2 * delta1, inter_d=2 * delta2,
                   sizes=runs if sizes is None else sizes, codes=codes,

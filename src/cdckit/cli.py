@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import operator
+import os
 import sys
 
 from .cdc import Cdc, CwcSet, IdVec, ferrers_of, multilevel
@@ -480,14 +481,19 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    rc = 0
     try:
-        return args.fn(args)
+        rc = args.fn(args)
+        sys.stdout.flush()  # a reader gone from the pipe shows up here
+    except BrokenPipeError:  # as under `| head`: not an error of the command
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     except UsageError as e:  # ParseError included
         print(f"{e.kind} error: {e}", file=sys.stderr)
         return 2
     except CdcError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
+    return rc
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from .errors import (BadArguments, ConditionNotMet, DimensionMismatch,
                      VerificationFailed)
 from .linalg import MatGF, kernel_basis, span_rank
 from .rankmetric import (LinearMatrixCode, MatrixSet, gabidulin,
-                         grmc_lower_bound, verify_min_rank)
+                         grmc_lower_bound, restrict_ranks, verify_min_rank)
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,8 @@ def _check_support(diagram: FerrersDiagram, basis) -> bool:
 def _all_dots_basis(q, diagram):
     """Unit matrix per dot, row-major over display cells."""
     m, n = diagram.m, diagram.n
-    units = MatGF.identity(q, m * n).packed  # the flattened unit matrices
-    return tuple(MatGF.unflatten(q, m, n, units[i * n + j])
+    units = MatGF.identity(q, n).packed
+    return tuple(MatGF.from_packed(q, n, [units[j] if r == i else 0 for r in range(m)])
                  for i, j in diagram.cells())
 
 
@@ -325,7 +325,8 @@ def coset_list(pair: NestedPair, r=None):
 
     Representatives are enumerated in lexicographic order of the quotient
     coefficients, so the first coset contains the zero matrix.  With a rank
-    cap r, members above rank r are removed; emptied cosets stay in place.
+    cap r, members above rank r are removed (``restrict_ranks``); emptied
+    cosets stay in place.
     """
     q, inner = pair.q, pair.c1.code
     m, n, size = inner.m, inner.n, inner.size
@@ -333,15 +334,10 @@ def coset_list(pair: NestedPair, r=None):
     # come coset by coset: q^dim(c1) runs of representative + inner codeword
     outer = LinearMatrixCode(q, m, n, pair.quotient + inner.basis, inner.delta)
     words = outer.words  # raises TooLargeToEnumerate beyond ENUM_CAP
-    out = []
-    for i in range(0, len(words), size):
-        coset, ranks = words[i:i + size], None
-        if r is not None:  # attach the kept ranks, as restrict_ranks does
-            kept = [(w, rk) for w, rk in zip(coset, outer.ranks[i:i + size]) if rk <= r]
-            coset, ranks = [w for w, _ in kept], tuple(rk for _, rk in kept)
-        out.append(MatrixSet(q, m, n, tuple(MatGF.unflatten(q, m, n, w) for w in coset),
-                             inner.delta, ranks))
-    return out
+    cosets = [MatrixSet(q, m, n, delta=inner.delta, words=words[i:i + size],
+                        ranks=None if r is None else outer.ranks[i:i + size])
+              for i in range(0, len(words), size)]
+    return cosets if r is None else [restrict_ranks(c, r) for c in cosets]
 
 
 def coset_list_inverse(pair: NestedPair, r=None):
@@ -353,7 +349,7 @@ def coset_list_inverse(pair: NestedPair, r=None):
     if not pair.diagram.inverted:
         raise BadArguments("expected a mirrored (inverse-convention) diagram")
     cosets = coset_list(pair, r=r)
-    empties = sum(1 for c in cosets if not c.members)
+    empties = sum(1 for c in cosets if not c.size)
     return cosets, empties
 
 

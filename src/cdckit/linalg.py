@@ -19,9 +19,12 @@ pivot masks (``_rref_shape``, which also lets ``rref`` skip rows already in
 RREF).  The Grassmannian is enumerated as flattened RREF generators
 (``_rref_flats``) and distances are taken from rows (``_pair_distance``),
 so a ``Subspace`` is made only on request: ``Subspace``, ``from_blocks``,
-``enumerate_subspaces``, ``cdc.Cdc.members``.  One Gauss-Jordan kernel,
-``_eliminate``, serves ``rref``, ``rank``, the blocks ``_non_rref``
-rejects, pair distances and ``rankmetric.LinearMatrixCode.ranks``.
+``enumerate_subspaces``, ``cdc.Cdc.members``.  A rank-metric code is
+packed words too, one ``MatGF.flatten()`` per codeword
+(``rankmetric.MatrixSet.words``), and ``MatrixSet.members`` makes its
+``MatGF``s only when read.  One Gauss-Jordan kernel, ``_eliminate``, serves
+``rref``, ``rank``, the blocks ``_non_rref`` rejects, pair distances and
+``rankmetric.LinearMatrixCode.ranks``.
 ``MatGF.spread`` moves whole columns by masks and shifts.  Rows become
 digits only in ``_Lanes.lines``, many rows per call.
 

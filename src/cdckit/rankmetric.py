@@ -1,13 +1,20 @@
 """Linear rank-metric codes: the standard MRD family, rank distributions,
 given-rank lower bounds, rank-restricted subsets, and lifting to subspaces.
+
+A codeword is one packed int, its ``MatGF.flatten()`` (rows one after
+another): ``LinearMatrixCode.words`` for a linear code and
+``MatrixSet.words`` for an explicit set, whose ``members`` are made only
+when read.  This module is the only one that turns a word into a ``MatGF``.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 from .errors import (BadArguments, BadShape, TooLargeToEnumerate,
                      VerificationFailed)
@@ -138,21 +145,50 @@ class LinearMatrixCode:
         return code
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class MatrixSet:
-    """Explicit set of m x n matrices with a claimed minimum rank distance;
-    ``ranks``, when known, holds the members' ranks in order."""
+    """Explicit set of m x n matrices with a claimed minimum rank distance,
+    stored as ``words``, the packed ``flatten()`` of each member in turn, as
+    ``LinearMatrixCode.words``; ``ranks``, when known, holds the members'
+    ranks in order.  Its ``members`` (``MatGF``s) are given instead, and
+    checked for shape and field, or made when first read."""
 
     q: int
     m: int
     n: int
-    members: tuple
+    words: tuple
     delta: int
     ranks: tuple | None = field(default=None, compare=False, repr=False)
 
+    def __init__(self, q, m, n, members=None, delta=None, ranks=None, *, words=()):
+        if delta is None:
+            raise TypeError("MatrixSet needs its claimed distance delta")
+        if members is not None:
+            members = tuple(members)
+            if any((M.q, M.rows, M.cols) != (q, m, n) for M in members):
+                raise BadShape(f"members must be {m}x{n} over GF({q})")
+            self.__dict__["members"] = members
+            words = [M.flatten() for M in members]
+        self.__dict__.update(q=q, m=m, n=n, words=tuple(words), delta=delta,
+                             ranks=ranks)
+
+    @cached_property
+    def members(self) -> tuple:
+        q, m, n = self.q, self.m, self.n
+        return tuple(MatGF.unflatten(q, m, n, w) for w in self.words)
+
     @property
     def size(self) -> int:
-        return len(self.members)
+        return len(self.words)
+
+    @property
+    def support(self) -> MatGF:
+        """The 0/1 matrix of the entries nonzero in some member: the OR of
+        the words, each entry's bits folded onto its lowest."""
+        W, v = lanes(self.q).W, reduce(operator.or_, self.words, 0)
+        v = reduce(operator.or_, [v >> s for s in range(W)])
+        return MatGF.unflatten(self.q, self.m, self.n, v & sum(
+            1 << i * W for i in range(self.m * self.n)))
 
 
 def _min_nonzero_rank_sampled(code: LinearMatrixCode) -> int:
@@ -260,12 +296,15 @@ def grmc_lower_bound(q: int, m: int, n: int, delta: int, t1: int, t2: int) -> in
     return best
 
 
-def restrict_ranks(code: LinearMatrixCode, t2: int) -> MatrixSet:
-    """Subset of codewords with rank at most t2 (includes the zero matrix)."""
-    q, m, n = code.q, code.m, code.n
-    low = [(w, r) for w, r in zip(code.words, code.ranks) if r <= t2]
-    return MatrixSet(q, m, n, tuple(MatGF.unflatten(q, m, n, w) for w, _ in low),
-                     code.delta, tuple(r for _, r in low))
+def restrict_ranks(code, t2: int) -> MatrixSet:
+    """The codewords of rank at most t2 (the zero matrix included) of a
+    linear code, or of a ``MatrixSet`` whose ranks are known, in order."""
+    if code.ranks is None:
+        raise BadArguments("restrict_ranks needs the members' ranks")
+    keep = [r <= t2 for r in code.ranks]
+    return MatrixSet(code.q, code.m, code.n, delta=code.delta,
+                     words=itertools.compress(code.words, keep),
+                     ranks=tuple(itertools.compress(code.ranks, keep)))
 
 
 def lift(code, side: str = "left"):

@@ -22,13 +22,12 @@ from functools import lru_cache
 
 from .cdc import (Cdc, CdcList, CwcSet, IdVec, _coset_blocks,
                   build_coset_cdc_lists, concat_cdc_lists, ferrers_of,
-                  hamming_guard, identifying_vector, insertion_guard,
-                  inverse_identifying_vector, pair_runs, parallel_linkage,
+                  hamming_guard, insertion_guard, pair_runs, parallel_linkage,
                   union_cdcs, zip_runs)
 from .errors import (BadArguments, GuardFailed, NotInRegistry, ParameterMismatch,
                      ParseError, RankRestrictionViolated, VerificationFailed)
 from .ferrers import singleton_bound
-from .linalg import MatGF, Subspace, rank, rrief
+from .linalg import MatGF, echelon_pivots, rank, rrief
 from .rankmetric import (LinearMatrixCode, gabidulin, rank_distribution,
                          restrict_ranks)
 
@@ -90,11 +89,12 @@ def lifted_mrd_size(q: int, n: int, d: int, k: int) -> int:
 # parallel cosets and the combined construction
 # ---------------------------------------------------------------------------
 
-def _content_rank(U: Subspace) -> int:
-    """Rank of the RRIEF generator with pivot columns removed."""
-    gen, pivots = rrief(U.gen)
+def _content_rank(q, n, block) -> int:
+    """Rank of the RRIEF generator of a block's span (k packed rows of n
+    entries) with pivot columns removed."""
+    gen, pivots = rrief(MatGF.from_packed(q, n, block))
     cols = [c for j, c in enumerate(gen.transpose().packed) if j not in pivots]
-    return rank(MatGF.from_packed(U.q, gen.rows, cols))
+    return rank(MatGF.from_packed(q, gen.rows, cols))
 
 
 def thm31_count(A: CdcList, B: CdcList, Ahat: CdcList, Bhat: CdcList) -> int:
@@ -125,8 +125,8 @@ def thm31_build(A: CdcList, B: CdcList, Ahat: CdcList, Bhat: CdcList) -> Cdc:
     if any(L.codes is None for L in (A, B, Ahat, Bhat)):
         raise BadArguments("build mode needs materialized lists")
     r = Ahat.restricted_rank
-    if r is not None and any(_content_rank(U) > r
-                             for code in Ahat.codes for U in code.members):
+    if r is not None and any(_content_rank(code.q, code.n, b) > r
+                             for code in Ahat.codes for b in code.blocks()):
         raise RankRestrictionViolated(f"mirrored-list member content rank exceeds {r}")
     d = A.intra_d
     zero = LinearMatrixCode(A.q, A.k, B.n - B.k, (), d // 2)  # only word: 0
@@ -160,10 +160,11 @@ def thm32_build(U1: Cdc, U2: Cdc, A, B, Ahat, Bhat, r_hat: int) -> Cdc:
     """Materialize the full four-part union at desk scale."""
     q, k, d = U1.q, U1.k, U1.d
     n1, n2 = U1.n, U2.n
-    u1_vectors = {identifying_vector(Ua)
-                  for code in (A.codes or ()) for Ua in code.members}
-    uhat2_vectors = {inverse_identifying_vector(Va)
-                     for code in (Ahat.codes or ()) for Va in code.members}
+    u1_vectors = {IdVec.from_pivots(c.n, echelon_pivots(MatGF.from_packed(c.q, c.n, b)))
+                  for c in (A.codes or ()) for b in c.blocks()}
+    uhat2_vectors = {IdVec.from_pivots(c.n, rrief(MatGF.from_packed(c.q, c.n, b))[1],
+                                       "inverse")
+                     for c in (Ahat.codes or ()) for b in c.blocks()}
     thm32_guard(u1_vectors, uhat2_vectors, r_hat, d)
     M1 = gabidulin(q, k, n2, d // 2)
     M2 = restrict_ranks(gabidulin(q, k, n1, d // 2), k - d // 2)

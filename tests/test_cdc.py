@@ -11,12 +11,14 @@ from cdckit.cdc import (Cdc, CdcList, CwcSet, IdVec, build_coset_cdc_lists,
                         inverse_identifying_vector, lift_on_vector, multilevel,
                         pair_runs, parallel_linkage, phi_embed,
                         reorder_pairing, zip_runs)
-from cdckit.errors import (BadShape, DiagramMismatch, DuplicateCodeword,
-                           LengthMismatch, NotACwc, NotRref, ParameterMismatch,
-                           TooLargeToEnumerate, VerificationFailed)
-from cdckit.ferrers import FdrmCode, FerrersDiagram, coset_list, optimal_fdrmc
+from cdckit.errors import (BadArguments, BadShape, DiagramMismatch,
+                           DuplicateCodeword, LengthMismatch, NotACwc, NotRref,
+                           ParameterMismatch, TooLargeToEnumerate,
+                           VerificationFailed)
+from cdckit.ferrers import (FdrmCode, FerrersDiagram, coset_list, nested_pair,
+                            optimal_fdrmc)
 from cdckit.gf import SUPPORTED_ORDERS
-from cdckit.linalg import MatGF, Subspace, enumerate_subspaces
+from cdckit.linalg import MatGF, Subspace, enumerate_subspaces, rank
 from cdckit.rankmetric import (LinearMatrixCode, MatrixSet, gabidulin, lift,
                                restrict_ranks)
 from cdckit.verify import check_cdc
@@ -419,6 +421,69 @@ def test_a_code_made_from_rows_equals_one_made_from_members(q):
                   (5 - q % 2, code.n, code.k)):
         with pytest.raises(ParameterMismatch):
             Cdc(*wrong, d=code.d, members=members)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_a_matrix_set_made_from_words_equals_one_made_from_members(q):
+    code = gabidulin(q, 2, 3, 2)
+    members = tuple(code.codewords())
+    made = MatrixSet(q, 2, 3, members, 2)
+    same = MatrixSet(q, 2, 3, delta=2, words=code.words)
+    assert "members" not in vars(same)
+    assert same == made and hash(same) == hash(made)
+    assert same.size == made.size == q ** 3 and same.words == made.words
+    assert same.members == members and same.members is same.members
+    with pytest.raises(BadShape):
+        MatrixSet(q, 3, 2, members, 2)
+
+    def unmade(ms, words, ranks):  # the oracle: flatten() of the members
+        assert "members" not in vars(ms)
+        assert ms.words == tuple(M.flatten() for M in words) and ms.ranks == ranks
+    codewords = list(code.codewords())
+    for t2 in (0, 1, 2):
+        low = [M for M in codewords if rank(M) <= t2]
+        unmade(restrict_ranks(code, t2), low, tuple(map(rank, low)))
+    # the cosets of the distance-2 code on F = [1, 2] in the distance-1 one
+    pair = nested_pair(FerrersDiagram((1, 2)), 2, 1, q)
+    reps = LinearMatrixCode(q, 2, 2, pair.quotient, 1).codewords()
+    cosets = [[R + W for W in pair.c1.code.codewords()] for R in reps]
+    assert len(cosets) == q ** 2
+    for c, oracle in zip(coset_list(pair), cosets, strict=True):
+        unmade(c, oracle, None)
+        with pytest.raises(BadArguments):  # ranks unknown
+            restrict_ranks(c, 0)
+    for c, oracle in zip(coset_list(pair, r=0), cosets, strict=True):
+        low = [M for M in oracle if M.is_zero()]
+        unmade(c, low, (0,) * len(low))
+
+
+def test_matrix_sets_are_restricted_and_placed_without_a_matgf_per_member(monkeypatch):
+    code = gabidulin(2, 4, 4, 2)
+    pair = nested_pair(FerrersDiagram((4, 4, 4, 4)), 3, 2, 2)
+    code.ranks, pair.c2.code.words  # ranked and enumerated beforehand
+    made, from_packed = [], MatGF.from_packed.__func__
+    monkeypatch.setattr(MatGF, "from_packed", classmethod(
+        lambda cls, *args: made.append(args) or from_packed(cls, *args)))
+    low = restrict_ranks(code, 2)
+    cosets = coset_list(pair, r=2)
+    placed = [lift(low, "right"), lift_on_vector(fw("11110000"), cosets[1])]
+    assert low.size == sum(c.size for c in cosets) == 526
+    assert [c.size for c in placed] == [526, cosets[1].size]
+    assert len(made) < 20, len(made)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_a_matrix_set_off_the_diagram_is_rejected_at_every_q(q):
+    """Every pair of nonzero entries on a cell outside the diagram is a
+    leak, at every entry width; entries on the dots are not."""
+    v = fw("1010")  # diagram [1, 2]: cell (1, 0) is not a dot
+    for a, b in itertools.combinations_with_replacement(range(1, q), 2):
+        leaky = (MatGF(q, [[0, a], [0, 0]]), MatGF(q, [[0, 0], [a, 0]]),
+                 MatGF(q, [[b, 0], [b, 0]]))
+        with pytest.raises(DiagramMismatch, match="outside the diagram"):
+            lift_on_vector(v, MatrixSet(q, 2, 2, leaky, 1))
+        on_dots = (MatGF(q, [[a, b], [0, a]]), MatGF(q, [[b, 0], [0, b]]))
+        assert lift_on_vector(v, MatrixSet(q, 2, 2, on_dots, 1)).size == 2
 
 
 def test_fillers_of_another_field_or_shape_are_rejected():

@@ -249,6 +249,22 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+def test_a_reader_that_stops_early_gets_no_traceback():
+    """``table11 --consistency | head -1``: the output outgrows the pipe's
+    buffers, so the command writes into a closed pipe; it still exits 0 and
+    prints nothing on stderr."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cdckit.cli", "table11", "--consistency"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline().startswith(b"A_2(18,8,9)")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert b"Traceback" not in err and not err, err
+
+
 def test_check_kv_output(tmp_path, capsys):
     f = tmp_path / "ml.cdc"
     run_cli(["build", "--multilevel", "1100,0011", "-q", "2",

@@ -268,4 +268,11 @@ def test_no_subspace_is_made_on_the_packed_paths(monkeypatch, tmp_path, q):
     for n in (3, 4) if q <= 4 else (3,):
         assert none_made("brute_force_optimum", brute_force_optimum, q, n, 2, 4) \
             == (1 if n == 3 else q ** 2 + 1)
+    if q <= 4:  # the block halves, and at q = 2 the whole combined build
+        lists = tiny_lists(q)
+        none_made("thm31_build", thm31_build, *lists)
+        if q == 2:
+            U1 = Cdc(q=q, n=4, k=4, d=4, rows=MatGF.identity(q, 4).packed)
+            assert none_made("thm32_build", thm32_build, U1, U1, *lists,
+                             r_hat=0).size == 4690
     assert back.members and len(made) == back.size  # the count counts
