@@ -21,8 +21,8 @@ from functools import cached_property, lru_cache
 from .errors import (BadArguments, BadShape, DiagramMismatch,
                      DuplicateCodeword, LengthMismatch, NotACwc,
                      ParameterMismatch, VerificationFailed)
-from .ferrers import (FdrmCode, FerrersDiagram, coset_list, nested_pair,
-                      singleton_bound, support_leaks)
+from .ferrers import (FdrmCode, FerrersDiagram, _off_mask, coset_list,
+                      nested_pair, singleton_bound)
 from .linalg import (MatGF, Subspace, _eliminate, _non_rref, echelon_pivots,
                      lanes, rank, rrief)
 from .rankmetric import LinearMatrixCode, MatrixSet, _span
@@ -240,22 +240,22 @@ def _place(q, n, skeletons, cols, code):
 def lift_on_vector(v: IdVec, code) -> Cdc:
     """Fill the echelon skeleton of v with each codeword; one subspace per
     matrix, all sharing the identifying vector v.  A cell that is zero in
-    every basis matrix of a linear code is zero in every codeword, so only
-    the basis of an ``FdrmCode`` is checked against the diagram."""
+    every basis matrix of a linear code is zero in every codeword, so an
+    ``FdrmCode``'s basis or a set's words are ANDed with ``_off_mask``."""
     layout = ferrers_of(v)
     dia, n = layout.diagram, v.n
     if isinstance(code, FdrmCode):
         if code.diagram != dia:
             raise DiagramMismatch(f"code diagram {code.diagram} vs vector diagram {dia}")
-        filler, spanning = code.code, code.code.basis
+        filler, words = code.code, [B.flatten() for B in code.code.basis]
     elif isinstance(code, MatrixSet):
-        filler, spanning = code, (code.support,)
+        filler, words = code, code.words
     else:
         raise BadArguments(f"cannot lift a {type(code).__name__}")
     if (filler.m, filler.n) != (dia.m, dia.n):  # _place checks the matrices
         raise DiagramMismatch(
             f"matrix shape {filler.m}x{filler.n} vs diagram {dia.m}x{dia.n}")
-    if next(support_leaks(dia, spanning), None):
+    if any(map(_off_mask(dia, lanes(code.q).W).__and__, words)):
         raise DiagramMismatch("matrix entry outside the diagram")
     # the unit rows at the pivots, in row order; col_map avoids the pivots
     units = MatGF.identity(code.q, n).packed

@@ -3,7 +3,10 @@
 A diagram is stored as its ascending column profile [g1..gn] (dots per
 column, left to right, right- and top-aligned).  The inverse (mirrored,
 left-aligned) convention is the same profile with a flag; codes on a
-mirrored diagram are column reversals of codes on the standard one.
+mirrored diagram are column reversals of codes on the standard one.  A
+matrix is supported on a diagram when its packed word, a basis matrix's
+``flatten()`` or a ``MatrixSet`` word alike, ANDs to zero with the mask of
+the diagram's off cells (``_off_mask``, one per diagram and entry width).
 
 Optimal diagram-supported codes are realized by intersecting the standard
 MRD family with the support constraints; the dimension is checked against
@@ -16,9 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import (BadArguments, ConditionNotMet, DimensionMismatch,
-                     VerificationFailed)
-from .linalg import MatGF, kernel_basis, span_rank
+from .errors import (BadArguments, BadShape, ConditionNotMet,
+                     DimensionMismatch, VerificationFailed)
+from .linalg import MatGF, kernel_basis, lanes, span_rank
 from .rankmetric import (LinearMatrixCode, MatrixSet, gabidulin,
                          grmc_lower_bound, restrict_ranks, verify_min_rank)
 
@@ -125,14 +128,29 @@ class FdrmCode:
         return self.code.size
 
 
+@lru_cache(maxsize=None)
+def _off_mask(diagram: FerrersDiagram, W: int) -> int:
+    """The cells off the diagram as one flattened m x n word of W-bit
+    entries, all ones there: ANDed with a flattened matrix, its leaks."""
+    m, n = diagram.m, diagram.n
+    return ~sum([(1 << W) - 1 << ((m - i) * n - 1 - j) * W
+                 for i, j in diagram.cells()])
+
+
 def support_leaks(diagram: FerrersDiagram, basis):
     """(t, i, j) for each nonzero entry (i, j) of basis matrix t that lies
-    outside the diagram, in basis then row-major order."""
+    outside the diagram, in basis then row-major order; a matrix that is
+    not m x n raises BadShape."""
+    m, n = diagram.m, diagram.n
+    if any((B.rows, B.cols) != (m, n) for B in basis):
+        raise BadShape(f"basis matrices must be {m}x{n}, as the diagram")
     for t, B in enumerate(basis):
-        for i, row in enumerate(B.data):
-            for j, x in enumerate(row):
-                if x and not diagram.cell_is_dot(i, j):
-                    yield t, i, j
+        W = lanes(B.q).W
+        leak = B.flatten() & _off_mask(diagram, W)
+        while leak:  # the highest entry first: row-major order
+            e = (leak.bit_length() - 1) // W
+            yield (t, *divmod(m * n - 1 - e, n))
+            leak &= (1 << e * W) - 1
 
 
 def _check_support(diagram: FerrersDiagram, basis) -> bool:
@@ -154,14 +172,11 @@ def _zero_fdrm(diagram, delta, q) -> FdrmCode:
 
 def _intersect_mrd(q, diagram, delta):
     """Basis of the MRD subcode supported on a standard diagram with m >= n."""
-    m, n = diagram.m, diagram.n
-    gab = gabidulin(q, m, n, delta, verify=False)
-    # row i * n + j holds entry (i, j) of every basis matrix
-    entries = MatGF.from_packed(q, m * n, [B.flatten() for B in gab.basis]).transpose()
-    constraint = MatGF.from_packed(q, gab.dim, [
-        entries.packed[i * n + j] for i in range(m) for j in range(n)
-        if not diagram.cell_is_dot(i, j)])
-    return tuple(gab.combine(v) for v in kernel_basis(constraint))
+    gab = gabidulin(q, diagram.m, diagram.n, delta, verify=False)
+    # transposed, row i * n + j holds entry (i, j) of each basis matrix, 0 on a dot
+    constraint = MatGF.from_packed(q, diagram.m * diagram.n, map(
+        _off_mask(diagram, lanes(q).W).__and__, [B.flatten() for B in gab.basis]))
+    return tuple(gab.combine(v) for v in kernel_basis(constraint.transpose()))
 
 
 @lru_cache(maxsize=None)
@@ -235,7 +250,7 @@ def compose_fdrmc(c1: FdrmCode, c2: FdrmCode, m3: int, n3: int) -> FdrmCode:
         basis.append(top.vstack(MatGF.zeros(q, m2, n - n2).hstack(B2)))
     delta = c1.delta + c2.delta
     code = LinearMatrixCode(q, m, n, tuple(basis), delta)
-    if basis and not _check_support(composite, basis):
+    if not _check_support(composite, basis):
         raise VerificationFailed("composite basis leaks outside the diagram")
     verify_min_rank(code)
     return FdrmCode(diagram=composite, code=code, delta=delta,

@@ -146,7 +146,7 @@ def lanes(q) -> _Lanes:
 class MatGF:
     """Immutable dense matrix over GF(q), one packed int per row."""
 
-    __slots__ = ("q", "rows", "cols", "packed", "_data", "_hash")
+    __slots__ = ("q", "rows", "cols", "packed", "_hash")
 
     def __init__(self, q, rows_data):
         data = tuple(map(tuple, rows_data))
@@ -158,15 +158,14 @@ class MatGF:
         if any(len(s) != cols or s.strip(L.digit_chars) for s in lines):
             raise BadArguments("entry outside field range")
         self.packed = tuple(map(L.pack, lines))
-        self.q, self.rows, self.cols = q, len(data), cols
-        self._data = self._hash = None
+        self.q, self.rows, self.cols, self._hash = q, len(data), cols, None
 
     @classmethod
     def from_packed(cls, q, cols, packed):
         """The matrix with these packed rows of ``cols`` entries each."""
         M = object.__new__(cls)
         M.q, M.cols, M.packed = q, cols, tuple(packed)
-        M.rows, M._data, M._hash = len(M.packed), None, None
+        M.rows, M._hash = len(M.packed), None
         return M
 
     @classmethod
@@ -183,10 +182,8 @@ class MatGF:
 
     @property
     def data(self):
-        """The entries as a tuple of row tuples, unpacked on first use."""
-        if self._data is None:
-            self._data = tuple(tuple(map(int, s)) for s in self.lines())
-        return self._data
+        """The entries as a tuple of row tuples, unpacked on each read."""
+        return tuple(tuple(map(int, s)) for s in self.lines())
 
     def __eq__(self, other):
         return (isinstance(other, MatGF) and self.q == other.q
@@ -377,14 +374,14 @@ def span_rank(q, matrices) -> int:
 
 def kernel_basis(M: MatGF):
     """Basis of the right null space {x : M x = 0}, deterministic order."""
-    f = field_new(M.q)
+    L, n = lanes(M.q), M.cols
     R, pivots = rref(M)
     basis = []
-    for fc in (c for c in range(M.cols) if c not in pivots):
-        vec = [0] * M.cols
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [0] * n
         vec[fc] = 1
-        for row, pc in zip(R.data, pivots):
-            vec[pc] = f.neg(row[fc])
+        for row, pc in zip(R.packed, pivots):
+            vec[pc] = L.field.neg(L.elem[row >> (n - 1 - fc) * L.W & L.emask])
         basis.append(tuple(vec))
     return basis
 

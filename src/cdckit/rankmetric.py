@@ -4,17 +4,17 @@ given-rank lower bounds, rank-restricted subsets, and lifting to subspaces.
 A codeword is one packed int, its ``MatGF.flatten()`` (rows one after
 another): ``LinearMatrixCode.words`` for a linear code and
 ``MatrixSet.words`` for an explicit set, whose ``members`` are made only
-when read.  This module is the only one that turns a word into a ``MatGF``.
+when read.  Only this module turns a word into a ``MatGF``; ``ferrers``
+tests a word's support with one AND (``ferrers._off_mask``).
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 from .errors import (BadArguments, BadShape, TooLargeToEnumerate,
                      VerificationFailed)
@@ -180,15 +180,6 @@ class MatrixSet:
     @property
     def size(self) -> int:
         return len(self.words)
-
-    @property
-    def support(self) -> MatGF:
-        """The 0/1 matrix of the entries nonzero in some member: the OR of
-        the words, each entry's bits folded onto its lowest."""
-        W, v = lanes(self.q).W, reduce(operator.or_, self.words, 0)
-        v = reduce(operator.or_, [v >> s for s in range(W)])
-        return MatGF.unflatten(self.q, self.m, self.n, v & sum(
-            1 << i * W for i in range(self.m * self.n)))
 
 
 def _min_nonzero_rank_sampled(code: LinearMatrixCode) -> int:

@@ -216,28 +216,25 @@ def check_cdc(code, mode: str = "exhaustive", seed: int = 2024,
     pair is too close, so the work is every pair.
     Sampled mode checks a seed-deterministic set of distinct pairs.
     """
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown mode {mode!r}")
     M, k, declared = code.size, code.k, code.d
     target = f"({code.n},{M},{code.d},{code.k})_{code.q}-CDC"
-    if M < 2:
-        return VerifyReport(target=target, mode=mode, min_distance_found=None,
-                            declared=declared)
+    label = mode if mode == "exhaustive" else f"sampled(seed={seed})"
     total_pairs = M * (M - 1) // 2
-    if mode == "exhaustive":
+    checked = total_pairs if mode == "exhaustive" else min(pairs, total_pairs)
+    min_dist, violations = None, []  # until a pair is checked
+    if checked and mode == "exhaustive":
         work = (min(_table_entries(code), total_pairs)
                 if _key_level(k, declared) else total_pairs)
         if work > max_pairs:
             raise TooLarge(f"certificate needs {work} table entries or "
                            f"pairs, above cap {max_pairs}")
-        checked = total_pairs
         min_dist, violations = _certify(code, max_pairs)
-    elif mode == "sampled":
-        checked = min(pairs, total_pairs)
+    elif checked:
         drawn = random.Random(seed).sample(range(total_pairs), checked)
         min_dist, violations = _scan_pairs(code, map(_unrank_pair, drawn))
-        mode = f"sampled(seed={seed})"
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    return VerifyReport(target=target, mode=mode, min_distance_found=min_dist,
+    return VerifyReport(target=target, mode=label, min_distance_found=min_dist,
                         declared=declared, violations=violations,
                         pairs_checked=checked)
 

@@ -1,14 +1,17 @@
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
-from cdckit.cdc import IdVec, ferrers_of, multilevel
+from cdckit.cdc import IdVec, ferrers_of, hamming_guard, multilevel
 from cdckit.cli import main, read_cdc, read_fdrmc
-from cdckit.ferrers import optimal_fdrmc
+from cdckit.errors import ConditionNotMet
+from cdckit.ferrers import optimal_fdrmc, singleton_bound
 from cdckit.gf import SUPPORTED_ORDERS
 from cdckit.theorems import th41_bound
+from cdckit.verify import check_cdc
 
 
 def run_cli(args, capsys):
@@ -215,6 +218,50 @@ def test_count_only_equals_the_built_size(tmp_path, capsys, monkeypatch, q,
     assert code == 0 and out == f"count-only: {built.size} codewords\n"
 
 
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_count_only_equals_the_certified_build_on_random_vector_sets(
+        tmp_path, capsys, monkeypatch, q):
+    """Random sets of weight-k vectors of length n <= 8 at pairwise Hamming
+    distance >= 2 delta, delta = 1 and 2: the code ``multilevel`` builds
+    has the sum of q^(dimension bound) codewords that ``--force-count-only``
+    prints, and its certificate passes at 2 delta.  A set is skipped when
+    every lift is one codeword, when it has more than 2,000 codewords or
+    more than 2 * 10^5 / q^k (so that the certificate hashes, not scans
+    pairs, and stays fast), or when a diagram's support intersection falls
+    short of the bound (``ConditionNotMet``)."""
+    import cdckit.cli as cli_mod
+    monkeypatch.setattr(cli_mod, "BUILD_CAP", 0)
+    rng = random.Random(q)
+    for delta in (1, 2):
+        done = 0
+        while done < 5:
+            n = rng.randrange(3, 9)
+            k = rng.randrange(1, n)
+            vectors = []
+            for _ in range(rng.randrange(1, 5)):
+                ones = set(rng.sample(range(n), k))
+                v = IdVec(tuple(int(i in ones) for i in range(n)))
+                if all(hamming_guard(u, v) >= 2 * delta for u in vectors):
+                    vectors.append(v)
+            total = sum(q ** singleton_bound(ferrers_of(v).diagram, delta)
+                        for v in vectors)
+            if not len(vectors) < total <= min(2000, 2 * 10 ** 5 // q ** k):
+                continue
+            try:
+                entries = [(v, optimal_fdrmc(ferrers_of(v).diagram, delta, q))
+                           for v in vectors]
+            except ConditionNotMet:
+                continue
+            built = multilevel(entries, delta)
+            code, out, _ = run_cli(["build", "--multilevel", ",".join(map(str, vectors)),
+                                    "-q", str(q), "--delta", str(delta), "--out",
+                                    str(tmp_path / "x.cdc"), "--force-count-only"], capsys)
+            assert code == 0 and out == f"count-only: {total} codewords\n"
+            assert built.size == total and built.d == 2 * delta
+            assert check_cdc(built).passed, vectors
+            done += 1
+
+
 def test_bound_example_notes(capsys):
     code, out, _ = run_cli(["bound", "-q", "2", "-n", "17", "-d", "6", "-k", "8",
                             "--source", "example:5"], capsys)
@@ -342,6 +389,16 @@ def test_check_lifted_mrd_above_the_pair_cap(tmp_path, capsys):
     assert code == 0 and err == ""
     assert out.startswith("PASS (8,4096,4,4)_2-CDC mode=exhaustive "
                           "min_distance=4 ")
+
+
+def test_check_sampled_one_codeword_names_its_seed(tmp_path, capsys):
+    f = tmp_path / "one.cdc"
+    f.write_text("cdc v1 q=2 n=4 k=2 d=4 count=1\n\n1000\n0100\n")
+    code, out, err = run_cli(["check", "--in", str(f), "--mode", "sampled",
+                              "--seed", "5"], capsys)
+    assert code == 0 and err == ""
+    assert out == ("PASS (4,1,4,2)_2-CDC mode=sampled(seed=5) min_distance=None "
+                   "declared=4 pairs=0 violations=0\n")
 
 
 def test_audit_entry_outside_the_diagram(tmp_path, capsys):

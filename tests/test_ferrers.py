@@ -1,14 +1,22 @@
 import itertools
+import random
 
 import pytest
 
-from cdckit import ferrers
-from cdckit.errors import BadArguments, ConditionNotMet
-from cdckit.ferrers import (FerrersDiagram, compose_fdrmc, coset_list,
-                            coset_list_inverse, gfrmc_lower_bound, inverse,
-                            nested_pair, nu, optimal_fdrmc, singleton_bound,
+from cdckit import cli, ferrers
+from cdckit.cdc import (Cdc, CwcSet, IdVec, build_coset_cdc_lists, ferrers_of,
+                        lift_on_vector)
+from cdckit.errors import (BadArguments, BadShape, ConditionNotMet,
+                           DiagramMismatch)
+from cdckit.ferrers import (FdrmCode, FerrersDiagram, _check_support,
+                            compose_fdrmc, coset_list, coset_list_inverse,
+                            gfrmc_lower_bound, inverse, nested_pair, nu,
+                            optimal_fdrmc, singleton_bound, support_leaks,
                             th43_optimal_fdrmc, transpose)
-from cdckit.linalg import rank
+from cdckit.gf import SUPPORTED_ORDERS
+from cdckit.linalg import MatGF, rank
+from cdckit.rankmetric import LinearMatrixCode, MatrixSet, gabidulin
+from cdckit.theorems import thm32_build
 from cdckit.verify import audit_fdrmc
 
 
@@ -277,3 +285,123 @@ def test_basis_transforms_preserve_code_properties():
     assert _check_support(mdia, mbasis)
     verify_min_rank(LinearMatrixCode(2, mdia.m, mdia.n, mbasis, 2))
     assert F.dots == tdia.dots == mdia.dots
+
+
+# ---------------------------------------------------------------------------
+# the support mask
+# ---------------------------------------------------------------------------
+
+def per_entry_leaks(diagram, basis):
+    """The definition the mask test must reproduce: (t, i, j) for each
+    nonzero entry of basis matrix t at a cell that is not a dot."""
+    return [(t, i, j) for t, B in enumerate(basis) for i, row in enumerate(B.data)
+            for j, x in enumerate(row) if x and not diagram.cell_is_dot(i, j)]
+
+
+def random_diagram(rng):
+    """The diagram of a random forward or inverse identifying vector."""
+    while True:
+        v = IdVec(tuple(rng.randrange(2) for _ in range(rng.randrange(2, 8))),
+                  rng.choice(("forward", "inverse")))
+        if v.weight and not ferrers_of(v).diagram.is_empty():
+            return v, ferrers_of(v).diagram
+
+
+def random_matrix(rng, q, dia, leak):
+    """Random entries on the dots; off them, a random nonzero one with
+    probability leak."""
+    return MatGF(q, [[rng.randrange(q) if dia.cell_is_dot(i, j)
+                      else rng.randrange(1, q) * (rng.random() < leak)
+                      for j in range(dia.n)] for i in range(dia.m)])
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_the_support_mask_is_the_per_entry_definition(q):
+    """At every entry width, on random forward and inverted diagrams: every
+    single entry value at every cell, random bases (``support_leaks`` and
+    ``_check_support``), and random ``MatrixSet``s lifted on the diagram's
+    vector, which ``lift_on_vector`` rejects exactly when some member has a
+    leak."""
+    rng = random.Random(q)
+    for _ in range(12):
+        v, dia = random_diagram(rng)
+        m, n = dia.m, dia.n
+        units = [MatGF(q, [[x if (r, c) == (i, j) else 0 for c in range(n)]
+                           for r in range(m)])
+                 for i in range(m) for j in range(n) for x in range(1, q)]
+        assert list(support_leaks(dia, units)) == per_entry_leaks(dia, units)
+        for leak in (0, 0.05, 0.3):
+            basis = [random_matrix(rng, q, dia, leak) for _ in range(rng.randrange(1, 4))]
+            want = per_entry_leaks(dia, basis)
+            assert list(support_leaks(dia, basis)) == want
+            assert _check_support(dia, basis) == (not want)
+            members = tuple({B.flatten(): B for B in basis}.values())
+            cells = per_entry_leaks(dia, members)
+            if cells:
+                with pytest.raises(DiagramMismatch, match="outside the diagram"):
+                    lift_on_vector(v, MatrixSet(q, m, n, members, 1))
+            else:
+                assert lift_on_vector(v, MatrixSet(q, m, n, members, 1)).size \
+                    == len(members)
+    if q == 9:  # 3 fills only the upper of an entry's two lanes
+        v = IdVec.from_string("1010")  # diagram [1, 2]: (1, 0) is not a dot
+        B = MatGF(9, [[0, 0], [3, 0]])
+        assert list(support_leaks(ferrers_of(v).diagram, [B])) == [(0, 1, 0)]
+        with pytest.raises(DiagramMismatch):
+            lift_on_vector(v, MatrixSet(9, 2, 2, (B,), 1))
+
+
+def test_a_basis_of_the_wrong_shape_raises_bad_shape():
+    """On a 2 x 2 diagram, a 2 x 3 or a 3 x 2 basis matrix is refused, not
+    read past the diagram's columns or rows, wherever it sits in the basis."""
+    F = FerrersDiagram((1, 2))
+    leaky = MatGF(2, [[0, 0], [1, 0]])
+    for B in (MatGF(2, [[0, 0, 1], [0, 0, 0]]), MatGF(2, [[0, 1], [0, 1], [1, 0]])):
+        for basis in ((B,), (leaky, B)):
+            code = FdrmCode(F, LinearMatrixCode(2, 2, 2, basis, 1), 1, False)
+            with pytest.raises(BadShape):
+                audit_fdrmc(code)
+            with pytest.raises(BadShape):
+                _check_support(F, basis)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_no_matrix_is_read_entry_by_entry_on_the_diagram_paths(monkeypatch,
+                                                               tmp_path, q):
+    """Cold builds of the coset lists, ``thm32_build`` (q = 2: 542,580
+    codewords at q = 3 and beyond the enumeration cap above), the CLI's
+    ``build --multilevel`` (the 1,033-codeword code at q = 2) and
+    ``--fdrmc``, nested pairs, rank-capped coset lists and the audit test
+    support on packed words: none reads ``MatGF.data``."""
+    read, data = [], MatGF.data
+
+    def counted(self):
+        read.append(self.rows)
+        return data.fget(self)
+
+    def none_read(name, fn, *args, **kwargs):
+        out = fn(*args, **kwargs)
+        assert read == [], name
+        return out
+    optimal_fdrmc.cache_clear()
+    gabidulin.cache_clear()
+    monkeypatch.setattr(MatGF, "data", property(counted))
+    fw = CwcSet(vectors=(IdVec.from_string("1100"),), min_hd=4)
+    iv = CwcSet(vectors=(IdVec.from_string("0011", kind="inverse"),), min_hd=4)
+    lists = [none_read("coset lists", build_coset_cdc_lists, cwc, 2, 1, q, r=r,
+                       build=True) for cwc, r in ((fw, None), (fw, None),
+                                                  (iv, 0), (iv, None))]
+    if q == 2:
+        U1 = Cdc(q=q, n=4, k=4, d=4, rows=MatGF.identity(q, 4).packed)
+        assert none_read("thm32_build", thm32_build, U1, U1, *lists,
+                         r_hat=0).size == 4690
+    vectors = "11100000,00011100,10000011" if q == 2 else "1100,0011"
+    for args in (["--multilevel", vectors], ["--fdrmc", "F=[1,2,4]"]):
+        assert none_read("cli build", cli.main, ["build", *args, "-q", str(q),
+                         "--delta", "2", "--out", str(tmp_path / "out")]) == 0
+    codes = [optimal_fdrmc(FerrersDiagram((1, 2, 4)), 2, q)]
+    for F in (FerrersDiagram((1, 2, 2)), inverse(FerrersDiagram((1, 2, 2)))):
+        pair = none_read("nested_pair", nested_pair, F, 2, 1, q)
+        none_read("coset_list", coset_list, pair, r=1)
+        codes += [pair.c1, pair.c2]
+    assert all(none_read("audit_fdrmc", audit_fdrmc, c).passed for c in codes)

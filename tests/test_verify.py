@@ -51,6 +51,23 @@ def test_check_cdc_sampled_deterministic():
     assert r1.violations == r2.violations == []
 
 
+def test_check_cdc_mode_at_every_code_size():
+    """An unknown mode is refused whatever the size, every sampled report
+    names its seed, and a check that draws no pair reports no distance."""
+    code = lift(gabidulin(2, 2, 2, 2))
+    for sub in (code, Cdc(q=2, n=4, k=2, d=4, rows=code.rows[:2]),
+                Cdc(q=2, n=4, k=2, d=4)):
+        with pytest.raises(ValueError, match="unknown mode"):
+            check_cdc(sub, mode="bogus")
+        rep = check_cdc(sub, mode="sampled", seed=7)
+        assert rep.mode == "sampled(seed=7)" and rep.passed
+        assert rep.min_distance_found == (4 if sub.size > 1 else None)
+    rep = check_cdc(code, mode="sampled", pairs=0)
+    assert rep.mode == "sampled(seed=2024)" and rep.pairs_checked == 0
+    assert rep.min_distance_found is None and rep.passed
+    assert check_cdc(code, mode="sampled", pairs=1).min_distance_found == 4
+
+
 def test_check_cdc_pair_cap():
     code = lift(gabidulin(2, 3, 3, 2))
     with pytest.raises(TooLarge):
