@@ -16,9 +16,11 @@ file to certificate: the k RREF rows of every codeword, codeword after
 codeword (``cdc.Cdc.rows``).  ``_non_rref`` tests all its k-row blocks for
 RREF of rank k in a few whole-code passes over the rows' bit lengths and
 pivot masks (``_rref_shape``, which also lets ``rref`` skip rows already in
-RREF).  The Grassmannian is enumerated as flattened RREF generators
-(``_rref_flats``) and distances are taken from rows (``_pair_distance``),
-so a ``Subspace`` is made only on request: ``Subspace``, ``from_blocks``,
+RREF).  The Grassmannian is enumerated as the k packed rows of each RREF
+generator (``_rref_rows``); each such row of k entries is a point of
+GF(q)^k, which the certifier looks up in ``_Lanes.points`` of the unit
+rows.  Distances are taken from rows (``_pair_distance``), so a
+``Subspace`` is made only on request: ``Subspace``, ``from_blocks``,
 ``enumerate_subspaces``, ``cdc.Cdc.members``.  A rank-metric code is
 packed words too, one ``MatGF.flatten()`` per codeword
 (``rankmetric.MatrixSet.words``), and ``MatrixSet.members`` makes its
@@ -475,23 +477,22 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 
 def enumerate_subspaces(q, n, k):
-    """All k-dimensional subspaces of GF(q)^n, in ``_rref_flats`` order."""
-    for f in _rref_flats(q, n, k):
-        yield Subspace.from_matrix(MatGF.unflatten(q, k, n, f))
+    """All k-dimensional subspaces of GF(q)^n, in ``_rref_rows`` order."""
+    for g in _rref_rows(q, n, k):
+        yield Subspace(q, n, MatGF.from_packed(q, n, g))
 
 
-def _rref_flats(q, n, k):
-    """The flattened RREF generator of every k-dimensional subspace of
-    GF(q)^n: pivot columns in lexicographic order, then the free entries
-    read base q, row after row, the first slowest."""
-    L = lanes(q)
-
-    def at(i, c):  # bit offset of entry (i, c) in the flattened k x n matrix
-        return ((k - i) * n - 1 - c) * L.W
+def _rref_rows(q, n, k):
+    """The k packed rows of the RREF generator of every k-dimensional
+    subspace of GF(q)^n: pivot columns in lexicographic order, then the
+    free entries read base q, row after row, the first slowest."""
+    W, code = lanes(q).W, lanes(q).code
     for pivots in itertools.combinations(range(n), k):
-        flats = [sum(1 << at(i, p) for i, p in enumerate(pivots))]
-        for i, p in enumerate(pivots):
+        gens = [()]
+        for p in pivots:
+            rows = [1 << (n - 1 - p) * W]
             for c in range(p + 1, n):
                 if c not in pivots:
-                    flats = [f | v << at(i, c) for f in flats for v in L.code]
-        yield from flats
+                    rows = [r | v << (n - 1 - c) * W for r in rows for v in code]
+            gens = [g + (r,) for g in gens for r in rows]
+        yield from gens

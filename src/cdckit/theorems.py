@@ -262,14 +262,12 @@ def _check_th44_vector(n, k, delta):
         raise VerificationFailed("spare diagram bound mismatch")
 
 
-def _truncation_note(A: CdcList, B: CdcList):
-    if A.length == B.length:
-        return ()
-    short = min(A.length, B.length)
-    return (f"lists of lengths {A.length} and {B.length} paired up to {short}",)
-
-
-def _check_insertion_lists(delta, k, k1, A: CdcList, B: CdcList):
+def _insert(q, n, delta, k, k1, A: CdcList, B: CdcList, h_size, source, base):
+    """The bound ``base()`` plus h_size times the sizes of A and B paired
+    greatest-with-greatest, after the checks both insertions share; ``base``
+    runs after them, so it may hold further guards."""
+    if A.n + B.n != n:
+        raise ParameterMismatch("block lengths must sum to n")
     if A.k != k1 or A.k + B.k != k:
         raise ParameterMismatch("list dimensions must split k")
     if A.intra_d != 2 * delta or B.intra_d != 2 * delta:
@@ -280,6 +278,13 @@ def _check_insertion_lists(delta, k, k1, A: CdcList, B: CdcList):
         raise BadArguments("both split dimensions must be at least delta")
     if not insertion_guard(k1, k - delta + 1, 2 * delta):
         raise GuardFailed(f"|k - delta + 1 - k1| < delta for k1={k1}")
+    value = base().value
+    _, addend = pair_runs(A.sizes, B.sizes)
+    notes = () if A.length == B.length else (
+        f"lists of lengths {A.length} and {B.length} paired up to "
+        f"{min(A.length, B.length)}",)
+    return BoundResult(q=q, n=n, d=2 * delta, k=k, value=value + h_size * addend,
+                       source=source, notes=notes)
 
 
 def th42_insert(q: int, n: int, delta: int, k: int, k1: int,
@@ -288,14 +293,8 @@ def th42_insert(q: int, n: int, delta: int, k: int, k1: int,
     greatest-with-greatest."""
     if A.n < k + 1:
         raise BadArguments("first block must be longer than k")
-    if A.n + B.n != n:
-        raise ParameterMismatch("block lengths must sum to n")
-    _check_insertion_lists(delta, k, k1, A, B)
-    base = th41_bound(q, n, delta, k)
-    _, addend = pair_runs(A.sizes, B.sizes)
-    return BoundResult(q=q, n=n, d=2 * delta, k=k,
-                       value=base.value + h_size * addend, source="th42",
-                       notes=_truncation_note(A, B))
+    return _insert(q, n, delta, k, k1, A, B, h_size, "th42",
+                   lambda: th41_bound(q, n, delta, k))
 
 
 def th45_insert(q: int, n: int, delta: int, k: int, k1: int,
@@ -307,25 +306,21 @@ def th45_insert(q: int, n: int, delta: int, k: int, k1: int,
         raise BadArguments("delta must be at least 2")
     if A.n != k + 1:
         raise GuardFailed(f"first block must have length k+1, got {A.n}")
-    if A.n + B.n != n:
-        raise ParameterMismatch("block lengths must sum to n")
-    _check_insertion_lists(delta, k, k1, A, B)
-    half_up = (k - 1 + 1) // 2
-    half_dn = (k - 1) // 2
-    L1 = delta - 1 - half_up + half_dn
-    L2 = half_up - half_dn
-    tail = (0,) * L1 + (1,) + (0,) * L2
-    for v in a_vectors:
-        if v.bits[0] != 0:
-            raise GuardFailed(f"first-block vector {v} must start with 0")
-    for v in b_vectors:
-        if v.bits[-len(tail):] != tail:
-            raise GuardFailed(f"second-block vector {v} must end with {tail}")
-    base = th44_bound(q, n, delta, k)
-    _, addend = pair_runs(A.sizes, B.sizes)
-    return BoundResult(q=q, n=n, d=2 * delta, k=k,
-                       value=base.value + h_size * addend, source="th45",
-                       notes=_truncation_note(A, B))
+
+    def base():  # the vector guards, after the list checks
+        half_up = (k - 1 + 1) // 2
+        half_dn = (k - 1) // 2
+        L1 = delta - 1 - half_up + half_dn
+        L2 = half_up - half_dn
+        tail = (0,) * L1 + (1,) + (0,) * L2
+        for v in a_vectors:
+            if v.bits[0] != 0:
+                raise GuardFailed(f"first-block vector {v} must start with 0")
+        for v in b_vectors:
+            if v.bits[-len(tail):] != tail:
+                raise GuardFailed(f"second-block vector {v} must end with {tail}")
+        return th44_bound(q, n, delta, k)
+    return _insert(q, n, delta, k, k1, A, B, h_size, "th45", base)
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,15 @@ built at once from the code's packed rows, sliced across codewords
 number of keys a pair shares gives its distance.  Sampled pairs, and every
 pair of a code whose tables would exceed the work cap (few codewords of
 large dimension), are ranked by eliminating their 2k rows
-(``linalg._pair_distance``).  The search for a maximum code builds its
-graph from the same collision groups; GL(n, q) acts on it, so the search
+(``linalg._pair_distance``).  The cap counts, per codeword and level t,
+t row fields of the [k, 1]_q points the keys are read from and the
+[k, t]_q keys (``_table_entries``).  The search for a maximum code builds
+its graph from the same collision groups; GL(n, q) acts on it, so the search
 starts from one point and one neighbour per intersection dimension, until
 it has coloured ``CLIQUE_WORK_CAP`` vertices.  All of it works on packed
-rows (``linalg._rref_flats`` for the keys' C and the search's points), so
-no ``Subspace`` is made.
+rows (``linalg._rref_rows`` for the keys' C and the search's points), and
+each row of a C is looked up as a point by its packed value, so no
+``Subspace`` or ``MatGF`` is made.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from itertools import combinations, compress, repeat
 from .cdc import Cdc
 from .errors import TooLarge
 from .ferrers import FdrmCode, singleton_bound, support_leaks
-from .linalg import MatGF, _pair_distance, _rref_flats, gaussian_binomial, lanes
+from .linalg import _pair_distance, _rref_rows, gaussian_binomial, lanes
 
 EXHAUSTIVE_PAIR_CAP = 10 ** 6   # table entries hashed or pairs compared
 GRASSMANNIAN_CAP = 2000         # points of a brute-force clique search
@@ -81,7 +84,9 @@ def _keys(code, t):
     For RREF generator G and RREF t x k matrix C, C G is already the RREF of
     a t-subspace, as G is the identity on its pivots.  Its rows are member
     vectors whose first nonzero coefficient is 1 (``_Lanes.points``), so a
-    key is t of those points shifted into t row fields.  All codewords are
+    key is t of those points shifted into t row fields.  Each row of C is
+    such a coefficient vector, a point of GF(q)^k, and its index among the
+    points of the unit rows picks the codewords' point.  All codewords are
     keyed at once: row j of every codeword, ``code.rows[j::k]``, goes into
     one wide int through an ``array`` of 64-bit words, codeword i in lane i
     of w words, wide enough for t row fields.  The points recursion runs
@@ -89,7 +94,7 @@ def _keys(code, t):
     padding of every lane zero.  A memoryview cast of ``to_bytes`` then
     splits each wide key into the codewords' words, w to a key.
     """
-    q, n, k, M, L = code.q, code.n, code.k, code.size, lanes(code.q)
+    n, k, M, L = code.n, code.k, code.size, lanes(code.q)
     width = n * L.W
     w, u = -(-max(t, 1) * width // 64), -(-width // 64)  # words per lane, per row
     lane, wide = array("Q", bytes(8 * w * M)), []
@@ -100,15 +105,10 @@ def _keys(code, t):
             lane[o::w] = words[o::u]
         wide.append(int.from_bytes(lane, "little"))
     points = L.points(wide, M * 64 * w // L.W)
-
-    def point(row):
-        """Index in points of the coefficients in digit string row."""
-        i = row.index("1")
-        return (q ** k - q ** (k - i)) // (q - 1) + int(row[i + 1:] or "0", q)
-    for C in _rref_flats(q, k, t):
-        key = 0
-        for r, row in enumerate(MatGF.unflatten(q, t, k, C).lines()):
-            key |= points[point(row)] << r * width
+    units = [1 << (k - 1 - i) * L.W for i in range(k)]
+    index = {v: i for i, v in enumerate(L.points(units, k))}  # C row -> point
+    for C in _rref_rows(code.q, k, t):
+        key = sum(points[index[row]] << r * width for r, row in enumerate(C))
         words = memoryview(key.to_bytes(8 * w * M, "little")).cast("Q").tolist()
         yield words if w == 1 else list(zip(*[iter(words)] * w))
 
@@ -154,9 +154,11 @@ def _key_level(k, declared):
 
 def _table_entries(code):
     """Table entries hashing builds at most: per codeword and level
-    t <= max(t0, 1), t row fields of q^k vectors and [k, t]_q keys."""
+    t <= max(t0, 1), t row fields of the [k, 1]_q points the keys are read
+    from, and [k, t]_q keys."""
     q, k, t0 = code.q, code.k, _key_level(code.k, code.d)
-    return code.size * sum(t * q ** k + gaussian_binomial(k, t, q)
+    points = gaussian_binomial(k, 1, q)
+    return code.size * sum(t * points + gaussian_binomial(k, t, q)
                            for t in range(1, min(max(t0, 1), k) + 1))
 
 
@@ -312,7 +314,7 @@ def brute_force_optimum(q: int, n: int, k: int, d: int) -> int:
     if d <= 2:
         return G  # distinct subspaces of equal dimension are >= 2 apart
     k = min(k, n - k)
-    rows = [v for f in _rref_flats(q, n, k) for v in MatGF.unflatten(q, k, n, f).packed]
+    rows = [v for g in _rref_rows(q, n, k) for v in g]
     adj = [((1 << G) - 1) ^ (1 << i) for i in range(G)]
     for group in _collisions(Cdc(q, n, k, d, rows=rows), _key_level(k, d)):
         close = sum(1 << i for i in group)

@@ -10,16 +10,20 @@ of chosen dimension injected.
 
 import math
 import random
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cdckit.cdc import Cdc
-from cdckit.linalg import MatGF, Subspace, lanes, rank, subspace_distance
+from cdckit.cdc import Cdc, IdVec, ferrers_of, multilevel
+from cdckit.ferrers import optimal_fdrmc
+from cdckit.linalg import (MatGF, Subspace, _eliminate, _Lanes, _rref_rows,
+                           gaussian_binomial, lanes, rank, subspace_distance)
 from cdckit.rankmetric import gabidulin, lift
-from cdckit.verify import (EXHAUSTIVE_PAIR_CAP, _certify, _key_level,
-                           _scan_pairs, _table_entries, check_cdc)
+from cdckit.verify import (EXHAUSTIVE_PAIR_CAP, _certify, _key_level, _keys,
+                           _scan_pairs, _table_entries, brute_force_optimum,
+                           check_cdc)
 
 SUPPORTED_Q = (2, 3, 4, 5, 7, 8, 9)
 # ambient sizes per field small enough that q^k member vectors stay cheap
@@ -135,7 +139,7 @@ def test_sampled_pairs_are_distinct():
 
 
 def test_hashing_is_used_whenever_its_tables_fit_the_cap(monkeypatch):
-    # 64 codewords: 2,432 table entries against 2,016 pairs, both far below
+    # 64 codewords: 2,240 table entries against 2,016 pairs, both far below
     # the cap, so a code is certified without comparing a pair, whether it
     # passes or fails (declared d = 5 and 7: t0 = 1 and t0 = 0)
     code = lift(gabidulin(2, 3, 3, 2))
@@ -254,3 +258,101 @@ def test_distance_above_2k_makes_every_pair_a_violation(q, n, k):
     rep = assert_certified_as_oracle(Cdc(q=q, n=n, k=k, d=2 * k + 1,
                                          members=tuple(members)))
     assert len(rep.violations) == len(members) * (len(members) - 1) // 2
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_each_key_is_the_rref_rows_of_c_times_g(q):
+    """Every key ``_keys(code, t)`` yields for codeword G is the t rows of
+    C G, row r in row field r, for each RREF t x k matrix C in
+    ``_rref_rows`` order: C G formed here by scaling and summing the rows
+    of G, and checked to be in RREF of rank t by ``_eliminate``.  At n = 4
+    and at one row field past 64 bits, so keys of one 64-bit word and of
+    several are both read."""
+    L, rnd, k, several = lanes(q), random.Random(q), 3, set()
+    for n in (4, 64 // L.W + 1):
+        width = n * L.W
+        code = Cdc(q=q, n=n, k=k, d=2, members=tuple(
+            random_subspace(rnd, q, n, k) for _ in range(rnd.randint(5, 12))))
+        for t in range(1, k + 1):
+            Cs = list(_rref_rows(q, k, t))
+            assert len(set(Cs)) == len(Cs) == gaussian_binomial(k, t, q)
+            words = -(-t * width // 64)
+            several.add(words > 1)
+            for C, keys in zip(Cs, _keys(code, t), strict=True):
+                rows, pivots = _eliminate(q, k, list(C))
+                assert rows == list(C) and len(pivots) == t
+                for G, key in zip(code.blocks(), keys, strict=True):
+                    CG = [reduce(lambda a, b: L.sums([a], [b], n)[0], (
+                        L.scale(L.elem[c >> (k - 1 - j) * L.W & L.emask], g)
+                        for j, g in enumerate(G))) for c in C]
+                    rows, pivots = _eliminate(q, n, CG)
+                    assert rows == CG and len(pivots) == t
+                    wide = sum(v << r * width for r, v in enumerate(CG))
+                    split = tuple(wide >> 64 * o & (1 << 64) - 1
+                                  for o in range(words))
+                    assert key == (split[0] if words == 1 else split)
+    assert several == {False, True}
+
+
+def parent_table_entries(code):
+    """The earlier estimate, kept as a bound: t row fields of q^k vectors
+    and [k, t]_q keys per codeword and level t <= max(t0, 1)."""
+    q, k, t0 = code.q, code.k, _key_level(code.k, code.d)
+    return code.size * sum(t * q ** k + gaussian_binomial(k, t, q)
+                           for t in range(1, min(max(t0, 1), k) + 1))
+
+
+def test_the_q9_multilevel_code_is_certified_by_hashing(monkeypatch):
+    """The 738-codeword code of 1011,1110 at q = 9, delta = 1 hashes, with
+    the report the pair-by-pair ranking gave; the estimate counts the
+    [k, 1]_q points a row field is read from, never more than the q^k
+    vectors the earlier estimate counted."""
+    for q in SUPPORTED_Q:
+        for k in range(1, 7):
+            units = [1 << (k - 1 - i) * lanes(q).W for i in range(k)]
+            for d in range(1, 2 * k + 2):
+                one = Cdc(q=q, n=k, k=k, d=d, rows=units)
+                assert _table_entries(one) <= parent_table_entries(one)
+    ids = [IdVec.from_string(v) for v in ("1011", "1110")]
+    code = multilevel([(v, optimal_fdrmc(ferrers_of(v).diagram, 1, 9))
+                       for v in ids], 1)
+    assert _table_entries(code) == 538002 < EXHAUSTIVE_PAIR_CAP
+    assert parent_table_entries(code) == 3363066
+
+    def no_pairs(code, pairs):
+        raise AssertionError("compared a pair")
+
+    monkeypatch.setattr("cdckit.verify._scan_pairs", no_pairs)
+    assert check_cdc(code).summary() == (
+        "PASS (4,738,2,3)_9-CDC mode=exhaustive min_distance=2 declared=2 "
+        "pairs=271953 violations=0")
+
+
+@pytest.mark.parametrize("q", SUPPORTED_Q)
+def test_the_certifier_makes_no_matrix(monkeypatch, q):
+    """Passing, failing and t0 = 0 certificates and the clique search read
+    each C row as a point by its packed value: no ``MatGF`` is made and no
+    row is turned into digits."""
+    rows = [v for g in islice(_rref_rows(q, 4, 2), q + 3) for v in g]
+    codes = [Cdc(q=q, n=4, k=2, d=d, rows=rows)
+             for d in (2, 4, 5)]  # t0 = 2, 1 and 0
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(MatGF, "__init__", counted("__init__", MatGF.__init__))
+    for name in ("from_packed", "unflatten"):
+        monkeypatch.setattr(MatGF, name, classmethod(counted(
+            name, getattr(MatGF, name).__func__)))
+    monkeypatch.setattr(_Lanes, "lines", counted("lines", _Lanes.lines))
+    reports = [check_cdc(code) for code in codes]
+    assert [r.passed for r in reports] == [True, False, False]
+    assert brute_force_optimum(q, 3, 2, 4) == 1
+    if q <= 3:
+        assert brute_force_optimum(q, 4, 2, 4) == q ** 2 + 1
+    assert calls == []
+    MatGF.unflatten(q, 1, 1, 1)
+    assert calls == ["unflatten", "from_packed"]  # the count counts

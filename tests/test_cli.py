@@ -11,7 +11,7 @@ from cdckit.errors import ConditionNotMet
 from cdckit.ferrers import optimal_fdrmc, singleton_bound
 from cdckit.gf import SUPPORTED_ORDERS
 from cdckit.theorems import th41_bound
-from cdckit.verify import check_cdc
+from cdckit.verify import EXHAUSTIVE_PAIR_CAP, _table_entries, check_cdc
 
 
 def run_cli(args, capsys):
@@ -225,10 +225,10 @@ def test_count_only_equals_the_certified_build_on_random_vector_sets(
     distance >= 2 delta, delta = 1 and 2: the code ``multilevel`` builds
     has the sum of q^(dimension bound) codewords that ``--force-count-only``
     prints, and its certificate passes at 2 delta.  A set is skipped when
-    every lift is one codeword, when it has more than 2,000 codewords or
-    more than 2 * 10^5 / q^k (so that the certificate hashes, not scans
-    pairs, and stays fast), or when a diagram's support intersection falls
-    short of the bound (``ConditionNotMet``)."""
+    every lift is one codeword, when it has more than 2,000 codewords, when
+    a diagram's support intersection falls short of the bound
+    (``ConditionNotMet``), or when the certifier's tables would exceed its
+    work cap, so that the certificate hashes, not ranks pairs."""
     import cdckit.cli as cli_mod
     monkeypatch.setattr(cli_mod, "BUILD_CAP", 0)
     rng = random.Random(q)
@@ -245,7 +245,7 @@ def test_count_only_equals_the_certified_build_on_random_vector_sets(
                     vectors.append(v)
             total = sum(q ** singleton_bound(ferrers_of(v).diagram, delta)
                         for v in vectors)
-            if not len(vectors) < total <= min(2000, 2 * 10 ** 5 // q ** k):
+            if not len(vectors) < total <= 2000:
                 continue
             try:
                 entries = [(v, optimal_fdrmc(ferrers_of(v).diagram, delta, q))
@@ -253,6 +253,8 @@ def test_count_only_equals_the_certified_build_on_random_vector_sets(
             except ConditionNotMet:
                 continue
             built = multilevel(entries, delta)
+            if _table_entries(built) > EXHAUSTIVE_PAIR_CAP:
+                continue
             code, out, _ = run_cli(["build", "--multilevel", ",".join(map(str, vectors)),
                                     "-q", str(q), "--delta", str(delta), "--out",
                                     str(tmp_path / "x.cdc"), "--force-count-only"], capsys)
