@@ -3,8 +3,9 @@ builds, file verification, rank distributions, and diagram-code audits.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error.
 All integers print in plain decimal; files are plain text and diffable.
-``.cdc`` files are written and read a whole code's packed rows at a time; a
-file the whole-code reader refuses is walked line by line for its first error.
+``.cdc`` files are written and read a whole code's packed rows at a time,
+each distinct row formatted or packed once; a file the whole-code reader
+refuses is walked line by line for its first error.
 """
 
 from __future__ import annotations
@@ -141,20 +142,24 @@ def read_cdc(path: str) -> Cdc:
 def _read_rows(raw, q, n, k):
     """The packed rows of the body's codewords in whole-file passes, if no
     blank line is inside a block (after a multiple of k rows), every row is
-    n digits below q and every block is in RREF of rank k; else None."""
+    n digits below q and every block is in RREF of rank k; else None.  Each
+    distinct row is checked and packed once, then looked up by its text."""
     lines = list(map(str.strip, raw[1:]))
     # the j-th blank line, at index i, comes after i - j rows
     blank = itertools.compress(itertools.count(), map(operator.not_, lines))
     if any(map(k.__rmod__, map(operator.sub, blank, itertools.count()))):
         return None
     lines = list(filter(None, lines))
+    distinct = dict.fromkeys(lines)  # first-occurrence order
     L = lanes(q)
-    if len(lines) % k or set(map(len, lines)) - {n} or \
-            "".join(lines).translate(str.maketrans("", "", L.digit_chars)):
+    if len(lines) % k or set(map(len, distinct)) - {n} or \
+            "".join(distinct).translate(str.maketrans("", "", L.digit_chars)):
         return None
-    packed = list(map(int, " ".join(lines).translate(L.text).split(),
+    packed = list(map(int, " ".join(distinct).translate(L.text).split(),
                       itertools.repeat(L.base)))
-    del lines
+    if len(packed) < len(lines):  # some row repeats
+        packed = list(map(dict(zip(distinct, packed)).__getitem__, lines))
+    del lines, distinct
     return None if _non_rref(q, n, k, packed) else packed
 
 

@@ -28,7 +28,7 @@ packed words too, one ``MatGF.flatten()`` per codeword
 ``rref``, ``rank``, the blocks ``_non_rref`` rejects, pair distances and
 ``rankmetric.LinearMatrixCode.ranks``.
 ``MatGF.spread`` moves whole columns by masks and shifts.  Rows become
-digits only in ``_Lanes.lines``, many rows per call.
+digits only in ``_Lanes.lines``, many rows per call, each distinct row once.
 
 Subspaces are always stored by their RREF generator, so equality and hashing
 are entrywise.  Column indices are 0-based internally; file formats and CLI
@@ -93,13 +93,17 @@ class _Lanes:
     def lines(self, rows, n):
         """The packed rows of n entries as strings of decimal digits: their
         text in base 2 or 16 for 1- and 4-bit entries, else their bytes
-        through ``byte_digits``."""
+        through ``byte_digits``.  Each distinct row is formatted once."""
         if not n:
             return [""] * len(rows)
+        distinct = dict.fromkeys(rows)  # first-occurrence order
         if self.byte_digits is None:
-            return list(map(format, rows, itertools.repeat(f"0{n}{self.fmt}")))
-        tab, size = self.byte_digits.__getitem__, (n * self.W + 7) // 8
-        return ["".join(map(tab, v.to_bytes(size, "big")))[-n:] for v in rows]
+            text = list(map(format, distinct, itertools.repeat(f"0{n}{self.fmt}")))
+        else:
+            tab, size = self.byte_digits.__getitem__, (n * self.W + 7) // 8
+            text = ["".join(map(tab, v.to_bytes(size, "big")))[-n:] for v in distinct]
+        return text if len(text) == len(rows) else list(  # some row repeats
+            map(dict(zip(distinct, text)).__getitem__, rows))
 
     def scale(self, c, v):
         """The packed row v times the field element c."""

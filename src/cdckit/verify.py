@@ -15,11 +15,11 @@ large dimension), are ranked by eliminating their 2k rows
 t row fields of the [k, 1]_q points the keys are read from and the
 [k, t]_q keys (``_table_entries``).  The search for a maximum code builds
 its graph from the same collision groups; GL(n, q) acts on it, so the search
-starts from one point and one neighbour per intersection dimension, until
-it has coloured ``CLIQUE_WORK_CAP`` vertices.  All of it works on packed
-rows (``linalg._rref_rows`` for the keys' C and the search's points), and
-each row of a C is looked up as a point by its packed value, so no
-``Subspace`` or ``MatGF`` is made.
+starts from one point and one neighbour per intersection dimension.  It
+stops at the anticode bound, or raises after colouring ``CLIQUE_WORK_CAP``
+vertices.  All of it works on packed rows (``linalg._rref_rows`` for the
+keys' C and the search's points), and each row of a C is looked up as a
+point by its packed value, so no ``Subspace`` or ``MatGF`` is made.
 """
 
 from __future__ import annotations
@@ -241,10 +241,11 @@ def check_cdc(code, mode: str = "exhaustive", seed: int = 2024,
                         pairs_checked=checked)
 
 
-def _max_clique(adj, roots) -> int:
+def _max_clique(adj, roots, bound=math.inf) -> int:
     """The largest clique that extends one of ``roots``, by branch and bound
-    with greedy colouring.  A root (size, P) stands for a clique of that
-    size whose common neighbourhood is P.
+    with greedy colouring, or the first to reach ``bound``, a proven upper
+    bound on the answer.  A root (size, P) stands for a clique of that size
+    whose common neighbourhood is P.
 
     This is the maximum clique of the graph only when roots are chosen by
     its automorphisms, as ``brute_force_optimum`` chooses them: every
@@ -278,7 +279,7 @@ def _max_clique(adj, roots) -> int:
         nonlocal best
         order, bounds = color_order(P)
         for idx in range(len(order) - 1, -1, -1):
-            if size + bounds[idx] <= best:
+            if size + bounds[idx] <= best or best >= bound:
                 return
             v = order[idx]
             newP = P & adj[v]
@@ -306,17 +307,19 @@ def brute_force_optimum(q: int, n: int, k: int, d: int) -> int:
     0; and the stabiliser of point 0 is transitive on the points meeting it
     in each dimension, so the search extends {0, w} for one neighbour w per
     intersection dimension, leaving out the classes already searched.  It
-    raises ``TooLarge`` above ``GRASSMANNIAN_CAP`` points or
-    ``CLIQUE_WORK_CAP`` coloured vertices."""
+    stops at the anticode bound [n, t]_q / [k, t]_q (no t-subspace, t =
+    k - ceil(d/2) + 1, lies in two codewords) and raises ``TooLarge`` above
+    ``GRASSMANNIAN_CAP`` points or ``CLIQUE_WORK_CAP`` coloured vertices."""
     G = gaussian_binomial(n, k, q)
     if G > GRASSMANNIAN_CAP:
         raise TooLarge(f"Grassmannian size {G} exceeds cap {GRASSMANNIAN_CAP}")
     if d <= 2:
         return G  # distinct subspaces of equal dimension are >= 2 apart
     k = min(k, n - k)
+    t = _key_level(k, d)
     rows = [v for g in _rref_rows(q, n, k) for v in g]
     adj = [((1 << G) - 1) ^ (1 << i) for i in range(G)]
-    for group in _collisions(Cdc(q, n, k, d, rows=rows), _key_level(k, d)):
+    for group in _collisions(Cdc(q, n, k, d, rows=rows), t):
         close = sum(1 << i for i in group)
         for i in group:
             adj[i] &= ~close
@@ -330,7 +333,8 @@ def brute_force_optimum(q: int, n: int, k: int, d: int) -> int:
         w = (members & -members).bit_length() - 1
         roots.append((2, adj[0] & adj[w] & ~done))
         done |= members
-    return _max_clique(adj, roots or [(1, 0)])
+    return _max_clique(adj, roots or [(1, 0)],
+                       gaussian_binomial(n, t, q) // gaussian_binomial(k, t, q))
 
 
 def audit_fdrmc(code: FdrmCode) -> VerifyReport:

@@ -351,7 +351,7 @@ def test_the_certifier_makes_no_matrix(monkeypatch, q):
     reports = [check_cdc(code) for code in codes]
     assert [r.passed for r in reports] == [True, False, False]
     assert brute_force_optimum(q, 3, 2, 4) == 1
-    if q <= 3:
+    if q <= 5:  # q >= 7 has more than GRASSMANNIAN_CAP lines
         assert brute_force_optimum(q, 4, 2, 4) == q ** 2 + 1
     assert calls == []
     MatGF.unflatten(q, 1, 1, 1)

@@ -8,6 +8,9 @@ generator on its own places, in the same order.  Build, file and
 certificate work on a code's packed rows and never make its ``members``.
 """
 
+import random
+from itertools import islice
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +21,8 @@ from cdckit.cdc import (Cdc, CwcSet, IdVec, build_coset_cdc_lists,
                         multilevel)
 from cdckit.ferrers import optimal_fdrmc
 from cdckit.gf import SUPPORTED_ORDERS
-from cdckit.linalg import MatGF, Subspace, _eliminate, _non_rref, rref
+from cdckit.linalg import (MatGF, Subspace, _eliminate, _non_rref, _rref_rows,
+                           lanes, rref)
 from cdckit.rankmetric import gabidulin, lift
 from cdckit.theorems import thm31_build, thm32_build
 from cdckit.verify import brute_force_optimum, check_cdc
@@ -118,6 +122,91 @@ def test_first_error_in_file_order(tmp_path, q, body, message):
     got = cdc_oracle.outcome(cli.read_cdc, str(f))
     assert got == cdc_oracle.outcome(cdc_oracle.read_cdc, str(f))
     assert got[:2] == ("error", message)
+
+
+def repeated_rows_code(q):
+    """60 codewords from the start of the Grassmannian of GF(q)^5 in RREF
+    order: their first rows are a handful of values, repeated."""
+    rows = [v for g in islice(_rref_rows(q, 5, 2), 60) for v in g]
+    return Cdc(q=q, n=5, k=2, d=2, rows=rows)
+
+
+def distinct_rows_code(q, rng):
+    """40 codewords [I_3 | T] with T random, no row value twice."""
+    L, n, rows = lanes(q), 9, {}
+    while len(rows) < 120:
+        i = len(rows) % 3
+        tail = "".join(rng.choice(L.digit_chars) for _ in range(6))
+        rows.setdefault(L.pack("100"[-i:] + "100"[:-i] + tail), None)
+    return Cdc(q=q, n=n, k=3, d=2, rows=list(rows))
+
+
+def walked_rows(raw, q, n, k):
+    """The rows as the line-by-line walk reads them."""
+    return [v for start, block in cli._read_blocks(raw, q, n, k)
+            for v in cli._parse_block(q, n, block, start)]
+
+
+def malformed(text, n, q):
+    """(name, text) variants of a valid file, each with one error."""
+    head, *lines = text.split("\n")
+    rows = [i for i, s in enumerate(lines) if s]
+    i = rows[len(rows) // 2]  # a row in the middle of the file
+    first = lines[i - 1] == ""  # it begins its block
+
+    def edit(j, *new):
+        return "\n".join([head, *lines[:j], *new, *lines[j + 1:]])
+    yield "blank line inside a block", edit(i, *((lines[i], "") if first
+                                                  else ("", lines[i])))
+    yield "a row of n + 1 digits", edit(i, lines[i] + "0")
+    yield "a row of n - 1 digits", edit(i, lines[i][1:])
+    yield "a digit of q", edit(i, str(q) + lines[i][1:])
+    yield "an all-zero row", edit(i, "0" * n)
+    j = i + 1 if first else i - 1  # another row of the same block
+    yield "dependent rows", edit(i, lines[j])
+    a, b = sorted((i, j))
+    yield "rows swapped", "\n".join([head, *lines[:a], lines[b], lines[a],
+                                     *lines[b + 1:]])
+    yield "a valid row alone between blocks", edit(
+        rows[0] - 1, "", lines[rows[0]], "")
+    yield "a truncated last block", "\n".join([head, *lines[:rows[-1]]])
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_reader_matches_the_walk_on_repeated_and_distinct_rows(tmp_path, q):
+    """Whole-file reads of files with heavily repeated and with all-distinct
+    rows, in every layout: the rows the walk reads; one error: the walk's
+    message at its line."""
+    f = tmp_path / "code.cdc"
+    for code in repeated_rows_code(q), distinct_rows_code(q, random.Random(q)):
+        cli.write_cdc(code, str(f))
+        text, written = f.read_text(), [v for b in sorted(code.blocks()) for v in b]
+        varied = "\n".join(s + " " * (i % 3) for i, s in enumerate(text.split("\n")))
+        for name, layout in [*layouts(text), ("varied trailing spaces", varied),
+                             ("trailing blank lines", text + "\n \n\n")]:
+            f.write_text(layout, newline="")
+            raw = cli._read_lines(str(f))
+            assert cli._read_rows(raw, q, code.n, code.k) \
+                == walked_rows(raw, q, code.n, code.k) == written, name
+        for name, bad in malformed(text, code.n, q):
+            f.write_text(bad.replace("\n", "\r\n"), newline="")
+            raw = cli._read_lines(str(f))
+            assert cli._read_rows(raw, q, code.n, code.k) is None, name
+            got = cdc_oracle.outcome(cli.read_cdc, str(f))
+            assert got[0] == "error", name
+            assert got == cdc_oracle.outcome(cdc_oracle.read_cdc, str(f)), name
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_lines_match_the_per_row_oracle(q):
+    """Rows become the digits of ``cdc_oracle.digits``, one row at a time,
+    with and without repeated rows, for every n up to 9 and for n = 0."""
+    rng, L = random.Random(q), lanes(q)
+    for n in range(10):
+        fresh = [L.pack("".join(rng.choice(L.digit_chars) for _ in range(n)))
+                 for _ in range(50)]
+        for rows in fresh, [rng.choice(fresh[:5]) for _ in range(50)], []:
+            assert L.lines(rows, n) == [cdc_oracle.digits(q, v, n) for v in rows]
 
 
 def eliminate_all(q, n, k, rows):

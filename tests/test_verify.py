@@ -184,8 +184,8 @@ def test_rooted_search_matches_the_full_search(q, n, k, monkeypatch):
     maximum clique of every graph, d from 3 to 2k + 2."""
     search, graphs = verify._max_clique, []
     monkeypatch.setattr(verify, "_max_clique",
-                        lambda adj, roots: graphs.append(adj)
-                        or search(adj, roots))
+                        lambda adj, roots, bound: graphs.append(adj)
+                        or search(adj, roots, bound))
     found = [brute_force_optimum(q, n, k, d) for d in range(3, 2 * k + 3)]
     assert found == [full_clique(adj) for adj in graphs]
 
@@ -210,6 +210,7 @@ def test_one_point_roots_a_vertex_transitive_graph(adj):
     (2, 5, 2, 4, 9),    # Beutelspacher's maximal partial spread
     (3, 4, 2, 4, 10),   # spreads of q^2 + 1 lines
     (4, 4, 2, 4, 17),
+    (5, 4, 2, 4, 26),
 ])
 def test_partial_spread_optima(q, n, k, d, optimum):
     assert brute_force_optimum(q, n, k, d) == optimum
