@@ -9,7 +9,9 @@ claimed distances downstream.  A materialized code is its packed RREF rows
 (``Cdc.rows``); ``Cdc.members`` makes its ``Subspace``s only when read.
 A rank-metric filler is placed from its packed words, a ``MatrixSet``'s
 ``words`` or a linear code's spread basis, and no ``MatGF`` is made per
-codeword.
+codeword.  Each rule is checked at one level only: ``_place`` refuses a
+filler that repeats a word, ``union_cdcs`` a subspace placed twice, and
+``_check_block_params`` two block lists that miss a distance.
 """
 
 from __future__ import annotations
@@ -207,11 +209,13 @@ class CwcSet:
 # ---------------------------------------------------------------------------
 
 def _place(q, n, skeletons, cols, code):
-    """The k RREF rows of each distinct subspace spanned by a skeleton (k
-    packed rows of n entries) with a codeword of ``code`` ORed into its top
-    rows on ``cols``, skeleton by skeleton in ``codewords()`` order.  The
-    flattened basis, or a ``MatrixSet``'s words, are spread in one pass, and
-    only the blocks ``_non_rref`` finds outside RREF are eliminated."""
+    """The k RREF rows of each subspace spanned by a skeleton (k packed
+    rows of n entries) with a codeword of ``code`` ORed into its top rows on
+    ``cols``, skeleton by skeleton in ``codewords()`` order.  The flattened
+    basis, or a ``MatrixSet``'s words, are spread in one pass, and only the
+    blocks ``_non_rref`` finds outside RREF are eliminated.  Each skeleton
+    has rank k off ``cols``, so only equal words place equal subspaces on
+    it: repeated words are refused before any block is built."""
     linear, m, c = isinstance(code, LinearMatrixCode), code.m, len(cols)
     if (code.q, code.n) != (q, c) or linear and any(
             (M.q, M.rows, M.cols) != (q, m, c) for M in code.basis):
@@ -221,6 +225,8 @@ def _place(q, n, skeletons, cols, code):
         [i * n + j for i in range(m) for j in cols], m * n).packed
     if linear:  # every combination of the basis
         words = _span(q, words, m * n)
+    if len(set(words)) < len(words):  # the only repeats one skeleton places
+        raise VerificationFailed("placement produced duplicate subspaces")
     s = n * lanes(q).W  # row i of every codeword:
     tops = [[w >> (m - 1 - i) * s & (1 << s) - 1 for w in words] for i in range(m)]
     rows, k = [], m
@@ -232,8 +238,6 @@ def _place(q, n, skeletons, cols, code):
         rows += block
     for i in _non_rref(q, n, k, rows):
         rows[i * k:i * k + k] = _eliminate(q, n, rows[i * k:i * k + k])[0]
-    if len(set(zip(*[iter(rows)] * k))) < len(rows) // k:
-        raise VerificationFailed("placement produced duplicate subspaces")
     return rows
 
 
@@ -474,9 +478,9 @@ def concat_cdc_lists(lists) -> CdcList:
 
 def _check_block_params(A: CdcList, B: CdcList, d: int):
     if A.intra_d != d or B.intra_d != d:
-        raise ParameterMismatch("lists must have within-code distance d")
+        raise ParameterMismatch(f"lists must have within-code distance {d}")
     if A.inter_d + B.inter_d != d:
-        raise ParameterMismatch("across-list distances must sum to d")
+        raise ParameterMismatch(f"across-list distances must sum to {d}")
 
 
 def coset_construction(A: CdcList, B: CdcList, H: LinearMatrixCode) -> Cdc:
@@ -509,12 +513,8 @@ def _coset_blocks(A: CdcList, B: CdcList, H: LinearMatrixCode, label: str):
                 pairs, lambda p: tuple(map(int.bit_length, p[1]))):
             pivots = {B.n - 1 - (b - 1) // W for b in lengths}  # RREF rows
             cols = [A.n + j for j in range(B.n) if j not in pivots]  # phi_B's
-            skeletons = [[*(r << B.n * W for r in Ua), *Ub] for Ua, Ub in run]
-            try:
-                rows += _place(q, n, skeletons, cols, H)
-            except VerificationFailed:  # pair by pair, so that a subspace
-                for skeleton in skeletons:  # in two pairs reaches union_cdcs
-                    rows += _place(q, n, [skeleton], cols, H)
+            rows += _place(q, n, [[*(r << B.n * W for r in Ua), *Ub]
+                                  for Ua, Ub in run], cols, H)
         parts.append((f"{label}[{i}]", Cdc(q=q, n=n, k=k, d=d, rows=rows)))
     return parts
 

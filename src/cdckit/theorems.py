@@ -20,10 +20,10 @@ import importlib.resources
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .cdc import (Cdc, CdcList, CwcSet, IdVec, _coset_blocks,
-                  build_coset_cdc_lists, concat_cdc_lists, ferrers_of,
-                  hamming_guard, insertion_guard, pair_runs, parallel_linkage,
-                  union_cdcs, zip_runs)
+from .cdc import (Cdc, CdcList, CwcSet, IdVec, _check_block_params,
+                  _coset_blocks, build_coset_cdc_lists, concat_cdc_lists,
+                  ferrers_of, hamming_guard, insertion_guard, pair_runs,
+                  parallel_linkage, union_cdcs, zip_runs)
 from .errors import (BadArguments, GuardFailed, NotInRegistry, ParameterMismatch,
                      ParseError, RankRestrictionViolated, VerificationFailed)
 from .ferrers import singleton_bound
@@ -107,12 +107,8 @@ def thm31_count(A: CdcList, B: CdcList, Ahat: CdcList, Bhat: CdcList) -> int:
 
 
 def _check_thm31_params(A, B, Ahat, Bhat):
-    d = A.intra_d
-    for L in (B, Ahat, Bhat):
-        if L.intra_d != d:
-            raise ParameterMismatch("all lists must share the block distance")
-    if A.inter_d + B.inter_d != d or Ahat.inter_d + Bhat.inter_d != d:
-        raise ParameterMismatch("across-list distances must sum to d")
+    _check_block_params(A, B, A.intra_d)
+    _check_block_params(Ahat, Bhat, A.intra_d)
     if (A.n, A.k) != (Ahat.n, Ahat.k) or (B.n, B.k) != (Bhat.n, Bhat.k):
         raise ParameterMismatch("forward and mirrored lists disagree on shape")
 
@@ -270,10 +266,7 @@ def _insert(q, n, delta, k, k1, A: CdcList, B: CdcList, h_size, source, base):
         raise ParameterMismatch("block lengths must sum to n")
     if A.k != k1 or A.k + B.k != k:
         raise ParameterMismatch("list dimensions must split k")
-    if A.intra_d != 2 * delta or B.intra_d != 2 * delta:
-        raise ParameterMismatch("lists must have within-code distance 2*delta")
-    if A.inter_d + B.inter_d != 2 * delta:
-        raise ParameterMismatch("across-list distances must sum to 2*delta")
+    _check_block_params(A, B, 2 * delta)
     if k1 < delta or (k - k1) < delta:
         raise BadArguments("both split dimensions must be at least delta")
     if not insertion_guard(k1, k - delta + 1, 2 * delta):

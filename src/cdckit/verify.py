@@ -168,13 +168,18 @@ def _certify(code, budget):
     at t = max(t0, 1), the collision groups holding a pair give its s and
     distance 2 (k - s), and s < t for a pair in none.  Violations have
     s >= t0; without one, the largest t at which two codewords collide
-    gives 2 (k - t).  Over ``budget`` table entries, every pair is ranked."""
+    gives 2 (k - t).  Over ``budget`` table entries, every pair is ranked;
+    over ``budget`` pairs listed by a failing code, it raises ``TooLarge``."""
     M, q, k = code.size, code.q, code.k
     t0 = _key_level(k, code.d)
     if _table_entries(code) > budget:
         return _scan_pairs(code, combinations(range(M), 2))
     t = max(t0, 1)
-    shared = Counter(pair for group in _collisions(code, t)
+    groups = _collisions(code, t)
+    listed = sum(len(g) * (len(g) - 1) // 2 for g in groups) if t0 else 0
+    if listed > budget:
+        raise TooLarge(f"failing certificate lists {listed} pairs, above cap {budget}")
+    shared = Counter(pair for group in groups
                      for pair in combinations(group, 2))
     dim = {gaussian_binomial(s, t, q): s for s in range(t, k + 1)}
     violations = [(i, j, 2 * (k - dim.get(shared[i, j], 0))) for i, j

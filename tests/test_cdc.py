@@ -648,3 +648,101 @@ def test_multilevel_members_partition_by_vector():
     for U in code.members:
         by_vec.setdefault(str(identifying_vector(U)), []).append(U)
     assert {k: len(v) for k, v in by_vec.items()} == {"1100": 4, "0011": 1}
+
+
+def count_list(n, k, intra_d=4, inter_d=2, codes=None):
+    return CdcList(q=2, n=n, k=k, intra_d=intra_d, inter_d=inter_d,
+                   sizes=((1, 1),), codes=codes)
+
+
+LIFTED = lift(gabidulin(2, 2, 2, 2))   # (4, 4, 4, 2)_2
+M1, M2 = gabidulin(2, 2, 2, 2), restrict_ranks(gabidulin(2, 2, 2, 2), 0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: IdVec((1, 0), "sideways"), BadArguments,
+                 "kind must be 'forward' or 'inverse'", id="idvec-kind"),
+    pytest.param(lambda: cdc.union_cdcs(
+        [("a", LIFTED), ("b", lift(gabidulin(2, 1, 2, 1)))], d=2),
+        ParameterMismatch, "union of incompatible codes", id="union-incompatible"),
+    pytest.param(lambda: cdc.union_cdcs(
+        [("a", Cdc(2, 4, 2, 4, members=()))], d=4),
+        BadArguments, "union of empty parts", id="union-empty"),
+    pytest.param(lambda: CwcSet(vectors=(), min_hd=2), NotACwc,
+                 "empty vector set", id="cwc-empty"),
+    pytest.param(lambda: CwcSet(vectors=(fw("1100"), fw("111000")), min_hd=2),
+                 NotACwc, "mixed lengths, weights, or kinds", id="cwc-mixed"),
+    pytest.param(lambda: lift_on_vector(fw("1100"), gabidulin(2, 2, 2, 1)),
+                 BadArguments, "cannot lift a LinearMatrixCode",
+                 id="lift-on-vector-type"),
+    pytest.param(lambda: multilevel(
+        [(fw("1100"), optimal_fdrmc(ferrers_of(fw("1100")).diagram, 1, 2))], 2),
+        BadArguments, "code on 1100 has distance 1 < 2", id="multilevel-delta"),
+    pytest.param(lambda: phi_embed(MatGF(2, [[1, 0, 0]]), MatGF(2, [[1]])),
+                 BadShape, "filler has 1 columns, expected 2", id="phi-width"),
+    pytest.param(lambda: build_coset_cdc_lists(
+        CwcSet(vectors=(fw("1100"),), min_hd=4), 1, 1, 2),
+        BadArguments, "need delta1 > delta2 > 0", id="coset-lists-deltas"),
+    pytest.param(lambda: build_coset_cdc_lists(
+        CwcSet(vectors=(fw("1100"),), min_hd=2), 2, 1, 2),
+        NotACwc, "vector set distance 2 below 4", id="coset-lists-distance"),
+    pytest.param(lambda: build_coset_cdc_lists(
+        CwcSet(vectors=(fw("1100"),), min_hd=4), 2, 1, 2, r=1),
+        BadArguments, "count mode supports only r=0 restriction",
+        id="coset-lists-rank"),
+    pytest.param(lambda: build_coset_cdc_lists(
+        CwcSet(vectors=(fw("1100"), fw("0011")), min_hd=4), 2, 1, 2, r=0),
+        BadArguments, "r=0 count mode expects a single vector",
+        id="coset-lists-single"),
+    pytest.param(lambda: concat_cdc_lists([count_list(4, 2),
+                                           count_list(4, 2, inter_d=1)]),
+                 ParameterMismatch, "cannot concatenate mismatched lists",
+                 id="concat-mismatched"),
+    pytest.param(lambda: coset_construction(
+        count_list(4, 2, codes=()), count_list(4, 2, intra_d=2, codes=()),
+        M1), ParameterMismatch, "lists must have within-code distance 4",
+        id="block-intra"),
+    pytest.param(lambda: coset_construction(
+        count_list(4, 2, codes=()), count_list(4, 2, inter_d=1, codes=()),
+        M1), ParameterMismatch, "across-list distances must sum to 4",
+        id="block-inter"),
+    pytest.param(lambda: coset_construction(count_list(4, 2), count_list(4, 2),
+                                            M1),
+                 BadArguments, "build mode needs materialized lists",
+                 id="coset-unmaterialized"),
+    pytest.param(lambda: coset_construction(
+        count_list(2, 1, codes=()), count_list(3, 2, codes=()), M1),
+        ParameterMismatch, "need n >= 2k, got n=5, k=3", id="coset-short"),
+    pytest.param(lambda: parallel_linkage(LIFTED, lift(gabidulin(2, 1, 3, 1)),
+                                          M1, M2),
+                 ParameterMismatch, "component codes disagree on (q, k, d)",
+                 id="linkage-components"),
+    pytest.param(lambda: parallel_linkage(LIFTED, LIFTED,
+                                          gabidulin(2, 2, 3, 2), M2),
+                 ParameterMismatch, "left filler must be 2x4 at distance 2",
+                 id="linkage-left-shape"),
+    pytest.param(lambda: parallel_linkage(LIFTED, LIFTED, gabidulin(2, 2, 4, 2),
+                                          restrict_ranks(M1, 0)),
+                 ParameterMismatch, "right filler must be 2x4 at distance 2",
+                 id="linkage-right-shape"),
+    pytest.param(lambda: parallel_linkage(LIFTED, LIFTED, gabidulin(2, 2, 4, 2),
+                                          gabidulin(2, 2, 4, 2)),
+                 ParameterMismatch, "right filler rank exceeds 0",
+                 id="linkage-right-rank"),
+])
+def test_every_guard_raises_its_message(call, error, message):
+    with pytest.raises(error) as e:
+        call()
+    assert str(e.value) == message
+
+
+def test_list_bookkeeping_of_materialized_and_counted_lists():
+    """Concatenating materialized lists keeps their codes, largest first;
+    a counted list has no codes to validate."""
+    built = [build_coset_cdc_lists(CwcSet(vectors=(fw(s),), min_hd=4), 2, 1,
+                                   2, build=True) for s in ("1100", "0011")]
+    merged = concat_cdc_lists(built)
+    assert [c.size for c in merged.codes] == [4, 4, 4, 4, 1]
+    assert merged.sizes == ((4, 4), (1, 1))
+    merged.validate_codes()
+    assert count_list(4, 2).validate_codes() is None

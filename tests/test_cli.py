@@ -465,6 +465,10 @@ BUILD_F = ["build", "--fdrmc", "F=[1,2,4]", "-q", "2", "--delta", "2"]
     pytest.param(None, ["build", "--fdrmc", "F=[1,a]", "-q", "2", "--delta",
                         "2", "--out", "{tmp}/x.fdrmc"],
                  "usage error: bad diagram 'F=[1,a]' ", id="fdrmc-non-digit"),
+    pytest.param(None, ["build", "--fdrmc", "1,2", "-q", "2", "--delta",
+                        "1", "--out", "{tmp}/x.fdrmc"],
+                 "usage error: bad diagram '1,2' (not in brackets); expected "
+                 "F=[c1,c2,...]", id="fdrmc-without-brackets"),
     pytest.param("# q n d k new old\n2 18 8 9 18015215399116937 1015379x\n",
                  ["table11", "--registry", "{tmp}/reg.txt"],
                  "parse error: line 2: expected integer fields",
@@ -581,3 +585,23 @@ def test_formulas_accept_prime_powers_outside_the_fields(capsys, argv,
                                                          first_line):
     code, out, err = run_cli(argv, capsys)
     assert code == 0 and err == "" and out.startswith(first_line)
+
+
+def test_check_refuses_a_failing_certificate_that_lists_too_many_pairs(
+        tmp_path, capsys):
+    """The lifted (8,4096,4,4)_2 code passes at d = 4; declared at d = 6 its
+    collision groups list 1,075,200 pairs, above the cap: exit 1."""
+    f = tmp_path / "mrd.cdc"
+    code, out, _ = run_cli(["build", "--multilevel", "11110000", "-q", "2",
+                            "--delta", "2", "--out", str(f)], capsys)
+    assert code == 0
+    code, out, _ = run_cli(["check", "--in", str(f)], capsys)
+    assert (code, out) == (0, "PASS (8,4096,4,4)_2-CDC mode=exhaustive "
+                              "min_distance=4 declared=4 pairs=8386560 "
+                              "violations=0\n")
+    text = f.read_text()
+    f.write_text(text.replace(" d=4 ", " d=6 ", 1))
+    code, out, err = run_cli(["check", "--in", str(f)], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("error: TooLarge: failing certificate lists 1075200 "
+                   "pairs, above cap 1000000\n")

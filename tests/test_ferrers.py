@@ -7,7 +7,7 @@ from cdckit import cli, ferrers
 from cdckit.cdc import (Cdc, CwcSet, IdVec, build_coset_cdc_lists, ferrers_of,
                         lift_on_vector)
 from cdckit.errors import (BadArguments, BadShape, ConditionNotMet,
-                           DiagramMismatch)
+                           DiagramMismatch, DimensionMismatch)
 from cdckit.ferrers import (FdrmCode, FerrersDiagram, _check_support,
                             compose_fdrmc, coset_list, coset_list_inverse,
                             gfrmc_lower_bound, inverse, nested_pair, nu,
@@ -405,3 +405,40 @@ def test_no_matrix_is_read_entry_by_entry_on_the_diagram_paths(monkeypatch,
         none_read("coset_list", coset_list, pair, r=1)
         codes += [pair.c1, pair.c2]
     assert all(none_read("audit_fdrmc", audit_fdrmc, c).passed for c in codes)
+
+
+def opt(cols, delta, q=2, inverted=False):
+    return optimal_fdrmc(FerrersDiagram(cols, inverted=inverted), delta, q)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: transpose(FerrersDiagram((1, 2), inverted=True)),
+                 BadArguments, "transpose is defined on the standard convention",
+                 id="transpose-mirrored"),
+    pytest.param(lambda: nu(FerrersDiagram((1, 2)), 2, 2), BadArguments,
+                 "need 0 <= i <= delta-1, got i=2", id="nu-range"),
+    pytest.param(lambda: compose_fdrmc(opt((1, 2), 1), opt((1,), 1), 2, 1),
+                 DimensionMismatch, "dims 3 != 1", id="compose-dims"),
+    pytest.param(lambda: compose_fdrmc(opt((3,), 1, inverted=True),
+                                       opt((3,), 1), 3, 1),
+                 BadArguments, "compose expects standard-convention inputs",
+                 id="compose-mirrored"),
+    pytest.param(lambda: compose_fdrmc(opt((3,), 1), opt((3,), 1, q=3), 3, 1),
+                 BadArguments, "codes over different fields",
+                 id="compose-fields"),
+    pytest.param(lambda: compose_fdrmc(opt((1, 2), 1), opt((3,), 1), 1, 1),
+                 BadArguments, "need m3 >= 2 and n3 >= 1", id="compose-block"),
+    pytest.param(lambda: nested_pair(FerrersDiagram((2, 2)), 1, 2, 2),
+                 BadArguments, "need delta1 > delta2 > 0, got 1, 2",
+                 id="nested-deltas"),
+    pytest.param(lambda: coset_list_inverse(
+        nested_pair(FerrersDiagram((2, 2)), 2, 1, 2)), BadArguments,
+        "expected a mirrored (inverse-convention) diagram",
+        id="coset-list-inverse-standard"),
+    pytest.param(lambda: gfrmc_lower_bound(FerrersDiagram((1, 2)), 1, 3, 2),
+                 BadArguments, "need n >= r, got n=2, r=3", id="gfrmc-rank"),
+])
+def test_every_guard_raises_its_message(call, error, message):
+    with pytest.raises(error) as e:
+        call()
+    assert str(e.value) == message

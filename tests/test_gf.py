@@ -236,3 +236,13 @@ def test_is_prime_power_matches_trial_division():
     assert not any(map(gf.is_prime_power, (
         561, 41041, 3215031751, 3825123056546413051, p * (2 ** 31 - 1),
         10 ** 30)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: ext_new(2, 3).inv((0, 0, 0)), ZeroDivisionError,
+                 "inverse of 0 in GF(2^3)", id="ext-inverse-of-zero"),
+])
+def test_every_guard_raises_its_message(call, error, message):
+    with pytest.raises(error) as e:
+        call()
+    assert str(e.value) == message

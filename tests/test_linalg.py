@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from cdckit.errors import AmbientMismatch, BadArguments
+from cdckit.errors import AmbientMismatch, BadArguments, BadShape, NotRref
 from cdckit.gf import SUPPORTED_ORDERS
-from cdckit.linalg import (MatGF, Subspace, enumerate_subspaces,
+from cdckit.linalg import (MatGF, Subspace, echelon_pivots, enumerate_subspaces,
                            gaussian_binomial, kernel_basis, rank, rref, rrief,
                            subspace_distance)
 
@@ -192,3 +192,21 @@ def test_grassmannian_enumeration_order_for_every_q(q):
 def test_member_mask_popcount():
     U = Subspace(2, 4, [[1, 0, 1, 0], [0, 1, 0, 1]])
     assert U.member_mask().bit_count() == 4
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: MatGF(2, [[1, 0]]).hstack(MatGF(2, [[1], [0]])),
+                 BadShape, "hstack shape mismatch", id="hstack"),
+    pytest.param(lambda: MatGF(2, [[1, 0]]).vstack(MatGF(2, [[1]])),
+                 BadShape, "vstack shape mismatch", id="vstack"),
+    pytest.param(lambda: MatGF(2, [[1, 0]]) - MatGF(3, [[1, 0]]),
+                 BadShape, "shape/field mismatch", id="sub"),
+    pytest.param(lambda: echelon_pivots(MatGF(2, [[1, 0], [0, 0]])),
+                 NotRref, "zero row in echelon matrix", id="echelon-zero-row"),
+    pytest.param(lambda: Subspace(2, 4, [[1, 0, 0]]), AmbientMismatch,
+                 "generator has 3 columns, ambient is 4", id="subspace-ambient"),
+])
+def test_every_guard_raises_its_message(call, error, message):
+    with pytest.raises(error) as e:
+        call()
+    assert str(e.value) == message

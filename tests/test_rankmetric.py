@@ -8,8 +8,8 @@ from cdckit.errors import BadArguments, BadShape, TooLargeToEnumerate
 from cdckit.ferrers import th43_optimal_fdrmc
 from cdckit.gf import SUPPORTED_ORDERS
 from cdckit.linalg import MatGF, rank
-from cdckit.rankmetric import (LinearMatrixCode, gabidulin, grmc_lower_bound,
-                               lift, rank_distribution, restrict_ranks)
+from cdckit.rankmetric import (LinearMatrixCode, MatrixSet, gabidulin,
+                               grmc_lower_bound, lift, rank_distribution, restrict_ranks)
 from cdckit.verify import check_cdc
 
 
@@ -297,3 +297,23 @@ def test_verify_min_rank_rejects_a_rank_below_the_claim():
     with pytest.raises(VerificationFailed,
                        match="^sampled nonzero rank 1 below claimed 2$"):
         verify_min_rank(big)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: MatrixSet(2, 1, 1, ()), TypeError,
+                 "MatrixSet needs its claimed distance delta", id="set-delta"),
+    pytest.param(lambda: grmc_lower_bound(2, 2, 3, 3, 0, 2), BadArguments,
+                 "delta outside 1..min(m,n)", id="grmc-delta"),
+    pytest.param(lambda: grmc_lower_bound(2, 2, 3, 1, 2, 1), BadArguments,
+                 "need 0 <= t1 <= t2 <= min(m,n), got 2, 1", id="grmc-ranks"),
+])
+def test_every_guard_raises_its_message(call, error, message):
+    with pytest.raises(error) as e:
+        call()
+    assert str(e.value) == message
+
+
+def test_a_sampled_minimum_rank_never_ranks_the_zero_codeword():
+    # one basis matrix over GF(2): half the draws are the zero vector
+    code = LinearMatrixCode(2, 1, 1, (MatGF(2, [[1]]),), 1)
+    assert rankmetric._min_nonzero_rank_sampled(code) == 1

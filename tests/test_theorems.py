@@ -2,14 +2,16 @@ import dataclasses
 
 import pytest
 
-from cdckit.cdc import (Cdc, CwcSet, IdVec, build_coset_cdc_lists, ferrers_of,
-                        hamming_guard)
+from cdckit.cdc import (Cdc, CdcList, CwcSet, IdVec, build_coset_cdc_lists,
+                        ferrers_of, hamming_guard)
 from cdckit.errors import (BadArguments, GuardFailed, NotInRegistry,
+                           ParameterMismatch, ParseError,
                            RankRestrictionViolated)
 from cdckit import theorems
 from cdckit.ferrers import FerrersDiagram, singleton_bound
 from cdckit.linalg import MatGF, Subspace, gaussian_binomial, rrief
-from cdckit.theorems import (OddDeltaUnsupported, consistency_report,
+from cdckit.theorems import (BoundResult, OddDeltaUnsupported,
+                             consistency_report,
                              example3_parts, example8_parts, example_bound,
                              family_value, lifted_mrd_size, load_registry,
                              recompute_value, table11_bound, th41_bound,
@@ -375,3 +377,69 @@ def test_insertion_union_tiny_build():
         d=4, provenance="insertion-union")
     rep = check_cdc(combined)
     assert rep.passed and rep.min_distance_found >= 4
+
+
+def block_list(n, k, intra_d=4, inter_d=2):
+    return CdcList(q=2, n=n, k=k, intra_d=intra_d, inter_d=inter_d,
+                   sizes=((1, 1),))
+
+
+def registry_file(tmp, text):
+    path = tmp / "reg.txt"
+    path.write_text(text)
+    return str(path)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda tmp: lifted_mrd_size(2, 3, 2, 4), BadArguments,
+                 "ambient 3 below dimension 4", id="lifted-mrd-size"),
+    pytest.param(lambda tmp: thm31_count(block_list(6, 2), block_list(6, 3),
+                                         block_list(7, 2), block_list(6, 3)),
+                 ParameterMismatch,
+                 "forward and mirrored lists disagree on shape",
+                 id="thm31-shape"),
+    pytest.param(lambda tmp: thm31_build(*[block_list(6, 2)] * 4),
+                 BadArguments, "build mode needs materialized lists",
+                 id="thm31-materialized"),
+    pytest.param(lambda tmp: th42_insert(2, 13, 2, 5, 2, block_list(6, 2),
+                                         block_list(6, 3), 1),
+                 ParameterMismatch, "block lengths must sum to n",
+                 id="insert-n"),
+    pytest.param(lambda tmp: th42_insert(2, 12, 2, 5, 3, block_list(6, 2),
+                                         block_list(6, 3), 1),
+                 ParameterMismatch, "list dimensions must split k",
+                 id="insert-k"),
+    pytest.param(lambda tmp: th42_insert(2, 12, 2, 5, 2, block_list(6, 2),
+                                         block_list(6, 3, inter_d=1), 1),
+                 ParameterMismatch, "across-list distances must sum to 4",
+                 id="insert-block-params"),
+    pytest.param(lambda tmp: th42_insert(2, 12, 2, 5, 1, block_list(6, 1),
+                                         block_list(6, 4), 1),
+                 BadArguments, "both split dimensions must be at least delta",
+                 id="insert-k1"),
+    pytest.param(lambda tmp: th42_insert(2, 12, 2, 5, 2, block_list(5, 2),
+                                         block_list(7, 3), 1),
+                 BadArguments, "first block must be longer than k",
+                 id="th42-block"),
+    pytest.param(lambda tmp: th45_insert(2, 12, 1, 5, 2, block_list(6, 2),
+                                         block_list(6, 3), 1, (), ()),
+                 BadArguments, "delta must be at least 2", id="th45-delta"),
+    pytest.param(lambda tmp: th45_insert(2, 12, 2, 5, 2, block_list(7, 2),
+                                         block_list(5, 3), 1, (), ()),
+                 GuardFailed, "first block must have length k+1, got 7",
+                 id="th45-block"),
+    pytest.param(lambda tmp: example_bound("9", 2), BadArguments,
+                 "unknown example '9'; have ['3', '4', '5', '8']",
+                 id="example-unknown"),
+    pytest.param(lambda tmp: load_registry(registry_file(tmp, "2 18 8 9\n")),
+                 ParseError, "line 1: expected 'q n d k new [old]'",
+                 id="registry-field-count"),
+])
+def test_every_guard_raises_its_message(tmp_path, call, error, message):
+    with pytest.raises(error) as e:
+        call(tmp_path)
+    assert str(e.value) == message
+
+
+def test_a_bound_without_a_polynomial_prints_none():
+    assert BoundResult(q=2, n=4, d=2, k=2, value=35, source="x").polynomial_str() == ""

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from cdckit import verify
 from cdckit.cdc import Cdc, IdVec, ferrers_of, multilevel
 from cdckit.errors import TooLarge
-from cdckit.ferrers import FerrersDiagram, optimal_fdrmc, th43_optimal_fdrmc
+from cdckit.ferrers import (FdrmCode, FerrersDiagram, optimal_fdrmc,
+                            th43_optimal_fdrmc)
 from cdckit.gf import SUPPORTED_ORDERS
 from cdckit.linalg import (MatGF, Subspace, enumerate_subspaces,
                            gaussian_binomial, kernel_basis)
@@ -275,3 +276,43 @@ def test_exhaustive_order_independent():
 def test_constructions_never_beat_the_oracle():
     assert tiny_multilevel().size <= brute_force_optimum(2, 4, 2, 4)
     assert lift(gabidulin(2, 2, 2, 2)).size <= brute_force_optimum(2, 4, 2, 4)
+
+
+def unit_matrix_code(q, m, n, dim):
+    """The first ``dim`` unit m x n matrices, on the full m x n diagram."""
+    basis = tuple(MatGF(q, [[int(i * n + j == c) for j in range(n)]
+                            for i in range(m)]) for c in range(dim))
+    return FdrmCode(diagram=FerrersDiagram((m,) * n),
+                    code=LinearMatrixCode(q, m, n, basis, 1), delta=1,
+                    optimal=False)
+
+
+def redeclared(code, d):
+    return Cdc(q=code.q, n=code.n, k=code.k, d=d, rows=code.rows)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: audit_fdrmc(unit_matrix_code(2, 5, 5, 21)), TooLarge,
+                 "code too large to audit exhaustively", id="audit-enum-cap"),
+    # lifted (8,4096,4,4)_2 declared at d = 6: 389,120 table entries, under
+    # the cap, whose collision groups list 1,075,200 pairs
+    pytest.param(lambda: check_cdc(redeclared(lift(gabidulin(2, 4, 4, 2)), 6)),
+                 TooLarge, "failing certificate lists 1075200 pairs, above "
+                 "cap 1000000", id="failing-certificate-cap"),
+    pytest.param(lambda: check_cdc(redeclared(lift(gabidulin(3, 3, 3, 2)), 5),
+                                   max_pairs=123200),
+                 TooLarge, "failing certificate lists 123201 pairs, above "
+                 "cap 123200", id="failing-certificate-at-its-cap"),
+])
+def test_every_guard_raises_its_message(call, error, message):
+    with pytest.raises(error) as e:
+        call()
+    assert str(e.value) == message
+
+
+def test_a_failing_certificate_within_the_cap_lists_its_pairs():
+    rep = check_cdc(redeclared(lift(gabidulin(3, 3, 3, 2)), 5),
+                    max_pairs=123201)
+    assert rep.summary() == ("FAIL (6,729,5,3)_3-CDC mode=exhaustive "
+                             "min_distance=4 declared=5 pairs=265356 "
+                             "violations=123201")
