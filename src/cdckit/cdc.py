@@ -110,7 +110,8 @@ def ferrers_of(v: IdVec) -> EchelonLayout:
     pivots = tuple(i for i, b in enumerate(v.bits) if b)
     nonpivots = [i for i, b in enumerate(v.bits) if not b]
     forward = v.kind == "forward"  # column heights: pivots before (after) it
-    heights = [sum(p < c if forward else p > c for p in pivots) for c in nonpivots]
+    seen = list(itertools.accumulate(v.bits if forward else v.bits[::-1]))
+    heights = [seen[c if forward else -1 - c] for c in nonpivots]
     keep = [(c, h) for c, h in zip(nonpivots, heights) if h]
     dia = FerrersDiagram(tuple(sorted(h for _, h in keep)), inverted=not forward)
     return EchelonLayout(vec=v, pivots=pivots, diagram=dia,

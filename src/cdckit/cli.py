@@ -486,7 +486,9 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    rc = 0
+    rc, limit = 0, getattr(sys, "get_int_max_str_digits", int)()  # 0: none
+    if limit:  # exact integers print in full, however long
+        sys.set_int_max_str_digits(0)
     try:
         rc = args.fn(args)
         sys.stdout.flush()  # a reader gone from the pipe shows up here
@@ -498,6 +500,9 @@ def main(argv=None) -> int:
     except CdcError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     return rc
 
 

@@ -25,8 +25,8 @@ rows.  Distances are taken from rows (``_pair_distance``), so a
 packed words too, one ``MatGF.flatten()`` per codeword
 (``rankmetric.MatrixSet.words``), and ``MatrixSet.members`` makes its
 ``MatGF``s only when read.  One Gauss-Jordan kernel, ``_eliminate``, serves
-``rref``, ``rank``, the blocks ``_non_rref`` rejects, pair distances and
-``rankmetric.LinearMatrixCode.ranks``.
+``rref``, ``rank``, the blocks ``_non_rref`` rejects, pair distances,
+``rankmetric.LinearMatrixCode.ranks`` and ``rankmetric.min_nonzero_rank``.
 ``MatGF.spread`` moves whole columns by masks and shifts.  Rows become
 digits only in ``_Lanes.lines``, many rows per call, each distinct row once.
 

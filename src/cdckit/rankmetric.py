@@ -1,5 +1,6 @@
-"""Linear rank-metric codes: the standard MRD family, rank distributions,
-given-rank lower bounds, rank-restricted subsets, and lifting to subspaces.
+"""Linear rank-metric codes: the standard MRD family, exact minimum ranks,
+rank distributions, given-rank lower bounds, rank-restricted subsets, and
+lifting to subspaces.
 
 A codeword is one packed int, its ``MatGF.flatten()`` (rows one after
 another): ``LinearMatrixCode.words`` for a linear code and
@@ -11,21 +12,17 @@ tests a word's support with one AND (``ferrers._off_mask``).
 from __future__ import annotations
 
 import itertools
-import random
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
-from .errors import (BadArguments, BadShape, TooLargeToEnumerate,
+from .errors import (BadArguments, BadShape, TooLarge, TooLargeToEnumerate,
                      VerificationFailed)
 from .gf import expand_rows, ext_new, frobenius
-from .linalg import (MatGF, _eliminate, gaussian_binomial, lanes, rank,
+from .linalg import (MatGF, _eliminate, _rref_rows, gaussian_binomial, lanes,
                      span_rank)
 
-ENUM_CAP = 2 ** 20          # hard cap for full code enumeration
-EXHAUSTIVE_RANK_CAP = 2 ** 16   # full min-rank verification below this size
-SAMPLE_SEED = 20240601
-SAMPLE_COUNT = 1000
+ENUM_CAP = 2 ** 20  # codewords enumerated, or rows a min-rank proof eliminates
 
 
 def _span(q, vs, n):
@@ -40,27 +37,31 @@ def _span(q, vs, n):
     return words
 
 
-def _counted_ranks(code) -> tuple:
-    """The rank of every codeword of code, in ``words`` order, counted from
-    the points that annihilate it.
-
-    With s = min(m, n), a matrix X of rank r is annihilated by exactly
-    (q^(s-r) - 1) / (q - 1) points y of PG(s - 1, q): yX = 0, or yX^T = 0
-    when n < m, so the shorter side is annihilated (Delsarte 1978).  The
-    codewords a point annihilates form a subcode.  For each point, one
-    elimination of the rows [yB_j | B_j] over the basis B_j leaves that
-    subcode's basis in the rows that lead in the B part; all the yB_j come
-    from one ``points`` pass over the basis rows side by side.  A codeword's
-    rank is read off how many of the subcodes hold it.
-    """
-    q, m, n, L = code.q, code.m, code.n, lanes(code.q)
-    words, mn, s, t = code.words, m * n, min(m, n), max(m, n)
+def _images(code, room):
+    """(images, shifts, width): yB_j for each point y of GF(q)^s, keyed by
+    its packed row, and basis matrix B_j taken s x t, s = min(m, n), from
+    one ``points`` pass over the basis rows side by side, B_j in a field of
+    ``room`` x t entries at its shift.  A u-subspace Y annihilates a matrix
+    of rank r (YX = 0) exactly when u <= s - r (Delsarte 1978)."""
+    m, n, d, L = code.m, code.n, code.dim, lanes(code.q)
+    s, t, f = min(m, n), max(m, n), room * max(m, n) * L.W
     sides = [(B if m <= n else B.transpose()).packed for B in code.basis]
-    f, d = t * L.W, len(sides)  # bits of one yB_j; matrices side by side
     shifts = [(d - 1 - j) * f for j in range(d)]
     wide = [sum([B[i] << sh for B, sh in zip(sides, shifts)]) for i in range(s)]
+    units = [1 << (s - 1 - i) * L.W for i in range(s)]
+    return dict(zip(L.points(units, s), L.points(wide, d * room * t))), shifts, f
+
+
+def _counted_ranks(code) -> tuple:
+    """The rank of every codeword, in ``words`` order: a codeword of rank r
+    lies in the subcodes of (q^(s-r) - 1) / (q - 1) points (``_images``).
+    One elimination of the rows [yB_j | B_j] per point y leaves its
+    subcode's basis in the rows that lead in the B part."""
+    q, m, n, L = code.q, code.m, code.n, lanes(code.q)
+    words, mn, s, t = code.words, m * n, min(m, n), max(m, n)
+    images, shifts, f = _images(code, 1)
     flats, mask, held = [B.flatten() for B in code.basis], (1 << f) - 1, Counter()
-    for v in L.points(wide, d * t):
+    for v in images.values():
         rows = [(v >> sh & mask) << mn * L.W | w for sh, w in zip(shifts, flats)]
         echelon, pivots = _eliminate(q, t + mn, rows, reduced=False)
         held.update(_span(q, [r for r, c in zip(echelon, pivots) if c >= t], mn))
@@ -85,9 +86,6 @@ class LinearMatrixCode:
     @property
     def size(self) -> int:
         return self.q ** self.dim
-
-    def is_enumerable(self) -> bool:
-        return self.size <= ENUM_CAP
 
     def codewords(self):
         """All codewords, in lexicographic order of coefficient vectors."""
@@ -182,28 +180,56 @@ class MatrixSet:
         return len(self.words)
 
 
-def _min_nonzero_rank_sampled(code: LinearMatrixCode) -> int:
-    rng = random.Random(SAMPLE_SEED)
-    best = min(code.m, code.n)
-    for _ in range(SAMPLE_COUNT):
-        coeffs = [rng.randrange(code.q) for _ in range(code.dim)]
-        if not any(coeffs):
-            coeffs[rng.randrange(code.dim)] = 1 + rng.randrange(code.q - 1)
-        best = min(best, rank(code.combine(coeffs)))
-    return best
+def min_nonzero_rank(code: LinearMatrixCode, upto=None) -> int:
+    """The least rank of a nonzero codeword of a linear code if it is at
+    most ``upto`` (default min(m, n)), else upto + 1: from ``ranks`` if the
+    code has at most ``ENUM_CAP`` codewords and fewer than the proof has
+    systems or its proof could pass ``ENUM_CAP`` rows, else proven."""
+    q, s, d = code.q, min(code.m, code.n), code.dim
+    upto = s if upto is None else min(upto, s)
+    if upto < 1:
+        return upto + 1
+    systems = sum(gaussian_binomial(s, u, q) for u in range(s - upto, s))
+    rows = d * (gaussian_binomial(s, 1, q) + systems)
+    if code.size <= ENUM_CAP and (code.size < systems or rows > ENUM_CAP):
+        return min([*filter(None, code.ranks), upto + 1])
+    return _proven_min_rank(code, upto)
+
+
+def _proven_min_rank(code, upto):
+    """``min_nonzero_rank`` with no codeword ranked: the levels u = s - 1,
+    ..., s - upto of ``_rref_rows`` are walked to the first u-subspace Y
+    that annihilates a nonzero codeword (``_images``), at rank s - u, which
+    is when the rows Y B_j, its points' images in u blocks, fall short of
+    the basis's rank (Ravagnani 2016).  It raises ``TooLarge`` past
+    ``ENUM_CAP`` images and rows eliminated."""
+    q, d, s, t = code.q, code.dim, min(code.m, code.n), max(code.m, code.n)
+    work, full = d * gaussian_binomial(s, 1, q), span_rank(q, code.basis)
+    refusal = f"{code.size} codewords, and a min-rank proof's rows, exceed cap {ENUM_CAP}"
+    if work > ENUM_CAP:
+        raise TooLarge(refusal)
+    images, shifts, f = _images(code, s)
+    mask = (1 << f) - 1
+    for u in range(s - 1, s - upto - 1, -1):
+        for Y in _rref_rows(q, s, u):
+            work += d
+            if work > ENUM_CAP:
+                raise TooLarge(refusal)
+            key = sum([images[y] << i * f // s for i, y in enumerate(Y)])
+            rows = [key >> sh & mask for sh in shifts]
+            if len(_eliminate(q, u * t, rows, reduced=False)[1]) < full:
+                return s - u
+    return upto + 1
 
 
 def verify_min_rank(code: LinearMatrixCode):
-    """Check that the basis is independent and the claimed minimum rank
-    distance holds, exhaustively when small."""
+    """Check that the basis is independent and that no nonzero codeword has
+    rank below the claimed distance (``min_nonzero_rank``)."""
     if not code.is_independent():
         raise VerificationFailed("basis not linearly independent")
-    exhaustive = code.size <= EXHAUSTIVE_RANK_CAP
-    got = (min((r for r in code.ranks if r), default=min(code.m, code.n) + 1)
-           if exhaustive else _min_nonzero_rank_sampled(code))
+    got = min_nonzero_rank(code, code.delta - 1)
     if got < code.delta:
-        raise VerificationFailed(f"{'min' if exhaustive else 'sampled'} "
-                                 f"nonzero rank {got} below claimed {code.delta}")
+        raise VerificationFailed(f"min nonzero rank {got} below claimed {code.delta}")
 
 
 @lru_cache(maxsize=None)

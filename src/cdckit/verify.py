@@ -35,6 +35,7 @@ from .cdc import Cdc
 from .errors import TooLarge
 from .ferrers import FdrmCode, singleton_bound, support_leaks
 from .linalg import _pair_distance, _rref_rows, gaussian_binomial, lanes
+from .rankmetric import min_nonzero_rank
 
 EXHAUSTIVE_PAIR_CAP = 10 ** 6   # table entries hashed or pairs compared
 GRASSMANNIAN_CAP = 2000         # points of a brute-force clique search
@@ -343,25 +344,19 @@ def brute_force_optimum(q: int, n: int, k: int, d: int) -> int:
 
 
 def audit_fdrmc(code: FdrmCode) -> VerifyReport:
-    """Audit support containment, the realized minimum rank distance, and
-    dimension against the diagram's bound."""
+    """Audit support containment, the realized minimum rank distance
+    (``min_nonzero_rank``), and dimension against the diagram's bound."""
     dia = code.diagram
     violations = [("support", *cell)
                   for cell in support_leaks(dia, code.code.basis)]
-    min_rank = None
-    pairs = 0
-    if code.dim > 0:
-        if not code.code.is_enumerable():
-            raise TooLarge("code too large to audit exhaustively")
-        min_rank = min(r for r in code.code.ranks if r)
-        pairs = code.size - 1
-        if min_rank < code.delta:
-            violations.append(("distance", min_rank))
+    min_rank = min_nonzero_rank(code.code) if code.dim else None
+    if code.dim and min_rank < code.delta:
+        violations.append(("distance", min_rank))
     bound = singleton_bound(dia, code.delta)
     if code.optimal and code.dim != bound:
         violations.append(("optimality", code.dim, bound))
     return VerifyReport(
         target=f"[{dia}, {code.dim}, {code.delta}]_{code.q} code",
         mode="exhaustive", min_distance_found=min_rank, declared=code.delta,
-        violations=violations, pairs_checked=pairs,
+        violations=violations, pairs_checked=code.size - 1,
         details={"dim": code.dim, "bound": bound, "optimal": code.optimal})

@@ -52,6 +52,25 @@ def test_ferrers_of_worked_example():
     assert lay2.diagram.cols == (3, 3) and lay2.diagram.inverted
 
 
+@pytest.mark.parametrize("kind", ["forward", "inverse"])
+def test_ferrers_of_matches_the_per_column_definition(kind):
+    """A non-pivot column's height is the number of pivots before it (after
+    it, for an inverse vector); the diagram keeps the nonzero heights."""
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 60)
+        bits = [rng.randint(0, 1) for _ in range(n)]
+        bits[rng.randrange(n)] = 1
+        pivots = [i for i, b in enumerate(bits) if b]
+        heights = {c: sum(p < c if kind == "forward" else p > c for p in pivots)
+                   for c in range(n) if not bits[c]}
+        kept = [c for c in heights if heights[c]]
+        lay = ferrers_of(IdVec(tuple(bits), kind))
+        assert lay.pivots == tuple(pivots) and lay.col_map == tuple(kept)
+        assert lay.diagram == FerrersDiagram(
+            tuple(sorted(heights[c] for c in kept)), inverted=kind == "inverse")
+
+
 def test_ferrers_of_trailing_ones_empty():
     lay = ferrers_of(fw("0011"))
     assert lay.diagram.is_empty()

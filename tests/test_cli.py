@@ -155,6 +155,22 @@ def test_rankdist(capsys):
     assert "total 64" in out and "identity OK" in out
 
 
+def test_integers_past_4300_digits_print_in_full(capsys):
+    """2^14400 codewords, 4,335 digits: past the length Python converts to
+    decimal by default, a limit that main lifts only while it runs."""
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run_cli(["rankdist", "-q", "2", "-m", "120", "-n", "120",
+                              "--delta", "1"], capsys)
+    assert (code, err) == (0, "") and sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        size = str(2 ** 14400)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(size) == 4335
+    assert out.splitlines()[-1] == f"total {size} (code size {size}: identity OK)"
+
+
 def test_fdrmc_build_audit_round_trip(tmp_path, capsys):
     f = tmp_path / "c.fdrmc"
     code, _, _ = run_cli(["build", "--fdrmc", "F=[1,2,4]", "-q", "2",

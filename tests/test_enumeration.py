@@ -63,15 +63,22 @@ def test_optimal_fdrmc_is_built_and_verified_once(monkeypatch):
     assert calls == [first.code]
 
 
+def counting_eliminations(monkeypatch):
+    calls, real = [], rankmetric._eliminate
+    monkeypatch.setattr(rankmetric, "_eliminate",
+                        lambda *a, **k: calls.append(a) or real(*a, **k))
+    return calls
+
+
 def test_restrict_ranks_reuses_the_verified_ranks(monkeypatch):
+    """32 codewords, fewer than the 372 systems of a proof of distance 5:
+    verification ranks them, and the restriction reads those ranks."""
     gabidulin.cache_clear()
-    code = gabidulin(2, 4, 4, 2)
-    calls = []
-    monkeypatch.setattr(rankmetric, "rank",
-                        lambda M: calls.append(M) or rank(M))
-    low = restrict_ranks(code, 2)
+    code = gabidulin(2, 5, 5, 5)
+    calls = counting_eliminations(monkeypatch)
+    low = restrict_ranks(code, 5)
     assert len(calls) == 0
-    assert low.size == 1 + rank_distribution(2, 4, 4, 2, 2)
+    assert low.size == 1 + rank_distribution(2, 5, 5, 5, 5)
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
@@ -90,14 +97,14 @@ def test_matgf_rejects_ragged_rows():
 
 
 def test_transpose_carries_the_ranks(monkeypatch):
+    """The transpose of the verified 6 x 4 code, whose 64 codewords are
+    fewer than the 65 systems of a proof of distance 4, so it was ranked."""
     gabidulin.cache_clear()
-    code = gabidulin(2, 3, 4, 2)  # the transpose of the verified 4 x 3 code
-    calls = []
-    monkeypatch.setattr(rankmetric, "rank",
-                        lambda M: calls.append(M) or rank(M))
-    low = restrict_ranks(code, 2)
+    code = gabidulin(2, 4, 6, 4)
+    calls = counting_eliminations(monkeypatch)
+    low = restrict_ranks(code, 4)
     assert len(calls) == 0
-    assert low.size == 1 + rank_distribution(2, 3, 4, 2, 2)
+    assert low.size == 1 + rank_distribution(2, 4, 6, 4, 4)
     assert low.ranks == tuple(map(rank, low.members))
 
 

@@ -283,19 +283,18 @@ def test_hook_code_is_ranked_once_per_codeword(monkeypatch):
 
 
 def test_verify_min_rank_rejects_a_rank_below_the_claim():
-    """Both branches: every codeword ranked (a 2 x 2 code of rank 1), and
-    1,000 sampled above ``EXHAUSTIVE_RANK_CAP`` (2^17 matrices whose two
-    rows are equal, so of rank 1)."""
+    """Both methods: a 2 x 2 code of rank 1, ranked, and 2^17 matrices whose
+    two rows are equal, so of rank 1, proven at the first of 3 systems."""
     from cdckit.errors import VerificationFailed
-    from cdckit.rankmetric import EXHAUSTIVE_RANK_CAP, verify_min_rank
+    from cdckit.rankmetric import verify_min_rank
     small = LinearMatrixCode(2, 2, 2, (MatGF(2, [[1, 0], [0, 0]]),), 2)
     with pytest.raises(VerificationFailed, match="^min nonzero rank 1 below claimed 2$"):
         verify_min_rank(small)
     units = [[int(i == j) for j in range(17)] for i in range(17)]
     big = LinearMatrixCode(2, 2, 17, tuple(MatGF(2, [e, e]) for e in units), 2)
-    assert big.size > EXHAUSTIVE_RANK_CAP and big.is_independent()
+    assert big.is_independent()
     with pytest.raises(VerificationFailed,
-                       match="^sampled nonzero rank 1 below claimed 2$"):
+                       match="^min nonzero rank 1 below claimed 2$"):
         verify_min_rank(big)
 
 
@@ -313,7 +312,60 @@ def test_every_guard_raises_its_message(call, error, message):
     assert str(e.value) == message
 
 
-def test_a_sampled_minimum_rank_never_ranks_the_zero_codeword():
-    # one basis matrix over GF(2): half the draws are the zero vector
-    code = LinearMatrixCode(2, 1, 1, (MatGF(2, [[1]]),), 1)
-    assert rankmetric._min_nonzero_rank_sampled(code) == 1
+@st.composite
+def tall_and_wide_codes(draw, q):
+    """Random bases, dependent ones included, of m x n matrices with m != n
+    and few enough points that the proof stays under its cap."""
+    s = draw(st.integers(1, 4 if q < 4 else 3 if q < 9 else 2))
+    m, n = s, s + draw(st.integers(1, 2))
+    if draw(st.booleans()):
+        m, n = n, m
+    row = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    basis = draw(st.lists(st.lists(row, min_size=m, max_size=m), max_size=4))
+    return LinearMatrixCode(q, m, n, tuple(MatGF(q, B) for B in basis), 1)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_both_minimum_rank_methods_match_the_ranks(q):
+    """At every bound ``upto``, the proof and the ranking, each forced, and
+    the method ``min_nonzero_rank`` picks give min(least rank, upto + 1)."""
+    @settings(max_examples=20, derandomize=True, deadline=None)
+    @given(tall_and_wide_codes(q))
+    def check(code):
+        s = min(code.m, code.n)
+        least = min([rank(W) for W in code.codewords() if not W.is_zero()],
+                    default=s + 1)
+        for upto in range(1, s + 1):
+            want = min(least, upto + 1)
+            assert rankmetric._proven_min_rank(code, upto) == want
+            assert min([*filter(None, code.ranks), upto + 1]) == want
+            assert rankmetric.min_nonzero_rank(code, upto) == want
+        assert rankmetric.min_nonzero_rank(code) == least
+    check()
+
+
+def test_min_nonzero_rank_picks_the_method_with_less_work():
+    """The 27-codeword 7 x 11 hook code is ranked, where the proof of
+    distance 3 takes [7, 1]_3 + [7, 2]_3 = 100,556 systems; the 4,096
+    codewords of gabidulin(2, 4, 4, 2) are proven with [4, 1]_2 = 15."""
+    hook, mrd = th43_optimal_fdrmc(19, 8, 3).code, gabidulin(2, 4, 4, 2)
+    for code, ranked in ((hook, True), (mrd, False)):
+        fresh = LinearMatrixCode(code.q, code.m, code.n, code.basis, code.delta)
+        assert rankmetric.min_nonzero_rank(fresh, code.delta - 1) == code.delta
+        assert ("ranks" in fresh.__dict__) == ranked
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_a_rank_one_swap_fails_verification(q):
+    """gabidulin(q, m, m, 2) with its first basis matrix swapped for a unit
+    matrix: 2^20 codewords at q = 2, all proven, none ranked."""
+    from cdckit.errors import VerificationFailed
+    m = 5 if q == 2 else 3
+    mrd = gabidulin(q, m, m, 2)
+    unit = MatGF(q, [[int(i == j == 0) for j in range(m)] for i in range(m)])
+    code = LinearMatrixCode(q, m, m, (unit,) + mrd.basis[1:], 2)
+    assert code.is_independent() and code.size == q ** (m * (m - 1))
+    with pytest.raises(VerificationFailed,
+                       match="^min nonzero rank 1 below claimed 2$"):
+        rankmetric.verify_min_rank(code)
+    assert "ranks" not in code.__dict__
