@@ -464,8 +464,10 @@ def concat_cdc_lists(lists) -> CdcList:
     first = lists[0]
     if len({(L.q, L.n, L.k, L.intra_d, L.inter_d) for L in lists}) > 1:
         raise ParameterMismatch("cannot concatenate mismatched lists")
-    if any(L.codes is not None for L in lists):
-        codes, runs = _largest_first(c for L in lists for c in (L.codes or ()))
+    if len({L.codes is None for L in lists}) > 1:
+        raise ParameterMismatch("cannot concatenate materialized and counted lists")
+    if first.codes is not None:
+        codes, runs = _largest_first(c for L in lists for c in L.codes)
         return CdcList(q=first.q, n=first.n, k=first.k, intra_d=first.intra_d,
                        inter_d=first.inter_d, sizes=runs, codes=codes)
     runs = sort_runs_desc([run for L in lists for run in L.sizes])

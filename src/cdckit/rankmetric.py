@@ -6,7 +6,8 @@ A codeword is one packed int, its ``MatGF.flatten()`` (rows one after
 another): ``LinearMatrixCode.words`` for a linear code and
 ``MatrixSet.words`` for an explicit set, whose ``members`` are made only
 when read.  Only this module turns a word into a ``MatGF``; ``ferrers``
-tests a word's support with one AND (``ferrers._off_mask``).
+tests a word's support with one AND (``ferrers._off_mask``).  The rank
+census and the minimum-rank proof share one subcode step, ``_cuts``.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ from functools import cached_property, lru_cache
 from .errors import (BadArguments, BadShape, TooLarge, TooLargeToEnumerate,
                      VerificationFailed)
 from .gf import expand_rows, ext_new, frobenius
-from .linalg import (MatGF, _eliminate, _rref_rows, gaussian_binomial, lanes,
-                     span_rank)
+from .linalg import MatGF, _eliminate, gaussian_binomial, lanes, span_rank
 
 ENUM_CAP = 2 ** 20  # codewords enumerated, or rows a min-rank proof eliminates
 
@@ -37,36 +37,37 @@ def _span(q, vs, n):
     return words
 
 
-def _images(code, room):
-    """(images, shifts, width): yB_j for each point y of GF(q)^s, keyed by
-    its packed row, and basis matrix B_j taken s x t, s = min(m, n), from
-    one ``points`` pass over the basis rows side by side, B_j in a field of
-    ``room`` x t entries at its shift.  A u-subspace Y annihilates a matrix
-    of rank r (YX = 0) exactly when u <= s - r (Delsarte 1978)."""
-    m, n, d, L = code.m, code.n, code.dim, lanes(code.q)
-    s, t, f = min(m, n), max(m, n), room * max(m, n) * L.W
-    sides = [(B if m <= n else B.transpose()).packed for B in code.basis]
-    shifts = [(d - 1 - j) * f for j in range(d)]
-    wide = [sum([B[i] << sh for B, sh in zip(sides, shifts)]) for i in range(s)]
-    units = [1 << (s - 1 - i) * L.W for i in range(s)]
-    return dict(zip(L.points(units, s), L.points(wide, d * room * t))), shifts, f
+def _cuts(q, s, t, sides, carry, p, free):
+    """For each row y = e_p + the sum of a_c e_c over c in ``free`` (a_c read
+    base q, the first slowest), the subcode {X : yX = 0} of the span of the
+    s x t matrices ``sides`` (flattened), in words of ``carry``, one per
+    matrix: one pass of lane sums gives every yX, and eliminating the rows
+    [yX | word] leaves the subcode's basis in the rows leading in the word."""
+    L, d, f = lanes(q), len(sides), t * lanes(q).W
+    mask = (1 << f) - 1
+    wide = [sum([(X >> (s - 1 - i) * f & mask) << j * f for j, X in enumerate(sides)])
+            for i in range(s)]
+    images = [wide[p]]
+    for c in free:
+        images = L.sums(images, [L.scale(a, wide[c]) for a in range(q)], d * t)
+    for v in images:
+        rows = [(v >> j * f & mask) << s * f | w for j, w in enumerate(carry)]
+        echelon, pivots = _eliminate(q, t + s * t, rows, reduced=False)
+        yield [r for r, c in zip(echelon, pivots) if c >= t]
 
 
 def _counted_ranks(code) -> tuple:
     """The rank of every codeword, in ``words`` order: a codeword of rank r
-    lies in the subcodes of (q^(s-r) - 1) / (q - 1) points (``_images``).
-    One elimination of the rows [yB_j | B_j] per point y leaves its
-    subcode's basis in the rows that lead in the B part."""
-    q, m, n, L = code.q, code.m, code.n, lanes(code.q)
-    words, mn, s, t = code.words, m * n, min(m, n), max(m, n)
-    images, shifts, f = _images(code, 1)
-    flats, mask, held = [B.flatten() for B in code.basis], (1 << f) - 1, Counter()
-    for v in images.values():
-        rows = [(v >> sh & mask) << mn * L.W | w for sh, w in zip(shifts, flats)]
-        echelon, pivots = _eliminate(q, t + mn, rows, reduced=False)
-        held.update(_span(q, [r for r, c in zip(echelon, pivots) if c >= t], mn))
+    lies in the subcodes of (q^(s-r) - 1) / (q - 1) points of GF(q)^s, cut
+    by ``_cuts`` at each pivot p for the points that lead there."""
+    q, (s, t), held = code.q, sorted((code.m, code.n)), Counter()
+    sides = [(B if code.m <= code.n else B.transpose()).flatten() for B in code.basis]
+    flats = [B.flatten() for B in code.basis]
+    for p in range(s):
+        for sub in _cuts(q, s, t, sides, flats, p, range(p + 1, s)):
+            held.update(_span(q, sub, s * t))
     rank_of = {(q ** (s - r) - 1) // (q - 1): r for r in range(s + 1)}
-    return tuple(map(rank_of.__getitem__, map(held.__getitem__, words)))
+    return tuple(map(rank_of.__getitem__, map(held.__getitem__, code.words)))
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ class LinearMatrixCode:
         A code with at least three codewords per point of its shorter side
         is ranked by counting the points that annihilate each codeword
         (``_counted_ranks``).  Counting takes one elimination per point and
-        holds every point at once, however few codewords there are, so a
+        holds a pivot's points at once, however few codewords there are, so a
         smaller code, such as a small code in a tall matrix, is ranked by
         one elimination of each codeword's rows, which is then as cheap or
         cheaper.
@@ -197,29 +198,32 @@ def min_nonzero_rank(code: LinearMatrixCode, upto=None) -> int:
 
 
 def _proven_min_rank(code, upto):
-    """``min_nonzero_rank`` with no codeword ranked: the levels u = s - 1,
-    ..., s - upto of ``_rref_rows`` are walked to the first u-subspace Y
-    that annihilates a nonzero codeword (``_images``), at rank s - u, which
-    is when the rows Y B_j, its points' images in u blocks, fall short of
-    the basis's rank (Ravagnani 2016).  It raises ``TooLarge`` past
-    ``ENUM_CAP`` images and rows eliminated."""
-    q, d, s, t = code.q, code.dim, min(code.m, code.n), max(code.m, code.n)
-    work, full = d * gaussian_binomial(s, 1, q), span_rank(q, code.basis)
-    refusal = f"{code.size} codewords, and a min-rank proof's rows, exceed cap {ENUM_CAP}"
-    if work > ENUM_CAP:
-        raise TooLarge(refusal)
-    images, shifts, f = _images(code, s)
-    mask = (1 << f) - 1
-    for u in range(s - 1, s - upto - 1, -1):
-        for Y in _rref_rows(q, s, u):
-            work += d
-            if work > ENUM_CAP:
-                raise TooLarge(refusal)
-            key = sum([images[y] << i * f // s for i, y in enumerate(Y)])
-            rows = [key >> sh & mask for sh in shifts]
-            if len(_eliminate(q, u * t, rows, reduced=False)[1]) < full:
-                return s - u
-    return upto + 1
+    """``min_nonzero_rank`` with no codeword ranked.  A u-subspace Y
+    annihilates a matrix of rank r (YX = 0) iff u <= s - r (Delsarte 1978),
+    so the least rank is s - u + 1 for the first level u = s - upto, s -
+    upto + 1, ... where no Y annihilates a nonzero codeword (Ravagnani
+    2016).  Y is cut row by row, pivot set first (``_cuts``), and a zero
+    subcode prunes every extension.  It raises ``TooLarge`` past
+    ``ENUM_CAP`` rows eliminated."""
+    q, (s, t), work = code.q, sorted((code.m, code.n)), 0
+
+    def held(words, pivots):  # whether rows on these pivots leave a nonzero subcode
+        nonlocal work
+        if not pivots or not any(words):
+            return any(words)
+        p, rest = pivots[0], pivots[1:]
+        free = [c for c in range(p + 1, s) if c not in rest]
+        work += len(words) * q ** len(free)
+        if work > ENUM_CAP:
+            raise TooLarge(f"{code.size} codewords, and a min-rank proof's rows, "
+                           f"exceed cap {ENUM_CAP}")
+        return any(held(sub, rest) for sub in _cuts(q, s, t, words, words, p, free))
+
+    flats = [(B if code.m <= code.n else B.transpose()).flatten() for B in code.basis]
+    for u in range(s - upto, s):
+        if not any(held(flats, P) for P in itertools.combinations(range(s), u)):
+            return s - u + 1
+    return 1
 
 
 def verify_min_rank(code: LinearMatrixCode):
@@ -262,10 +266,6 @@ def gabidulin(q: int, m: int, n: int, delta: int, verify: bool = True) -> Linear
     return code
 
 
-def _binom2(i: int) -> int:
-    return i * (i - 1) // 2
-
-
 def rank_distribution(q: int, m: int, n: int, delta: int, r: int) -> int:
     """Number of rank-r codewords in the (q, m, n, delta) MRD family.
 
@@ -283,7 +283,7 @@ def rank_distribution(q: int, m: int, n: int, delta: int, r: int) -> int:
         return 0
     total = 0
     for i in range(r - delta + 1):
-        term = q ** _binom2(i) * gaussian_binomial(r, i, q) \
+        term = q ** (i * (i - 1) // 2) * gaussian_binomial(r, i, q) \
             * (q ** (mx * (r - i - delta + 1)) - 1)
         total += -term if i % 2 else term
     result = gaussian_binomial(mn, r, q) * total

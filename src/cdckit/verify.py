@@ -251,7 +251,8 @@ def _max_clique(adj, roots, bound=math.inf) -> int:
     """The largest clique that extends one of ``roots``, by branch and bound
     with greedy colouring, or the first to reach ``bound``, a proven upper
     bound on the answer.  A root (size, P) stands for a clique of that size
-    whose common neighbourhood is P.
+    whose common neighbourhood is P.  The search starts from the greedy
+    clique taken lowest vertex first, so it answers at least that size.
 
     This is the maximum clique of the graph only when roots are chosen by
     its automorphisms, as ``brute_force_optimum`` chooses them: every
@@ -259,6 +260,10 @@ def _max_clique(adj, roots, bound=math.inf) -> int:
     the vertices it colours and raises ``TooLarge`` above
     ``CLIQUE_WORK_CAP``."""
     best = work = 0
+    P = (1 << len(adj)) - 1
+    while P and best < bound:
+        P &= adj[(P & -P).bit_length() - 1]
+        best += 1
 
     def color_order(P):
         nonlocal work

@@ -717,6 +717,12 @@ M1, M2 = gabidulin(2, 2, 2, 2), restrict_ranks(gabidulin(2, 2, 2, 2), 0)
                                            count_list(4, 2, inter_d=1)]),
                  ParameterMismatch, "cannot concatenate mismatched lists",
                  id="concat-mismatched"),
+    pytest.param(lambda: concat_cdc_lists([
+        build_coset_cdc_lists(CwcSet(vectors=(fw("1100"),), min_hd=4), 2, 1, 2,
+                              build=True),
+        build_coset_cdc_lists(CwcSet(vectors=(fw("1100"),), min_hd=4), 2, 1, 2)]),
+        ParameterMismatch, "cannot concatenate materialized and counted lists",
+        id="concat-mixed"),
     pytest.param(lambda: coset_construction(
         count_list(4, 2, codes=()), count_list(4, 2, intra_d=2, codes=()),
         M1), ParameterMismatch, "lists must have within-code distance 4",

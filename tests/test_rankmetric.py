@@ -1,4 +1,5 @@
 from collections import Counter
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cdckit import rankmetric
 from cdckit.errors import BadArguments, BadShape, TooLargeToEnumerate
 from cdckit.ferrers import th43_optimal_fdrmc
-from cdckit.gf import SUPPORTED_ORDERS
+from cdckit.gf import SUPPORTED_ORDERS, field_new
 from cdckit.linalg import MatGF, rank
 from cdckit.rankmetric import (LinearMatrixCode, MatrixSet, gabidulin,
                                grmc_lower_bound, lift, rank_distribution, restrict_ranks)
@@ -230,6 +231,63 @@ def test_counted_ranks_of_degenerate_codes(q, m, n):
         assert rankmetric._counted_ranks(code) == expected
         assert code.ranks == expected
     assert LinearMatrixCode(q, m, n, (), 1).ranks == (0,)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_each_cut_is_the_subcode_its_row_annihilates(q):
+    """For tall and wide codes, dependent bases included, every pivot p and
+    some free columns after it: ``_cuts`` yields, for each row y = e_p + the
+    sum of a_c e_c over the free columns c (the a_c base q, the first
+    slowest), independent words spanning exactly the codewords X, taken
+    s x t, with yX = 0, here multiplied out through the field tables."""
+    field = field_new(q)
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(rectangular_codes(q), st.data())
+    def check(code, data):
+        m, n = code.m, code.n
+        s, t = min(m, n), max(m, n)
+        sides = [(B if m <= n else B.transpose()).flatten() for B in code.basis]
+        flats = [B.flatten() for B in code.basis]
+        words = [(W.flatten(), W.data if m <= n else W.transpose().data)
+                 for W in code.codewords()]
+        for p in range(s):
+            # each column after p free with odds 3 in 4
+            free = [c for c in range(p + 1, s) if data.draw(st.integers(0, 3))]
+            free = free[:max(i for i in range(s) if q ** i <= 27)]
+            ys = [dict([(p, 1), *zip(free, a)])
+                  for a in product(range(q), repeat=len(free))]
+            cuts = list(rankmetric._cuts(q, s, t, sides, flats, p, free))
+            assert len(cuts) == len(ys)
+            for y, sub in zip(ys, cuts):
+                want = set()
+                for w, X in words:
+                    yX = [0] * t
+                    for i, a in y.items():
+                        yX = [field.add(v, field.mul(a, x)) for v, x in zip(yX, X[i])]
+                    if not any(yX):
+                        want.add(w)
+                got = set(rankmetric._span(q, sub, m * n))
+                assert len(got) == q ** len(sub) and got == want
+    check()
+
+
+@pytest.mark.parametrize("q,m,delta", [(2, 7, 3), (3, 5, 3)])
+def test_a_passing_proof_walks_one_level(monkeypatch, q, m, delta):
+    """Verifying gabidulin(q, m, m, delta), of q^(m(m - delta + 1))
+    codewords, cuts the whole code only for subspaces Y of the level u = m
+    - delta + 1: such a cut's pivot p and the later columns not free are
+    Y's u pivots."""
+    code = gabidulin(q, m, m, delta, verify=False)
+    levels, real = set(), rankmetric._cuts
+
+    def cuts(q, s, t, sides, carry, p, free):
+        if len(carry) == code.dim:
+            levels.add(s - p - len(free))
+        return real(q, s, t, sides, carry, p, free)
+    monkeypatch.setattr(rankmetric, "_cuts", cuts)
+    rankmetric.verify_min_rank(LinearMatrixCode(q, m, m, code.basis, delta))
+    assert levels == {m - delta + 1}
 
 
 def count_eliminations(monkeypatch, code):

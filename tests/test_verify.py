@@ -212,15 +212,17 @@ def test_one_point_roots_a_vertex_transitive_graph(adj):
     (3, 4, 2, 4, 10),   # spreads of q^2 + 1 lines
     (4, 4, 2, 4, 17),
     (5, 4, 2, 4, 26),
+    (2, 6, 2, 4, 21),   # a line spread of PG(5, 2), found by the greedy seed
 ])
 def test_partial_spread_optima(q, n, k, d, optimum):
     assert brute_force_optimum(q, n, k, d) == optimum
 
 
 def test_clique_search_work_cap():
-    # 651 lines of PG(5, 2); without the cap the search ran for minutes
+    # 1,210 lines of PG(4, 3), where the anticode bound 30 is above the
+    # optimum 28; without the cap the search ran for minutes
     with pytest.raises(TooLarge, match="clique search"):
-        brute_force_optimum(2, 6, 2, 4)
+        brute_force_optimum(3, 5, 2, 4)
 
 
 def test_brute_force_optimum_tiny():
