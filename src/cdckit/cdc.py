@@ -136,6 +136,8 @@ class Cdc:
     provenance: str = ""
 
     def __init__(self, q, n, k, d, members=None, provenance="", *, rows=()):
+        if not 1 <= k <= n:
+            raise ParameterMismatch(f"need 1 <= k <= n, got k={k}, n={n}")
         if members is not None:
             if any((U.q, U.n, U.k) != (q, n, k) for U in members):
                 raise ParameterMismatch("member with wrong ambient or dimension")
@@ -461,6 +463,8 @@ def build_coset_cdc_lists(cwc: CwcSet, delta1: int, delta2: int, q: int,
 
 def concat_cdc_lists(lists) -> CdcList:
     """Concatenate lists sharing parameters, reordered largest first."""
+    if not lists:
+        raise BadArguments("no lists to concatenate")
     first = lists[0]
     if len({(L.q, L.n, L.k, L.intra_d, L.inter_d) for L in lists}) > 1:
         raise ParameterMismatch("cannot concatenate mismatched lists")

@@ -241,12 +241,40 @@ def _require_prime_power(q):
         raise UsageError(f"q={q} is not a prime power")
 
 
+def _digits(n: int) -> str:
+    """n in decimal.  ``str`` takes time quadratic in n's length, so above
+    4,096 bits n is split at half its bits, recursively, and joined as
+    hi * 2^h + lo exactly in ``decimal`` at ``MAX_PREC``, where long
+    products are fast; each power 2^h is made once."""
+    if abs(n).bit_length() <= 4096:
+        return str(n)
+    import decimal  # loaded only for a long value
+
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                          traps=[decimal.Inexact])
+    twos = {}
+
+    def two(h):
+        if h not in twos:
+            twos[h] = decimal.Decimal(1 << h) if h <= 4096 else \
+                ctx.multiply(two(h // 2), two(h - h // 2))
+        return twos[h]
+
+    def dec(m, w):  # 0 <= m < 2^w
+        h = w // 2
+        return decimal.Decimal(m) if w <= 4096 else \
+            ctx.fma(dec(m >> h, w - h), two(h), dec(m & (1 << h) - 1, h))
+    return "-" * (n < 0) + str(dec(abs(n), abs(n).bit_length()))
+
+
 def _print_bound(res: BoundResult):
-    print(f"A_{res.q}({res.n},{res.d},{res.k}) >= {res.value}   [{res.source}]")
+    print(f"A_{res.q}({res.n},{res.d},{res.k}) >= {_digits(res.value)}   "
+          f"[{res.source}]")
     if res.polynomial:
         print(f"  polynomial: {res.polynomial_str()}")
     if res.old_bound is not None:
-        print(f"  previous bound: {res.old_bound}  (difference {res.difference})")
+        print(f"  previous bound: {_digits(res.old_bound)}  "
+              f"(difference {_digits(res.difference)})")
     for note in res.notes:
         print(f"  note: {note}")
 
@@ -296,8 +324,8 @@ def cmd_bound(args) -> int:
     rows, _ = registry
     key = (q, n, d, k)
     if res.source != "table11" and key in rows and rows[key][0] != res.value:
-        print(f"  MISMATCH: registry lists {rows[key][0]} "
-              f"(difference {rows[key][0] - res.value})")
+        print(f"  MISMATCH: registry lists {_digits(rows[key][0])} "
+              f"(difference {_digits(rows[key][0] - res.value)})")
     return 0
 
 

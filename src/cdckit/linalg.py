@@ -16,10 +16,10 @@ file to certificate: the k RREF rows of every codeword, codeword after
 codeword (``cdc.Cdc.rows``).  ``_non_rref`` tests all its k-row blocks for
 RREF of rank k in a few whole-code passes over the rows' bit lengths and
 pivot masks (``_rref_shape``, which also lets ``rref`` skip rows already in
-RREF).  The Grassmannian is enumerated as the k packed rows of each RREF
-generator (``_rref_rows``); each such row of k entries is a point of
-GF(q)^k, which the certifier looks up in ``_Lanes.points`` of the unit
-rows.  Distances are taken from rows (``_pair_distance``), so a
+RREF).  One step, ``_Lanes.span``, grows every span: ``_Lanes.points``
+(the certifier's keys), ``rankmetric``'s codewords and subcode images, and
+the packed rows of each RREF generator of the Grassmannian (``_rref_rows``).
+Distances are taken from rows (``_pair_distance``), so a
 ``Subspace`` is made only on request: ``Subspace``, ``from_blocks``,
 ``enumerate_subspaces``, ``cdc.Cdc.members``.  A rank-metric code is
 packed words too, one ``MatGF.flatten()`` per codeword
@@ -128,19 +128,22 @@ class _Lanes:
         """Subtraction of packed rows of n entries."""
         return operator.xor if self.p == 2 else _swar(self.p, n * self.W)[2]
 
-    def points(self, rows, n):
-        """The combinations of packed rows of n entries whose first nonzero
-        coefficient is 1: by that coefficient's row, then by the later
-        coefficients read base q.  Only lane arithmetic is used, so a row
+    def span(self, rows, n, base=0):
+        """base plus every combination of the packed rows of n entries: each
+        sum so far plus every multiple of the next row, so the first
+        coefficient runs slowest.  Only lane arithmetic is used, so a row
         may be many rows side by side in zero-padded fields of whole bytes,
         n then counting the entries of all of them."""
-        q, span, out = len(self.code), [0], []
-        for i in range(len(rows) - 1, -1, -1):  # span: of the rows after i
-            out[:0] = self.sums(rows[i:i + 1], span, n)
-            if i:
-                span = self.sums([self.scale(c, rows[i]) for c in range(q)],
-                                 span, n)
+        out, q = [base], len(self.code)
+        for v in rows:
+            out = self.sums(out, [self.scale(c, v) for c in range(q)], n)
         return out
+
+    def points(self, rows, n):
+        """The combinations of packed rows whose first nonzero coefficient
+        is 1: by that coefficient's row, then by the later coefficients
+        read base q (``span``)."""
+        return [x for i, v in enumerate(rows) for x in self.span(rows[i + 1:], n, v)]
 
 
 @lru_cache(maxsize=None)
@@ -489,14 +492,10 @@ def enumerate_subspaces(q, n, k):
 def _rref_rows(q, n, k):
     """The k packed rows of the RREF generator of every k-dimensional
     subspace of GF(q)^n: pivot columns in lexicographic order, then the
-    free entries read base q, row after row, the first slowest."""
-    W, code = lanes(q).W, lanes(q).code
+    free entries read base q, row after row, the first slowest: a pivot's
+    unit row plus the ``_Lanes.span`` of the free columns' unit rows after it."""
+    L, units = lanes(q), [1 << (n - 1 - c) * lanes(q).W for c in range(n)]
     for pivots in itertools.combinations(range(n), k):
-        gens = [()]
-        for p in pivots:
-            rows = [1 << (n - 1 - p) * W]
-            for c in range(p + 1, n):
-                if c not in pivots:
-                    rows = [r | v << (n - 1 - c) * W for r in rows for v in code]
-            gens = [g + (r,) for g in gens for r in rows]
-        yield from gens
+        yield from itertools.product(*[
+            L.span([units[c] for c in range(p + 1, n) if c not in pivots], n, units[p])
+            for p in pivots])

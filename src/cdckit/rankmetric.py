@@ -7,7 +7,8 @@ another): ``LinearMatrixCode.words`` for a linear code and
 ``MatrixSet.words`` for an explicit set, whose ``members`` are made only
 when read.  Only this module turns a word into a ``MatGF``; ``ferrers``
 tests a word's support with one AND (``ferrers._off_mask``).  The rank
-census and the minimum-rank proof share one subcode step, ``_cuts``.
+census and the minimum-rank proof share one subcode step, ``_cuts``; it
+and ``_span`` grow their spans by ``linalg._Lanes.span``.
 """
 
 from __future__ import annotations
@@ -26,15 +27,11 @@ ENUM_CAP = 2 ** 20  # codewords enumerated, or rows a min-rank proof eliminates
 
 
 def _span(q, vs, n):
-    """Every combination of the packed rows vs of n entries: the combinations
-    so far, each plus every multiple of the next row, so the first
-    coefficient runs slowest; above ``ENUM_CAP`` words it raises."""
+    """Every combination of the packed rows vs of n entries, the first
+    coefficient slowest (``_Lanes.span``); above ``ENUM_CAP`` words it raises."""
     if q ** len(vs) > ENUM_CAP:
         raise TooLargeToEnumerate(f"{q ** len(vs)} codewords exceed cap {ENUM_CAP}")
-    L, words = lanes(q), [0]
-    for v in vs:
-        words = L.sums(words, [L.scale(c, v) for c in range(q)], n)
-    return words
+    return lanes(q).span(vs, n)
 
 
 def _cuts(q, s, t, sides, carry, p, free):
@@ -47,10 +44,7 @@ def _cuts(q, s, t, sides, carry, p, free):
     mask = (1 << f) - 1
     wide = [sum([(X >> (s - 1 - i) * f & mask) << j * f for j, X in enumerate(sides)])
             for i in range(s)]
-    images = [wide[p]]
-    for c in free:
-        images = L.sums(images, [L.scale(a, wide[c]) for a in range(q)], d * t)
-    for v in images:
+    for v in L.span([wide[c] for c in free], d * t, wide[p]):
         rows = [(v >> j * f & mask) << s * f | w for j, w in enumerate(carry)]
         echelon, pivots = _eliminate(q, t + s * t, rows, reduced=False)
         yield [r for r, c in zip(echelon, pivots) if c >= t]

@@ -324,8 +324,8 @@ def brute_force_optimum(q: int, n: int, k: int, d: int) -> int:
     G = gaussian_binomial(n, k, q)
     if G > GRASSMANNIAN_CAP:
         raise TooLarge(f"Grassmannian size {G} exceeds cap {GRASSMANNIAN_CAP}")
-    if d <= 2:
-        return G  # distinct subspaces of equal dimension are >= 2 apart
+    if d <= 2 or G == 1:  # one point, or all points at least 2 apart
+        return G
     k = min(k, n - k)
     t = _key_level(k, d)
     rows = [v for g in _rref_rows(q, n, k) for v in g]

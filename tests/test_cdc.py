@@ -717,6 +717,8 @@ M1, M2 = gabidulin(2, 2, 2, 2), restrict_ranks(gabidulin(2, 2, 2, 2), 0)
                                            count_list(4, 2, inter_d=1)]),
                  ParameterMismatch, "cannot concatenate mismatched lists",
                  id="concat-mismatched"),
+    pytest.param(lambda: concat_cdc_lists([]), BadArguments,
+                 "no lists to concatenate", id="concat-empty"),
     pytest.param(lambda: concat_cdc_lists([
         build_coset_cdc_lists(CwcSet(vectors=(fw("1100"),), min_hd=4), 2, 1, 2,
                               build=True),

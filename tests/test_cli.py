@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
+from cdckit import cli
 from cdckit.cdc import IdVec, ferrers_of, hamming_guard, multilevel
-from cdckit.cli import main, read_cdc, read_fdrmc
+from cdckit.cli import _digits, main, read_cdc, read_fdrmc
 from cdckit.errors import ConditionNotMet
 from cdckit.ferrers import optimal_fdrmc, singleton_bound
 from cdckit.gf import SUPPORTED_ORDERS
@@ -169,6 +170,38 @@ def test_integers_past_4300_digits_print_in_full(capsys):
         sys.set_int_max_str_digits(limit)
     assert len(size) == 4335
     assert out.splitlines()[-1] == f"total {size} (code size {size}: identity OK)"
+
+
+def test_digits_match_str():
+    """``_digits`` is ``str`` (with the length limit lifted) from 0 to
+    200,000 bits: random values, powers of two and 2^b - 1, either sign,
+    across the 4,096-bit switch to ``decimal``."""
+    rng = random.Random(5)
+    limit = getattr(sys, "get_int_max_str_digits", int)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        for b in (0, 1, 63, 4095, 4096, 4097, 8191, 8193, 12345, 65536, 200000):
+            for n in (rng.getrandbits(b), 1 << b, (1 << b) - 1):
+                assert _digits(n) == str(n) and _digits(-n) == str(-n)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("source, ambient", [
+    ("table11", ["-q", "2", "-n", "18", "-d", "8", "-k", "9"]),  # previous bound
+    ("th44", ["-q", "3", "-n", "15", "-d", "6", "-k", "6"]),  # MISMATCH line
+])
+def test_bound_prints_every_integer_through_digits(source, ambient, monkeypatch,
+                                                   capsys):
+    """The value and the two integers of its previous-bound or MISMATCH line
+    are made by ``_digits``."""
+    seen = []
+    monkeypatch.setattr(cli, "_digits", lambda n: seen.append(n) or str(n))
+    code, out, _ = run_cli(["bound", *ambient, "--source", source], capsys)
+    assert code == 0 and len(seen) == 3
+    assert [str(n) in out for n in seen] == [True] * 3
 
 
 def test_fdrmc_build_audit_round_trip(tmp_path, capsys):

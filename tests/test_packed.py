@@ -10,6 +10,7 @@ compared with the digit-level definition of RREF, on echelon forms and on
 near misses of them.
 """
 
+import random
 from itertools import product
 
 import pytest
@@ -17,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from cdckit.errors import BadArguments
 from cdckit.gf import SUPPORTED_ORDERS, field_new
-from cdckit.linalg import MatGF, Subspace, kernel_basis, rank, rref, rrief
+from cdckit.linalg import (MatGF, Subspace, kernel_basis, lanes, rank, rref,
+                           rrief)
 
 EXAMPLES = settings(max_examples=15, derandomize=True, deadline=None)
 
@@ -160,6 +162,28 @@ def combine(f, coeffs, rows):
     for c, row in zip(coeffs, rows):
         v = [f.add(a, f.mul(c, b)) for a, b in zip(v, row)]
     return tuple(v)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_span_matches_the_field_tables(q):
+    """``_Lanes.span(rows, n, base)`` is base plus every combination of the
+    rows, coefficients in ``product`` order (the first slowest), on random
+    rows of one field and on rows of several n-entry fields side by side,
+    each field padded with zero entries to whole bytes."""
+    f, L, rng = field_new(q), lanes(q), random.Random(q)
+    for n, fields in ((5, 1), (3, 3), (1, 4)):
+        pad = -n * L.W % 8 // L.W  # zero entries that fill a field's last byte
+        width = fields * (n + pad)
+        for k in range(4 if q < 5 else 3):
+            def draw():  # a random row of every field, zero in the padding
+                return sum([[rng.randrange(q) for _ in range(n)] + [0] * pad
+                            for _ in range(fields)], [])
+            rows, base = [draw() for _ in range(k)], draw()
+            want = [combine(f, (1, *a), [base, *rows])
+                    for a in product(range(q), repeat=k)]
+            got = L.span([L.pack("".join(map(str, r))) for r in rows], width,
+                         L.pack("".join(map(str, base))))
+            assert [MatGF.from_packed(q, width, [v]).data[0] for v in got] == want
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cdckit import rankmetric, verify
 from cdckit.cdc import Cdc, IdVec, ferrers_of, multilevel
-from cdckit.errors import TooLarge
+from cdckit.errors import ParameterMismatch, TooLarge
 from cdckit.ferrers import (FdrmCode, FerrersDiagram, optimal_fdrmc,
                             th43_optimal_fdrmc)
 from cdckit.gf import SUPPORTED_ORDERS
@@ -233,6 +233,17 @@ def test_brute_force_optimum_tiny():
 
 def test_brute_force_distance_two_shortcut():
     assert brute_force_optimum(2, 5, 2, 2) == gaussian_binomial(5, 2, 2)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_a_grassmannian_of_one_point_holds_one_codeword(q):
+    """k = 0 and k = n each have one subspace, so the optimum is 1 at any
+    d; and no code of 0- or (n + 1)-dimensional subspaces can be made."""
+    assert brute_force_optimum(q, 4, 0, 4) == brute_force_optimum(q, 4, 4, 4) == 1
+    for k in (0, 4):
+        with pytest.raises(ParameterMismatch) as e:
+            check_cdc(Cdc(q, 3, k, 2))
+        assert str(e.value) == f"need 1 <= k <= n, got k={k}, n=3"
 
 
 def test_brute_force_cap():
