@@ -359,6 +359,7 @@ def zip_runs(a_runs, b_runs):
 
 
 def sort_runs_desc(runs):
+    """(size, count) runs merged by size, largest first, zero counts dropped."""
     merged = {}
     for s, c in runs:
         if c:
@@ -370,9 +371,7 @@ def _largest_first(codes):
     """The codes stably sorted by size, largest first, and their
     (size, count) runs."""
     codes = tuple(sorted(codes, key=lambda c: c.size, reverse=True))
-    runs = tuple((s, len(list(g)))
-                 for s, g in itertools.groupby(c.size for c in codes))
-    return codes, runs
+    return codes, sort_runs_desc((c.size, 1) for c in codes)
 
 
 def pair_runs(a_runs, b_runs):
@@ -428,19 +427,12 @@ def build_coset_cdc_lists(cwc: CwcSet, delta1: int, delta2: int, q: int,
         if len(per) != 1:
             raise BadArguments("r=0 count mode expects a single vector")
     sizes = None  # count mode's runs, where it applies
-    if r is None:
-        runs = []
-        acc = 0
-        for i, (s, D, _) in enumerate(per):
-            acc += D
-            nxt = per[i + 1][0] if i + 1 < len(per) else 0
-            if s - nxt:
-                runs.append((acc, s - nxt))
-        runs.sort(key=lambda t: t[0], reverse=True)
-        sizes = tuple(runs)
+    if r is None:  # columns s_(i+1) .. s_i - 1 hold a coset of vectors 0..i
+        ends = [s for s, _, _ in per] + [0]
+        sizes = sort_runs_desc(zip(itertools.accumulate(D for _, D, _ in per),
+                                   (a - b for a, b in zip(ends, ends[1:]))))
     elif r == 0 and len(per) == 1:
-        s = per[0][0]
-        sizes = ((1, 1),) + (((0, s - 1),) if s > 1 else ())
+        sizes = sort_runs_desc([(1, 1), (0, per[0][0] - 1)])
     if not build:
         return CdcList(q=q, n=n, k=k, intra_d=2 * delta1, inter_d=2 * delta2,
                        sizes=sizes, restricted_rank=r)

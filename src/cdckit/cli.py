@@ -395,10 +395,10 @@ def cmd_build(args) -> int:
             total = sum(q ** singleton_bound(dia, args.delta) for dia in diagrams)
             if total > BUILD_CAP:
                 if args.force_count_only:
-                    print(f"count-only: {total} codewords")
+                    print(f"count-only: {_digits(total)} codewords")
                     return 0
-                raise TooLarge(f"{total} codewords exceed build cap {BUILD_CAP}; "
-                               f"pass --force-count-only for the size")
+                raise TooLarge(f"{_digits(total)} codewords exceed build cap "
+                               f"{BUILD_CAP}; pass --force-count-only for the size")
             entries = [(v, optimal_fdrmc(dia, args.delta, q))
                        for v, dia in zip(vectors, diagrams)]
         except (BadArguments, DegreeTooLarge) as e:

@@ -5,7 +5,9 @@ per-family closed forms as printed.  Independently, every family has an
 honest re-computation from the constructions themselves (diagram dimension
 bounds, exact rank distributions, exact greatest pairings); the consistency
 report lists every row where the two disagree instead of silently patching
-either side.
+either side.  The Ferrers bound (``ferrers.singleton_bound``) is the one size
+formula for a part: a vector's diagram code and a lifted MRD code alike count
+q to the bound of the diagram they fill.
 
 The q-free structure of a family is computed once per process: its vector
 family (``th41_cwc``, ``_check_th44_vector``), echelon layouts
@@ -23,7 +25,7 @@ from functools import lru_cache
 from .cdc import (Cdc, CdcList, CwcSet, IdVec, _check_block_params,
                   _coset_blocks, build_coset_cdc_lists, concat_cdc_lists,
                   ferrers_of, hamming_guard, insertion_guard, pair_runs,
-                  parallel_linkage, union_cdcs, zip_runs)
+                  parallel_linkage, sort_runs_desc, union_cdcs, zip_runs)
 from .errors import (BadArguments, GuardFailed, NotInRegistry, ParameterMismatch,
                      ParseError, RankRestrictionViolated, VerificationFailed)
 from .ferrers import singleton_bound
@@ -69,20 +71,18 @@ def eval_poly(q: int, terms) -> int:
 
 
 def merge_terms(exponents):
-    counts = {}
-    for e in exponents:
-        counts[e] = counts.get(e, 0) + 1
-    return tuple(sorted(((c, e) for e, c in counts.items()),
-                        key=lambda t: t[1], reverse=True))
+    """((coefficient, exponent), ...) of a sum of powers, highest first."""
+    return tuple((c, e) for e, c in sort_runs_desc((e, 1) for e in exponents))
 
 
 def lifted_mrd_size(q: int, n: int, d: int, k: int) -> int:
-    """The lifted MRD code size, ``thm32_count``'s bound for a linkage part."""
+    """Size of the lifted MRD code of k x (n - k) matrices at distance d // 2:
+    q to the Ferrers bound, the one size formula for a part, of its box, the
+    diagram of 1^k 0^(n-k); 1 when the box is empty or narrower than d // 2."""
     if n < k:
         raise BadArguments(f"ambient {n} below dimension {k}")
-    if n == k:
-        return 1
-    return q ** ((n - k) * (k - d // 2 + 1))
+    box = ferrers_of(IdVec.from_pivots(n, range(k))).diagram
+    return q ** singleton_bound(box, d // 2)
 
 
 # ---------------------------------------------------------------------------
@@ -145,9 +145,9 @@ def thm32_count(q, n1, n2, d, k, A, B, Ahat, Bhat, r_hat,
     """Count of the four-part union: two linkage parts with exact
     rank-census fillers plus the two-sided block construction."""
     thm32_guard(u1_vectors, uhat2_vectors, r_hat, d)
-    m1 = lifted_mrd_size(q, n1, d, k) * q ** (n2 * (k - d // 2 + 1))
+    m1 = lifted_mrd_size(q, n1, d, k) * lifted_mrd_size(q, k + n2, d, k)
     census = sum(rank_distribution(q, k, n1, d // 2, i)
-                 for i in range(1, k - d // 2 + 1)) + 1
+                 for i in range(k - d // 2 + 1))
     m2 = census * lifted_mrd_size(q, n2, d, k)
     return m1 + m2 + thm31_count(A, B, Ahat, Bhat)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -646,6 +647,33 @@ def test_build_mode_restricted():
     assert out.codes[0].members[0].gen.data == ((0, 0, 1, 0), (0, 0, 0, 1))
     counted = build_coset_cdc_lists(cwc, 2, 1, q, r=0)
     assert counted.sizes == out.sizes
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_restricted_lists_count_what_they_build(q):
+    """Random single vectors, either kind, of length 3 to 7: the r = 0
+    count-mode runs, (1, 1) then (0, s - 1), are the runs of the sizes of
+    the codes build mode makes, and each built code passes its certificate.
+    A vector whose outer code has more than 2,000 codewords is skipped."""
+    rng = random.Random(q)
+    lengths = []
+    while len(lengths) < 8:
+        n = rng.randrange(3, 8)
+        ones = set(rng.sample(range(n), rng.randrange(1, n)))
+        v = IdVec(tuple(int(i in ones) for i in range(n)),
+                  rng.choice(("forward", "inverse")))
+        d2 = rng.randrange(1, 3)
+        d1 = rng.randrange(d2 + 1, d2 + 3)
+        D, s = cdc.coset_cdc_sizes(v, d1, d2, q)
+        if D * s > 2000:
+            continue
+        cwc = CwcSet(vectors=(v,), min_hd=2 * d1)
+        built = build_coset_cdc_lists(cwc, d1, d2, q, r=0, build=True)
+        runs = sorted(Counter(c.size for c in built.codes).items(), reverse=True)
+        assert build_coset_cdc_lists(cwc, d1, d2, q, r=0).sizes == tuple(runs)
+        assert all(check_cdc(c).passed for c in built.codes)
+        lengths.append(s)
+    assert 1 in lengths  # a list of one code has no empty run
 
 
 def test_concat_lists_sorts_descending():

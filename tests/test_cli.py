@@ -249,6 +249,19 @@ def test_count_only_builds_nothing(tmp_path, capsys, monkeypatch):
     assert code == 1 and f"{2 ** 168 + 1} codewords exceed build cap" in err
 
 
+@pytest.mark.parametrize("flag", [["--force-count-only"], []])
+def test_count_only_and_its_refusal_print_the_count_through_digits(
+        flag, tmp_path, monkeypatch, capsys):
+    """The printed count and the ``TooLarge`` message's count are made by
+    ``_digits``, so a count of a million digits takes no quadratic ``str``."""
+    seen = []
+    monkeypatch.setattr(cli, "_digits", lambda n: seen.append(n) or str(n))
+    code, out, err = run_cli(COUNT_ONLY_27[:-1] + flag
+                             + ["--out", str(tmp_path / "x.cdc")], capsys)
+    assert (code, seen) == (0 if flag else 1, [2 ** 168 + 1])
+    assert str(2 ** 168 + 1) in (out if flag else err)
+
+
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
 @pytest.mark.parametrize("vectors, delta", [
     (("1100", "0011"), 2),      # q^2 + 1

@@ -6,16 +6,24 @@ truncations, dropped lines and swapped header tokens or values.  Whatever
 the bytes, ``check`` and ``audit`` must return 0 or 1, or 2 with a
 ``line N:`` parse error, and never raise.  ``read_cdc`` must also read each
 mutated ``.cdc`` file as the line-by-line oracle reader does.
+
+The arguments of every subcommand are fuzzed the same way, in process:
+desk-scale values of each documented option, zero, negative and
+non-prime-power orders, and command lines argparse refuses.  Every call
+must return 0, 1 or 2, print no traceback and finish within a budget.
 """
 
 import hashlib
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cdc_oracle
 from cdckit.cli import main, read_cdc
+from cdckit.gf import SUPPORTED_ORDERS
+from cdckit.theorems import EXAMPLES
 
 SEEDS = {
     "check": (["--multilevel", "1100,0011"], "ml.cdc",
@@ -98,4 +106,145 @@ def test_mutated_cdc_files_read_as_the_oracle_reads(tmp_path, q):
         path.write_bytes(mutate(original, ops))
         assert (cdc_oracle.outcome(read_cdc, str(path))
                 == cdc_oracle.outcome(cdc_oracle.read_cdc, str(path)))
+    check()
+
+
+# ---------------------------------------------------------------------------
+# the documented arguments of every subcommand, in process
+# ---------------------------------------------------------------------------
+
+# mostly a supported order; else a prime power outside them, zero, a
+# negative or a non-prime-power
+ORDERS = st.tuples(st.integers(0, 3), st.sampled_from(SUPPORTED_ORDERS),
+                   st.sampled_from([-2, 0, 1, 6, 10, 11, 12, 16])).map(
+    lambda t: t[2] if t[0] == 3 else t[1])
+SMALL = st.integers(-1, 10)
+SOURCES = st.sampled_from(["auto", "auto", "th41", "th41", "th44", "th44",
+                           "table11", "example:3",
+                           "example:4", "example:5", "example:8", "example:9",
+                           "th43", ""])
+# (n, d, k): the examples' and some registry rows, the shapes th41 and th44
+# take (d even, n >= 2k), or anything near them
+AMBIENTS = st.one_of(
+    st.sampled_from([(18, 8, 9), (19, 8, 9), (17, 6, 8), (19, 6, 8), (15, 6, 6),
+                     (16, 6, 7), (20, 8, 9)]),
+    st.builds(lambda k, h, extra: (2 * k + extra, 2 * h, k),
+              st.integers(1, 10), st.integers(1, 4), st.integers(0, 4)),
+    st.tuples(st.integers(-2, 21), SMALL, SMALL))
+DELTAS = st.sampled_from([1, 1, 1, 2, 2, 3, -1, 0, 4])
+BUDGET_S = 10  # per call; every call here takes well under a second
+
+
+def run_main(argv, capsys):
+    """``cli.main``'s exit code, or argparse's; the call must not raise,
+    print a traceback or take longer than ``BUDGET_S``."""
+    start = time.perf_counter()
+    try:
+        code = main(argv)
+    except SystemExit as e:  # argparse refuses the command line
+        code = e.code
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in err, (argv, err)
+    assert elapsed < BUDGET_S, (argv, elapsed)
+    return code
+
+
+@st.composite
+def bound_args(draw):
+    source = draw(SOURCES)
+    name = source.removeprefix("example:")
+    n, d, k = (EXAMPLES[name][1] if name in EXAMPLES and draw(st.booleans())
+               else draw(AMBIENTS))
+    return ["bound", "-q", str(draw(ORDERS)), "-n", str(n), "-d", str(d),
+            "-k", str(k), "--source", source]
+
+
+@st.composite
+def rankdist_args(draw):
+    return ["rankdist", "-q", str(draw(ORDERS)), "-m", str(draw(SMALL)),
+            "-n", str(draw(SMALL)), "--delta", str(draw(DELTAS))]
+
+
+@st.composite
+def table11_args(draw):
+    return (["table11", "--format", draw(st.sampled_from(["text", "csv"]))]
+            + draw(st.sampled_from([[], ["--consistency"]])))
+
+
+@st.composite
+def multilevel_args(draw):
+    """Up to three vectors of one length and weight, at most 6 long at
+    q <= 3 and 4 above, so that a build stays desk scale (at most 3^9
+    codewords per vector at q = 3, 9^4 at q = 9); now and then a vector of
+    another length or weight, or a stray character."""
+    q = draw(ORDERS)
+    n = draw(st.integers(2, 6 if q <= 3 else 4))
+    weight = draw(st.integers(1, n))
+    vectors = draw(st.lists(st.permutations("1" * weight + "0" * (n - weight)),
+                            min_size=1, max_size=3, unique_by=tuple))
+    odd = draw(st.sampled_from([[], [], [], ["10"], ["0120"], [""], ["1 1"]]))
+    return ["build", "--multilevel", ",".join(map("".join, vectors + odd)),
+            "-q", str(q), "--delta", str(draw(DELTAS))]
+
+
+@st.composite
+def fdrmc_args(draw):
+    """Diagram literals of up to four columns of height up to 4, mostly
+    ascending, or malformed ones."""
+    cols = ",".join(map(str, draw(st.lists(st.integers(0, 4), max_size=4))))
+    asc = ",".join(map(str, sorted(draw(st.lists(st.integers(1, 4), min_size=1,
+                                                  max_size=4)))))
+    literal = draw(st.sampled_from([f"F=[{asc}]", f"F=[{asc}]", f"[{asc}]",
+                                    f"F=[{cols}]", "F=[1,,2]", "F=1,2", "F=[a]",
+                                    "F=[-1,2]", ""]))
+    return ["build", "--fdrmc", literal, "-q", str(draw(ORDERS)),
+            "--delta", str(draw(DELTAS))]
+
+
+# command lines argparse refuses: unknown commands, a missing or
+# non-integer value, a missing required option, an unknown choice
+MALFORMED = st.sampled_from([
+    [], ["nosuch"], ["bound", "-q", "x", "-n", "4", "-d", "2", "-k", "2"],
+    ["bound", "-q", "2", "-n", "2.5", "-d", "2", "-k", "2"], ["rankdist", "-m"],
+    ["build", "--multilevel", "1100,0011", "-q", "2"], ["check"],
+    ["check", "--in", "x", "--mode", "fast"], ["table11", "--format", "tsv"],
+    ["audit", "--in"]])
+
+
+CHECK_OPTIONS = st.tuples(st.sampled_from(["exhaustive", "sampled"]),
+                          st.integers(-1, 3), st.booleans())
+
+
+@pytest.mark.parametrize("args", [bound_args(), rankdist_args(), table11_args(),
+                                  MALFORMED],
+                         ids=["bound", "rankdist", "table11", "malformed"])
+def test_arguments_keep_the_exit_code_contract(capsys, args):
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(args)
+    def check(argv):
+        run_main(argv, capsys)
+    check()
+
+
+@pytest.mark.parametrize("args, reader", [(multilevel_args, "check"),
+                                          (fdrmc_args, "audit")],
+                         ids=["multilevel-check", "fdrmc-audit"])
+def test_builds_and_their_files_keep_the_exit_code_contract(tmp_path, capsys,
+                                                            args, reader):
+    """Each build's file, or its absence, then goes to ``check`` (with a
+    drawn mode, seed and ``--kv``) or ``audit``."""
+    out = tmp_path / "built"
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(args(), CHECK_OPTIONS)
+    def check(argv, options):
+        out.unlink(missing_ok=True)
+        built = run_main(argv + ["--out", str(out)], capsys) == 0
+        assert built == out.exists(), argv
+        mode, seed, kv = options
+        extra = ["--mode", mode, "--seed", str(seed)] + ["--kv"] * kv
+        run_main([reader, "--in", str(out)] + (extra if reader == "check" else []),
+                 capsys)
     check()

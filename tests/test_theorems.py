@@ -3,13 +3,15 @@ import dataclasses
 import pytest
 
 from cdckit.cdc import (Cdc, CdcList, CwcSet, IdVec, build_coset_cdc_lists,
-                        ferrers_of, hamming_guard)
+                        ferrers_of, hamming_guard, parallel_linkage)
 from cdckit.errors import (BadArguments, GuardFailed, NotInRegistry,
                            ParameterMismatch, ParseError,
                            RankRestrictionViolated)
 from cdckit import theorems
 from cdckit.ferrers import FerrersDiagram, singleton_bound
+from cdckit.gf import SUPPORTED_ORDERS
 from cdckit.linalg import MatGF, Subspace, gaussian_binomial, rrief
+from cdckit.rankmetric import gabidulin, lift, restrict_ranks
 from cdckit.theorems import (BoundResult, OddDeltaUnsupported,
                              consistency_report,
                              example3_parts, example8_parts, example_bound,
@@ -258,6 +260,58 @@ def test_lifted_mrd_size_provider():
     assert lifted_mrd_size(2, 9, 8, 9) == 1
     assert lifted_mrd_size(2, 9, 8, 4) == 2 ** (5 * 1)
     assert lifted_mrd_size(3, 18, 8, 9) == 3 ** (9 * 6)
+
+
+def lift_shapes():
+    """(q, n, k, delta) of every lifted Gabidulin code with k <= 5,
+    k < n <= 2k + 2 and 1 <= delta <= min(k, n - k), up to 2^14 codewords
+    (an MRD code has q^(max(k, n-k) (min(k, n-k) - delta + 1)))."""
+    for q in SUPPORTED_ORDERS:
+        for k in range(1, 6):
+            for n in range(k + 1, 2 * k + 3):
+                lo, hi = sorted((k, n - k))
+                for delta in range(1, lo + 1):
+                    if q ** (hi * (lo - delta + 1)) <= 2 ** 14:
+                        yield q, n, k, delta
+
+
+def test_lifted_mrd_size_counts_the_lift():
+    """Both sides of n = 2k, where the MRD exponent takes the longer side."""
+    shapes = list(lift_shapes())
+    assert len(shapes) == 186
+    for q, n, k, delta in shapes:
+        built = lift(gabidulin(q, k, n - k, delta))
+        assert lifted_mrd_size(q, n, 2 * delta, k) == built.size, (q, n, k, delta)
+    assert lifted_mrd_size(2, 6, 4, 4) == 16  # A_2(6, 4, 4) = 21
+
+
+@pytest.mark.parametrize("q, k, d, n1, n2, size", [
+    (2, 3, 4, 5, 5, 8200), (2, 3, 4, 5, 6, 32832), (3, 3, 4, 5, 3, 19684),
+    (2, 4, 4, 4, 4, 4622)])
+def test_linkage_part_of_thm32_counts_the_certified_build(q, k, d, n1, n2, size):
+    """``thm32_count`` less ``thm31_count`` is the size of the parallel
+    linkage ``thm32_build`` places: the lifted U_i (or the whole space when
+    n_i = k) with the k x n2 MRD code on the left and the rank-capped
+    k x n1 MRD code on the right, at n_i below, at and above 2k."""
+    delta = d // 2
+
+    def U(n):
+        if n == k:
+            return Cdc(q=q, n=k, k=k, d=d,
+                       members=(Subspace.from_matrix(MatGF.identity(q, k)),))
+        return lift(gabidulin(q, k, n - k, delta))
+    A = build_coset_cdc_lists(CwcSet(vectors=(fw("1100"),), min_hd=4), 2, 1, q)
+    Ahat = build_coset_cdc_lists(CwcSet(vectors=(iv("0011"),), min_hd=4),
+                                 2, 1, q, r=0)
+    Bhat = build_coset_cdc_lists(CwcSet(vectors=(iv("0011"),), min_hd=4),
+                                 2, 1, q)
+    count = thm32_count(q, n1, n2, d, k, A, A, Ahat, Bhat, r_hat=0,
+                        u1_vectors=(fw("1100"),), uhat2_vectors=(iv("0011"),))
+    built = parallel_linkage(U(n1), U(n2), gabidulin(q, k, n2, delta),
+                             restrict_ranks(gabidulin(q, k, n1, delta), k - delta))
+    assert count - thm31_count(A, A, Ahat, Bhat) == built.size == size
+    rep = check_cdc(built, max_pairs=10 ** 7)
+    assert rep.passed and rep.min_distance_found == d
 
 
 # ---------------------------------------------------------------------------
