@@ -215,10 +215,11 @@ def _place(q, n, skeletons, cols, code):
     """The k RREF rows of each subspace spanned by a skeleton (k packed
     rows of n entries) with a codeword of ``code`` ORed into its top rows on
     ``cols``, skeleton by skeleton in ``codewords()`` order.  The flattened
-    basis, or a ``MatrixSet``'s words, are spread in one pass, and only the
-    blocks ``_non_rref`` finds outside RREF are eliminated.  Each skeleton
-    has rank k off ``cols``, so only equal words place equal subspaces on
-    it: repeated words are refused before any block is built."""
+    basis, or a ``MatrixSet``'s words, are spread in one pass; one lane-wise
+    test of all blocks at once (``_non_rref``) finds those outside RREF,
+    and only they are eliminated.  Each skeleton has rank k off ``cols``, so
+    only equal words place equal subspaces on it: repeated words are
+    refused before any block is built."""
     linear, m, c = isinstance(code, LinearMatrixCode), code.m, len(cols)
     if (code.q, code.n) != (q, c) or linear and any(
             (M.q, M.rows, M.cols) != (q, m, c) for M in code.basis):

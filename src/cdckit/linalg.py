@@ -14,11 +14,14 @@ of decimal digits is packed by one ``str.translate`` to its text in base 16
 A code of k-dimensional subspaces is packed rows too, from construction to
 file to certificate: the k RREF rows of every codeword, codeword after
 codeword (``cdc.Cdc.rows``).  ``_non_rref`` tests all its k-row blocks for
-RREF of rank k in a few whole-code passes over the rows' bit lengths and
-pivot masks (``_rref_shape``, which also lets ``rref`` skip rows already in
-RREF).  One step, ``_Lanes.span``, grows every span: ``_Lanes.points``
-(the certifier's keys), ``rankmetric``'s codewords and subcode images, and
-the packed rows of each RREF generator of the Grassmannian (``_rref_rows``).
+RREF of rank k at once: row i of every block side by side in one wide int,
+a block to a lane (``_side_by_side``, which also lays out the certifier's
+wide rows), and a fixed number of whole-int operations per row position.
+``_rref_shape`` serves ``rref`` alone, which returns a matrix already in
+RREF as it is.  One step, ``_Lanes.span``, grows every span:
+``_Lanes.points`` (the certifier's keys), ``rankmetric``'s codewords and
+subcode images, and the packed rows of each RREF generator of the
+Grassmannian (``_rref_rows``).
 Distances are taken from rows (``_pair_distance``), so a
 ``Subspace`` is made only on request: ``Subspace``, ``from_blocks``,
 ``enumerate_subspaces``, ``cdc.Cdc.members``.  A rank-metric code is
@@ -39,6 +42,8 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
+from array import array
 from functools import lru_cache
 
 from .errors import AmbientMismatch, BadArguments, BadShape, NotRref
@@ -314,8 +319,8 @@ def _rref_shape(W, n, lengths):
     """For rows of these bit lengths with leading entries 1 (of W bits) at
     strictly increasing columns and zero rows last: the pivot-entry mask,
     the rows' sum under it if in RREF (each keeps at least its own leading
-    1 there), and the pivot columns; else None.  Cached: ``rref`` asks per
-    matrix."""
+    1 there), and the pivot columns; else None.  Serves ``rref`` only, which
+    asks per matrix, hence the cache."""
     shifts = [b - 1 for b in lengths if b]
     if any(lengths[len(shifts):]) or any(s % W for s in shifts) or \
             shifts != sorted(set(shifts))[::-1]:
@@ -324,20 +329,75 @@ def _rref_shape(W, n, lengths):
             sum([1 << s for s in shifts]), tuple([n - 1 - s // W for s in shifts]))
 
 
+def _side_by_side(rows, k, bits, size):
+    """For each row position i < k, the packed rows i, i + k, i + 2k, ...
+    of at most ``bits`` bits side by side in one int, row i + b k in lane b
+    of ``size`` bytes (1, 2, 4 or a multiple of 8, holding ``bits``).  All
+    rows become one ``array`` of little-endian 64-bit words at once (through
+    ``to_bytes`` above 64 bits); each lane word, or below 8 bytes each lane
+    byte holding row bits, is then one strided slice of them."""
+    u = max(1, -(-bits // 64))  # words per row
+    units = array("Q", rows if u == 1 else b"".join(
+        map(int.to_bytes, rows, itertools.repeat(8 * u), itertools.repeat("little"))))
+    if u == 1 and sys.byteorder == "big":
+        units.byteswap()
+    per, used, step = u, u, size // 8  # units per row, copied, per lane
+    if size < 8:
+        units, per, used, step = array("B", units.tobytes()), 8, (bits + 7) // 8, size
+    lane = array(units.typecode, bytes(size * (len(rows) // k if k else 0)))
+    for i in range(k):
+        for o in range(used):
+            lane[o::step] = units[i * per + o::k * per]
+        yield int.from_bytes(lane, "little")
+
+
 def _non_rref(q, n, k, rows):
     """The indices of the blocks of k consecutive packed rows of n entries
-    that are not in RREF of rank k: ``_rref_shape`` once per distinct
-    pattern of bit lengths, then one pass over all blocks per row
-    position; a block is in RREF exactly when its rows, ANDed with its
-    pattern's pivot mask, sum to its unit pivot entries."""
-    pats = list(zip(*[map(int.bit_length, rows)] * k))
-    W, none = lanes(q).W, (0, -1, None)  # rows under mask 0 never sum to -1
-    shapes = {p: all(p) and _rref_shape(W, n, p) or none for p in set(pats)}
-    masks, sums, _ = zip(*map(shapes.__getitem__, pats)) if pats else ((),) * 3
-    got = [0] * len(pats)
-    for i in range(k):
-        got = list(map(operator.add, got, map(operator.and_, rows[i::k], masks)))
-    return list(itertools.compress(itertools.count(), map(operator.ne, got, sums)))
+    that are not in RREF of rank k, tested all at once.
+
+    Row i of every block goes into one int, block b in lane b
+    (``_side_by_side``), of the narrowest lane holding the r = n W row bits
+    and a spare bit r.  A masked smear sets every bit below a lane's leading
+    bit, masks keeping each shift inside its lane, and gives every lead.  A
+    block is in RREF of rank k exactly when each lead sits on an entry
+    boundary (so its entry is 1), each lead is strictly below the one of
+    the row above, the last row is nonzero, and each row ANDed with the
+    block's pivot entries is its own lead.  The lanes failing a test are
+    flagged in their spare bits, and one ``to_bytes`` and a strided slice
+    of its bytes give them.  The per-block cost is a fixed number of
+    whole-int operations per row position, with no Python work per block."""
+    M = len(rows) // k if k else 0
+    if not M:
+        return []
+    W = lanes(q).W
+    r = n * W
+    size = 1 << max(r, 7).bit_length() - 3 if r < 64 else 8 * (r // 64 + 1)  # bytes
+    ones = int.from_bytes((b"\1" + bytes(size - 1)) * M, "little")  # 1 in each lane
+    low, spare = ((1 << r) - 1) * ones, (1 << r) * ones
+    grid = int(("0" * (W - 1) + "1") * n or "0", 2) * ones  # entry boundaries
+    smears = [(1 << j, ((1 << min(r, 8 * size - (1 << j))) - 1) * ones)
+              for j in range(max(r - 1, 0).bit_length())]  # shifts below r
+    fails, piv, above = 0, 0, low  # above: the bits below the last lead
+    packed, leads = [], []
+    for x in _side_by_side(rows, k, r, size):
+        lit = x  # every bit up to the lead
+        for s, keep in smears:
+            lit |= lit >> s & keep
+        below = lit >> 1 & low
+        lead = lit ^ below
+        fails |= lead & ~above  # not strictly below the lead above
+        above, piv = below, piv | lead
+        packed.append(x)
+        leads.append(lead)
+    fails |= piv & (low ^ grid)  # a lead inside an entry
+    piv &= grid
+    mask = (piv << W) - piv  # the block's pivot entries
+    for x, lead in zip(packed, leads):
+        fails |= x & mask ^ lead
+    # a lane with fails below its spare bit, or a zero last row, keeps it
+    flags = (fails + low | spare - lit) & spare
+    return list(itertools.compress(itertools.count(),
+                                   flags.to_bytes(M * size, "little")[r // 8::size]))
 
 
 def rref(M: MatGF):

@@ -26,15 +26,15 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, compress, repeat
+from itertools import combinations, compress
 
 from .cdc import Cdc
 from .errors import TooLarge
 from .ferrers import FdrmCode, singleton_bound, support_leaks
-from .linalg import _pair_distance, _rref_rows, gaussian_binomial, lanes
+from .linalg import (_pair_distance, _rref_rows, _side_by_side, gaussian_binomial,
+                     lanes)
 from .rankmetric import min_nonzero_rank
 
 EXHAUSTIVE_PAIR_CAP = 10 ** 6   # table entries hashed or pairs compared
@@ -89,22 +89,16 @@ def _keys(code, t):
     such a coefficient vector, a point of GF(q)^k, and its index among the
     points of the unit rows picks the codewords' point.  All codewords are
     keyed at once: row j of every codeword, ``code.rows[j::k]``, goes into
-    one wide int through an ``array`` of 64-bit words, codeword i in lane i
-    of w words, wide enough for t row fields.  The points recursion runs
+    one wide int (``linalg._side_by_side``), codeword i in lane i of w
+    64-bit words, wide enough for t row fields.  The points recursion runs
     once on those k wide rows; lane sums and byte-table scaling keep the
     padding of every lane zero.  A memoryview cast of ``to_bytes`` then
     splits each wide key into the codewords' words, w to a key.
     """
     n, k, M, L = code.n, code.k, code.size, lanes(code.q)
     width = n * L.W
-    w, u = -(-max(t, 1) * width // 64), -(-width // 64)  # words per lane, per row
-    lane, wide = array("Q", bytes(8 * w * M)), []
-    for j in range(k):
-        words = array("Q", code.rows[j::k] if u == 1 else b"".join(map(
-            int.to_bytes, code.rows[j::k], repeat(8 * u), repeat("little"))))
-        for o in range(u):
-            lane[o::w] = words[o::u]
-        wide.append(int.from_bytes(lane, "little"))
+    w = -(-max(t, 1) * width // 64)  # words per lane
+    wide = list(_side_by_side(code.rows, k, width, 8 * w))
     points = L.points(wide, M * 64 * w // L.W)
     units = [1 << (k - 1 - i) * L.W for i in range(k)]
     index = {v: i for i, v in enumerate(L.points(units, k))}  # C row -> point

@@ -7,7 +7,8 @@ and subtraction, ``Subspace.vectors`` and ``points`` and the packed
 reshaping methods are compared with it; their results are read back
 through ``MatGF.data``.  ``rref``'s shortcut for input already in RREF is
 compared with the digit-level definition of RREF, on echelon forms and on
-near misses of them.
+near misses of them, and so is ``_non_rref``'s test of many blocks at once,
+at row widths on both sides of every lane size it packs rows into.
 """
 
 import random
@@ -18,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from cdckit.errors import BadArguments
 from cdckit.gf import SUPPORTED_ORDERS, field_new
-from cdckit.linalg import (MatGF, Subspace, kernel_basis, lanes, rank, rref,
-                           rrief)
+from cdckit.linalg import (MatGF, Subspace, _non_rref, kernel_basis, lanes,
+                           rank, rref, rrief)
 
 EXAMPLES = settings(max_examples=15, derandomize=True, deadline=None)
 
@@ -259,3 +260,65 @@ def test_from_blocks_keeps_exactly_the_full_rank_rref_blocks(q):
                 assert (U.q, U.n, U.k, U.pivots) == (V.q, V.n, V.k, V.pivots)
                 assert U == V and hash(U) == hash(V)
     check()
+
+
+def rref_block(rng, q, n, k):
+    """A random k x n matrix in RREF of rank k, biased towards 0 and q - 1."""
+    pivots = sorted(rng.sample(range(n), k))
+    rows = []
+    for p in pivots:
+        row = [0] * n
+        row[p] = 1
+        for j in range(p + 1, n):
+            if j not in pivots:
+                row[j] = rng.choice((0, q - 1, rng.randrange(q)))
+        rows.append(row)
+    return rows, pivots
+
+
+def near_misses(rng, q, n, k):
+    """An RREF block of rank k and blocks one change away from it: a zero
+    row, a row of q - 1, a repeated row, two rows swapped, a pivot entry
+    other than 1, a nonzero entry in another row's pivot column; and a
+    random block."""
+    R, pivots = rref_block(rng, q, n, k)
+    i, j = rng.randrange(k), rng.randrange(k)
+    out = [R]
+    for row in [0] * n, [q - 1] * n, R[j]:
+        out.append(R[:i] + [list(row)] + R[i + 1:])
+    out.append(R[:i] + [R[j]] + R[i + 1:j] + [R[i]] + R[j + 1:] if i < j else R[::-1])
+    scaled = [list(row) for row in R]
+    scaled[i][pivots[i]] = rng.choice([0, *range(2, q)])
+    out.append(scaled)
+    if k > 1:
+        other = [list(row) for row in R]
+        other[i][pivots[(i + 1) % k]] = rng.randrange(1, q)
+        out.append(other)
+    out.append([[rng.randrange(q) for _ in range(n)] for _ in range(k)])
+    return out
+
+
+def lane_edge_lengths(q):
+    """Row lengths n whose n W bits fall on and beside each lane edge, 8, 16,
+    32, 64 and 128 bits (the lanes hold the row bits and one spare bit)."""
+    W = lanes(q).W
+    return sorted({max(1, e // W + d) for e in (8, 16, 32, 64, 128) for d in (-1, 0, 1)}
+                  | {1, 2, 3, 136 // W})
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_non_rref_matches_the_definition_at_every_lane_width(q):
+    """``_non_rref`` on shuffled blocks, each packed between neighbours that
+    a lane leaking into the next would trip, against ``is_rref`` and rank k
+    block by block, with k = 1, 2, 3 and k = n (n <= 17); and no blocks."""
+    rng = random.Random(q)
+    for n in lane_edge_lengths(q):
+        for k in sorted({1, min(2, n), min(3, n)} | ({n} if n <= 17 else set())):
+            blocks = [b for _ in range(3) for b in near_misses(rng, q, n, k)]
+            rng.shuffle(blocks)
+            rows = [v for b in blocks for v in MatGF(q, b).packed]
+            want = [i for i, b in enumerate(blocks)
+                    if not (is_rref(b) and rank(MatGF(q, b)) == k)]
+            assert _non_rref(q, n, k, rows) == want, (n, k)
+            assert want and len(want) < len(blocks)
+            assert _non_rref(q, n, k, []) == []
