@@ -143,7 +143,9 @@ class Cdc:
                 raise ParameterMismatch("member with wrong ambient or dimension")
             self.__dict__["members"] = members = tuple(members)
             rows = [v for U in members for v in U.gen.packed]
-        self.__dict__.update(q=q, n=n, k=k, d=d, rows=tuple(rows), provenance=provenance)
+        if len(rows := tuple(rows)) % k:
+            raise ParameterMismatch(f"{len(rows)} rows do not make whole {k}-row codewords")
+        self.__dict__.update(q=q, n=n, k=k, d=d, rows=rows, provenance=provenance)
 
     @cached_property
     def members(self):

@@ -1,15 +1,15 @@
 """Exact arithmetic in GF(q) and GF(q^m) for small prime powers q.
 
-Elements of GF(q) are integers 0..q-1 encoding base-p coefficient vectors
-(little-endian: digit i is the coefficient of t^i).  Extension-field elements
-are length-m tuples over the base field in the fixed polynomial basis
-1, t, ..., t^(m-1).  All moduli are fixed and deterministic so downstream
+Extension-field elements are length-m tuples over the base field in the
+fixed polynomial basis 1, t, ..., t^(m-1); ``ExtFieldCtx.elements`` numbers
+them base q, digit i the coefficient of t^i.  GF(q) is held as its addition
+and multiplication tables: of (a + b) % p and a * b % p for a prime, and for
+q = p^e, e > 1, of GF(p)[t] / f through ``ExtFieldCtx``, element a being the
+polynomial numbered a.  Negatives and inverses are read off the tables (the 0
+of a row of the addition table, the 1 of a row of the multiplication table),
+and every table is checked against the field axioms, inverses included, when
+it is built.  All moduli are fixed and deterministic so downstream
 constructions and coset enumerations are bit-reproducible.
-
-GF(q) is held as its addition and multiplication tables.  Negatives and
-inverses are read off those tables (the 0 of a row of the addition table,
-the 1 of a row of the multiplication table), and every table is checked
-against the field axioms, inverses included, when it is built.
 """
 
 from __future__ import annotations
@@ -154,33 +154,16 @@ def field_new(q: int) -> FieldCtx:
     if q not in SUPPORTED_ORDERS:
         raise UnsupportedOrder(f"q={q} not in supported orders {SUPPORTED_ORDERS}")
     p, e = next((p, e) for p in (2, 3, 5, 7) for e in (1, 2, 3) if p ** e == q)
-    modulus = _BASE_MODULI.get((p, e), (0, 1) if e == 1 else None)
-
-    def digits(a):
-        out = []
-        for _ in range(e):
-            out.append(a % p)
-            a //= p
-        return out
-
-    def undigits(ds):
-        v = 0
-        for d in reversed(ds):
-            v = v * p + d
-        return v
-
-    def mul_raw(a, b):
-        if e == 1:
-            return (a * b) % p
-        return undigits(_poly_mulmod(field_new(p), digits(a), digits(b), modulus))
-
-    add_t = tuple(
-        tuple(undigits([(da + db) % p for da, db in zip(digits(a), digits(b))])
-              for b in range(q))
-        for a in range(q)
-    )
-    mul_t = tuple(tuple(mul_raw(a, b) for b in range(q)) for a in range(q))
-
+    if e == 1:
+        modulus, els = (0, 1), range(q)
+        add, mul = lambda a, b: (a + b) % p, lambda a, b: a * b % p
+    else:
+        modulus = _BASE_MODULI[(p, e)]
+        ring = ExtFieldCtx(field_new(p), e, modulus)
+        els, add, mul = list(ring.elements()), ring.add, ring.mul
+    number = {x: i for i, x in enumerate(els)}
+    add_t = tuple(tuple(number[add(x, y)] for y in els) for x in els)
+    mul_t = tuple(tuple(number[mul(x, y)] for y in els) for x in els)
     ctx = FieldCtx(q=q, p=p, e=e, modulus=modulus, _add=add_t, _mul=mul_t,
                    _neg=tuple(row.index(0) for row in add_t))
     _verify_axioms(ctx)
@@ -190,6 +173,12 @@ def field_new(q: int) -> FieldCtx:
 # ---------------------------------------------------------------------------
 # extension fields GF(q^m)
 # ---------------------------------------------------------------------------
+
+def _polynomials(base: FieldCtx, m: int):
+    """The m-tuples over GF(q), read as polynomials of degree < m, in the
+    order ``ExtFieldCtx.elements`` documents."""
+    return (t[::-1] for t in itertools.product(base.elements(), repeat=m))
+
 
 def _ext_poly_is_irreducible(base: FieldCtx, coeffs):
     """f of degree m >= 2 is irreducible over GF(q) iff t^(q^m) = t mod f,
@@ -234,8 +223,11 @@ class ExtFieldCtx:
                      for i in range(self.m))
 
     def elements(self):
-        return (tuple(reversed(t)) for t in
-                itertools.product(self.base.elements(), repeat=self.m))
+        """Every element once, in ascending integer encoding: digit i, base
+        q, is the coefficient of t^i, so the constant term varies fastest.
+        ``field_new`` numbers GF(p^e) and ``ext_new`` tries moduli in this
+        order."""
+        return _polynomials(self.base, self.m)
 
     def add(self, x, y):
         b = self.base
@@ -274,25 +266,11 @@ def ext_new(q: int, m: int) -> ExtFieldCtx:
     if not 1 <= m <= 16:
         raise DegreeTooLarge(f"extension degree m={m} outside 1..16")
     if m == 1:
-        coeffs = (0, 1)
-    else:
-        coeffs = None
-        # enumerate monic degree-m polynomials in ascending integer encoding
-        for code in range(q ** m):
-            c = []
-            v = code
-            for _ in range(m):
-                c.append(v % q)
-                v //= q
-            cand = tuple(c) + (1,)
-            if cand[0] == 0:
-                continue  # reducible: divisible by t
-            if _ext_poly_is_irreducible(base, cand):
-                coeffs = cand
-                break
-        if coeffs is None:
-            raise VerificationFailed(f"no irreducible polynomial found for q={q}, m={m}")
-    return ExtFieldCtx(base=base, m=m, modulus=coeffs)
+        return ExtFieldCtx(base=base, m=1, modulus=(0, 1))
+    for c in _polynomials(base, m):
+        if c[0] and _ext_poly_is_irreducible(base, c + (1,)):  # c[0] = 0: t | f
+            return ExtFieldCtx(base=base, m=m, modulus=c + (1,))
+    raise VerificationFailed(f"no irreducible polynomial found for q={q}, m={m}")
 
 
 def frobenius(ctx: ExtFieldCtx, x, i: int):

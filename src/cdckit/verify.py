@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations, compress
 
 from .cdc import Cdc
-from .errors import TooLarge
+from .errors import BadArguments, TooLarge
 from .ferrers import FdrmCode, singleton_bound, support_leaks
 from .linalg import (_pair_distance, _rref_rows, _side_by_side, gaussian_binomial,
                      lanes)
@@ -220,6 +220,8 @@ def check_cdc(code, mode: str = "exhaustive", seed: int = 2024,
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
+    if pairs < 0:
+        raise BadArguments(f"pairs must be >= 0, got {pairs}")
     M, k, declared = code.size, code.k, code.d
     target = f"({code.n},{M},{code.d},{code.k})_{code.q}-CDC"
     label = mode if mode == "exhaustive" else f"sampled(seed={seed})"

@@ -801,3 +801,21 @@ def test_list_bookkeeping_of_materialized_and_counted_lists():
     assert merged.sizes == ((4, 4), (1, 1))
     merged.validate_codes()
     assert count_list(4, 2).validate_codes() is None
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_rows_that_are_not_whole_codewords_are_refused(q):
+    """A row count that is not a multiple of k is refused, not cut to whole
+    codewords, so no union can misalign the blocks after a ragged part."""
+    code = lift(gabidulin(q, 2, 2, 2))   # (4, q^2, 4, 2)_q
+    rows = code.rows
+    for ragged in (rows[:1], rows[:3], rows[:-1], rows + rows[:1]):
+        with pytest.raises(ParameterMismatch) as e:
+            Cdc(q, 4, 2, 4, rows=ragged)
+        assert str(e.value) == f"{len(ragged)} rows do not make whole 2-row codewords"
+    with pytest.raises(ParameterMismatch):
+        cdc.union_cdcs([("head", Cdc(q, 4, 2, 4, rows=rows[:2])),
+                        ("ragged", Cdc(q, 4, 2, 4, rows=rows[2:-1]))], d=4)
+    whole = cdc.union_cdcs([("head", Cdc(q, 4, 2, 4, rows=rows[:2])),
+                            ("tail", Cdc(q, 4, 2, 4, rows=rows[2:]))], d=4)
+    assert whole.rows == rows and whole.blocks() == code.blocks()

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -246,3 +247,27 @@ def test_every_guard_raises_its_message(call, error, message):
     with pytest.raises(error) as e:
         call()
     assert str(e.value) == message
+
+
+def test_field_tables_pinned():
+    # every table of every supported field, bit for bit
+    tables = repr([(q, f.modulus, f._add, f._mul, f._neg)
+                   for q in SUPPORTED_ORDERS for f in [field_new(q)]])
+    assert hashlib.sha256(tables.encode()).hexdigest() == (
+        "e322c01fb184befaa8cbb5084e3ad913439da62da64bd2f980b4f91375acb0a0")
+
+
+def test_ext_moduli_pinned_at_every_degree():
+    # the modulus of every extension ext_new accepts, m = 1..16
+    moduli = repr([(q, m, ext_new(q, m).modulus)
+                   for q in SUPPORTED_ORDERS for m in range(1, 17)])
+    assert hashlib.sha256(moduli.encode()).hexdigest() == (
+        "bd181567fd335898b214a40b4f535a9291f95031814be8d66a96205ab5f3c177")
+
+
+@pytest.mark.parametrize("q,m", [(2, 3), (3, 2), (4, 2), (9, 2)])
+def test_elements_ascend_in_integer_encoding(q, m):
+    # element i has digit j, base q, as its coefficient of t^j
+    els = list(ext_new(q, m).elements())
+    assert els == [tuple(i // q ** j % q for j in range(m))
+                   for i in range(q ** m)]

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from cdckit import rankmetric, verify
 from cdckit.cdc import Cdc, IdVec, ferrers_of, multilevel
-from cdckit.errors import ParameterMismatch, TooLarge
+from cdckit.errors import BadArguments, ParameterMismatch, TooLarge
 from cdckit.ferrers import (FdrmCode, FerrersDiagram, optimal_fdrmc,
                             th43_optimal_fdrmc)
 from cdckit.gf import SUPPORTED_ORDERS
@@ -366,3 +366,12 @@ def test_a_failing_certificate_within_the_cap_lists_its_pairs():
     assert rep.summary() == ("FAIL (6,729,5,3)_3-CDC mode=exhaustive "
                              "min_distance=4 declared=5 pairs=265356 "
                              "violations=123201")
+
+
+@pytest.mark.parametrize("mode", ["sampled", "exhaustive"])
+def test_check_cdc_refuses_a_negative_pair_count(mode):
+    code = lift(gabidulin(2, 2, 2, 2))
+    for pairs in (-1, -3):
+        with pytest.raises(BadArguments) as e:
+            check_cdc(code, mode=mode, pairs=pairs)
+        assert str(e.value) == f"pairs must be >= 0, got {pairs}"
