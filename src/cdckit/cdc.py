@@ -17,12 +17,11 @@ filler that repeats a word, ``union_cdcs`` a subspace placed twice, and
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import (BadArguments, BadShape, DiagramMismatch,
                      DuplicateCodeword, LengthMismatch, NotACwc,
-                     ParameterMismatch, VerificationFailed)
+                     ParameterMismatch, VerificationFailed, record)
 from .ferrers import (FdrmCode, FerrersDiagram, _off_mask, coset_list,
                       nested_pair, singleton_bound)
 from .linalg import (MatGF, Subspace, _eliminate, _non_rref, echelon_pivots,
@@ -34,19 +33,26 @@ from .rankmetric import LinearMatrixCode, MatrixSet, _span
 # identifying vectors and echelon layouts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class IdVec:
     """Binary vector marking pivot columns; forward = RREF, inverse = RRIEF."""
 
     bits: tuple
-    kind: str = "forward"
+    kind: str
 
-    def __post_init__(self):
-        if any(b not in (0, 1, "0", "1") for b in self.bits):
+    def __init__(self, bits, kind="forward"):
+        if any(b not in (0, 1, "0", "1") for b in bits):
             raise BadArguments("identifying vectors are binary")
-        object.__setattr__(self, "bits", tuple(map(int, self.bits)))
-        if self.kind not in ("forward", "inverse"):
+        if kind not in ("forward", "inverse"):
             raise BadArguments("kind must be 'forward' or 'inverse'")
+        self.__dict__.update(bits=tuple(map(int, bits)), kind=kind)
+
+    def __eq__(self, other):  # spelt out, faster than record's: ferrers_of's cache keys
+        return (self.bits == other.bits and self.kind == other.kind
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.bits, self.kind))
 
     @classmethod
     def from_string(cls, s, kind="forward"):
@@ -92,7 +98,7 @@ def insertion_guard(x: int, k1: int, d: int) -> bool:
     return d <= 2 * abs(x - k1)
 
 
-@dataclass(frozen=True)
+@record
 class EchelonLayout:
     """Where a diagram-supported matrix lands inside the echelon skeleton."""
 
@@ -122,7 +128,7 @@ def ferrers_of(v: IdVec) -> EchelonLayout:
 # subspace-code containers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, init=False)
+@record
 class Cdc:
     """A set of k-dimensional subspaces of GF(q)^n at pairwise distance >= d,
     stored as ``rows``, the k packed RREF rows of each codeword in turn.  Its
@@ -133,7 +139,7 @@ class Cdc:
     k: int
     d: int
     rows: tuple
-    provenance: str = ""
+    provenance: str
 
     def __init__(self, q, n, k, d, members=None, provenance="", *, rows=()):
         if not 1 <= k <= n:
@@ -180,25 +186,24 @@ def union_cdcs(parts, d, provenance=""):
     return Cdc(q=q, n=n, k=k, d=d, rows=rows, provenance=provenance)
 
 
-@dataclass(frozen=True)
+@record
 class CwcSet:
     """Constant-weight binary vectors at a guaranteed pairwise distance."""
 
     vectors: tuple
     min_hd: int
 
-    def __post_init__(self):
-        vs = self.vectors
-        if not vs:
+    def __init__(self, vectors, min_hd):
+        if not vectors:
             raise NotACwc("empty vector set")
-        n, w, kind = vs[0].n, vs[0].weight, vs[0].kind
-        for v in vs:
+        n, w, kind = vectors[0].n, vectors[0].weight, vectors[0].kind
+        for v in vectors:
             if v.n != n or v.weight != w or v.kind != kind:
                 raise NotACwc("mixed lengths, weights, or kinds")
-        for a, b in itertools.combinations(vs, 2):
-            hd = hamming_guard(a, b)
-            if hd < self.min_hd:
-                raise NotACwc(f"d_H({a}, {b}) = {hd} < {self.min_hd}")
+        for a, b in itertools.combinations(vectors, 2):
+            if (hd := hamming_guard(a, b)) < min_hd:
+                raise NotACwc(f"d_H({a}, {b}) = {hd} < {min_hd}")
+        self.__dict__.update(vectors=vectors, min_hd=min_hd)
 
     @property
     def n(self):
@@ -312,7 +317,7 @@ def phi_embed(B: MatGF, F: MatGF) -> MatGF:
 # lists of codes with fixed distance (run-length counted)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class CdcList:
     """Ordered list of codes sharing (q, n, k): within-code distance
     intra_d, across-code distance inter_d.  Sizes are run-length encoded

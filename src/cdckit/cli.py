@@ -15,6 +15,7 @@ import itertools
 import operator
 import os
 import sys
+from functools import cache
 
 from .cdc import Cdc, CwcSet, IdVec, ferrers_of, multilevel
 from .errors import (BadArguments, CdcError, DegreeTooLarge, NotInRegistry,
@@ -455,6 +456,7 @@ def cmd_audit(args) -> int:
     return 0 if report.passed else 1
 
 
+@cache  # one parser per process: each build costs about 1 ms
 def build_parser():
     p = argparse.ArgumentParser(
         prog="cdckit",

@@ -16,30 +16,36 @@ silent downgrade.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import (BadArguments, BadShape, ConditionNotMet,
-                     DimensionMismatch, VerificationFailed)
+                     DimensionMismatch, VerificationFailed, record)
 from .linalg import MatGF, kernel_basis, lanes, span_rank
 from .rankmetric import (LinearMatrixCode, MatrixSet, gabidulin,
                          grmc_lower_bound, restrict_ranks, verify_min_rank)
 
 
-@dataclass(frozen=True)
+@record
 class FerrersDiagram:
     """Column dot-count profile; `inverted` marks the mirrored convention."""
 
     cols: tuple
-    inverted: bool = False
+    inverted: bool
 
-    def __post_init__(self):
-        cols = tuple(self.cols)
-        object.__setattr__(self, "cols", cols)
+    def __init__(self, cols, inverted=False):
+        cols = tuple(cols)
         if any(c < 1 for c in cols):
             raise BadArguments("empty columns are not stored")
         if any(cols[i] > cols[i + 1] for i in range(len(cols) - 1)):
             raise BadArguments(f"column profile {cols} is not ascending")
+        self.__dict__.update(cols=cols, inverted=inverted)
+
+    def __eq__(self, other):  # spelt out, faster than record's: singleton_bound's cache keys
+        return (self.cols == other.cols and self.inverted == other.inverted
+                if other.__class__ is self.__class__ else NotImplemented)
+
+    def __hash__(self):
+        return hash((self.cols, self.inverted))
 
     @property
     def m(self) -> int:
@@ -106,7 +112,7 @@ def singleton_bound(F: FerrersDiagram, delta: int) -> int:
     return min(nu(F, delta, i) for i in range(delta))
 
 
-@dataclass(frozen=True)
+@record
 class FdrmCode:
     """Linear code of m x n matrices supported on a Ferrers diagram."""
 
@@ -289,7 +295,7 @@ def th43_optimal_fdrmc(n: int, k: int, q: int) -> FdrmCode:
 # nested pairs and coset lists
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class NestedPair:
     """Optimal codes c1 (distance d1) inside c2 (distance d2 < d1) on one
     diagram, with a deterministic completion of c1's basis to c2's."""

@@ -15,10 +15,9 @@ constructions and coset enumerations are bit-reproducible.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
-from .errors import DegreeTooLarge, UnsupportedOrder, VerificationFailed
+from .errors import DegreeTooLarge, UnsupportedOrder, VerificationFailed, record
 
 SUPPORTED_ORDERS = (2, 3, 4, 5, 7, 8, 9)
 
@@ -31,7 +30,7 @@ _BASE_MODULI = {
 }
 
 
-@dataclass(frozen=True)
+@record
 class FieldCtx:
     """Arithmetic context for GF(q), q = p^e: the addition and multiplication
     tables, with negatives and inverses read off them."""
@@ -40,9 +39,9 @@ class FieldCtx:
     p: int
     e: int
     modulus: tuple[int, ...]
-    _add: tuple[tuple[int, ...], ...] = dc_field(repr=False)
-    _mul: tuple[tuple[int, ...], ...] = dc_field(repr=False)
-    _neg: tuple[int, ...] = dc_field(repr=False)
+    _add: tuple[tuple[int, ...], ...]
+    _mul: tuple[tuple[int, ...], ...]
+    _neg: tuple[int, ...]
 
     def add(self, a, b):
         return self._add[a][b]
@@ -199,7 +198,7 @@ def _ext_poly_is_irreducible(base: FieldCtx, coeffs):
     return rank(MatGF(q, frob)) == m - 1
 
 
-@dataclass(frozen=True)
+@record
 class ExtFieldCtx:
     """Arithmetic context for GF(q^m) over a FieldCtx for GF(q)."""
 

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .errors import (BadArguments, BadShape, TooLarge, TooLargeToEnumerate,
-                     VerificationFailed)
+                     VerificationFailed, record)
 from .gf import expand_rows, ext_new, frobenius
 from .linalg import MatGF, _eliminate, gaussian_binomial, lanes, span_rank
 
@@ -64,7 +63,7 @@ def _counted_ranks(code) -> tuple:
     return tuple(map(rank_of.__getitem__, map(held.__getitem__, code.words)))
 
 
-@dataclass(frozen=True)
+@record
 class LinearMatrixCode:
     """GF(q)-linear space of m x n matrices given by a basis."""
 
@@ -138,20 +137,19 @@ class LinearMatrixCode:
         return code
 
 
-@dataclass(frozen=True, init=False)
+@record
 class MatrixSet:
     """Explicit set of m x n matrices with a claimed minimum rank distance,
     stored as ``words``, the packed ``flatten()`` of each member in turn, as
-    ``LinearMatrixCode.words``; ``ranks``, when known, holds the members'
-    ranks in order.  Its ``members`` (``MatGF``s) are given instead, and
-    checked for shape and field, or made when first read."""
+    ``LinearMatrixCode.words``; ``ranks``, not a field, holds the members'
+    ranks in order when known.  Its ``members`` (``MatGF``s) are given
+    instead, and checked for shape and field, or made when first read."""
 
     q: int
     m: int
     n: int
     words: tuple
     delta: int
-    ranks: tuple | None = field(default=None, compare=False, repr=False)
 
     def __init__(self, q, m, n, members=None, delta=None, ranks=None, *, words=()):
         if delta is None:

@@ -18,8 +18,7 @@ q runs per row.
 
 from __future__ import annotations
 
-import importlib.resources
-from dataclasses import dataclass
+import os
 from functools import lru_cache
 
 from .cdc import (Cdc, CdcList, CwcSet, IdVec, _check_block_params,
@@ -27,7 +26,7 @@ from .cdc import (Cdc, CdcList, CwcSet, IdVec, _check_block_params,
                   ferrers_of, hamming_guard, insertion_guard, pair_runs,
                   parallel_linkage, sort_runs_desc, union_cdcs, zip_runs)
 from .errors import (BadArguments, GuardFailed, NotInRegistry, ParameterMismatch,
-                     ParseError, RankRestrictionViolated, VerificationFailed)
+                     ParseError, RankRestrictionViolated, VerificationFailed, record)
 from .ferrers import singleton_bound
 from .linalg import MatGF, echelon_pivots, rank, rrief
 from .rankmetric import (LinearMatrixCode, gabidulin, rank_distribution,
@@ -38,7 +37,7 @@ class OddDeltaUnsupported(BadArguments):
     """Odd design distances above 3 have no implemented vector family."""
 
 
-@dataclass(frozen=True)
+@record
 class BoundResult:
     """An exact lower-bound value with its provenance."""
 
@@ -480,15 +479,13 @@ def recompute_value(q: int, n: int, d: int, k: int) -> int:
 
 def load_registry(path=None):
     """Rows of the shipped (or given) registry file: (q,n,d,k) -> (new, old)."""
-    if path is None:
-        text = importlib.resources.files("cdckit.data").joinpath(
-            "table11.txt").read_text()
-    else:
-        try:
-            with open(path) as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as e:
-            raise ParseError(f"cannot read file: {e}", line=1)
+    if path is None:  # beside this module: importlib.resources is slow to import
+        path = os.path.join(os.path.dirname(__file__), "data", "table11.txt")
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"cannot read file: {e}", line=1)
     rows = {}
     order = []
     for lineno, line in enumerate(text.splitlines(), 1):

@@ -27,11 +27,10 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass, field as dc_field
 from itertools import combinations, compress
 
 from .cdc import Cdc
-from .errors import BadArguments, TooLarge
+from .errors import BadArguments, TooLarge, record
 from .ferrers import FdrmCode, singleton_bound, support_leaks
 from .linalg import (_pair_distance, _rref_rows, _side_by_side, gaussian_binomial,
                      lanes)
@@ -43,15 +42,22 @@ CLIQUE_WORK_CAP = 3 * 10 ** 6   # vertices coloured by one clique search
 SAMPLED_PAIRS = 10 ** 5
 
 
-@dataclass
+@record(frozen=False)
 class VerifyReport:
     target: str
     mode: str
     min_distance_found: int | None
     declared: int
-    violations: list = dc_field(default_factory=list)
-    pairs_checked: int = 0
-    details: dict = dc_field(default_factory=dict)
+    violations: list
+    pairs_checked: int
+    details: dict
+
+    def __init__(self, target, mode, min_distance_found, declared, violations=None,
+                 pairs_checked=0, details=None):
+        self.target, self.mode, self.declared = target, mode, declared
+        self.min_distance_found, self.pairs_checked = min_distance_found, pairs_checked
+        self.violations = [] if violations is None else violations  # a new list and dict
+        self.details = {} if details is None else details           # for each report
 
     @property
     def passed(self) -> bool:

@@ -1,7 +1,6 @@
 import itertools
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -632,7 +631,9 @@ def test_build_mode_checks_sizes_against_count_mode(monkeypatch):
     # a coset that loses a member is caught by count mode's sizes
     def short_coset_list(pair, r=None):
         cosets = coset_list(pair, r=r)
-        return cosets[:-1] + [replace(cosets[-1], members=cosets[-1].members[:-1])]
+        last = cosets[-1]
+        return cosets[:-1] + [MatrixSet(last.q, last.m, last.n, last.members[:-1],
+                                        last.delta, last.ranks)]
     monkeypatch.setattr(cdc, "coset_list", short_coset_list)
     cwc = CwcSet(vectors=(fw("1100"),), min_hd=4)
     with pytest.raises(VerificationFailed):

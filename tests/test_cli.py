@@ -667,3 +667,38 @@ def test_check_refuses_a_failing_certificate_that_lists_too_many_pairs(
     assert (code, out) == (1, "")
     assert err == ("error: TooLarge: failing certificate lists 1075200 "
                    "pairs, above cap 1000000\n")
+
+
+def test_consecutive_main_calls_share_one_parser(tmp_path, capsys):
+    # each call's output and exit code, made with a new parser and then
+    # again in one run of calls through the one cached parser
+    f = str(tmp_path / "ml.cdc")
+    calls = [["build", "--multilevel", "1100,0011", "-q", "2", "--delta", "2",
+              "--out", f],
+             ["check", "--in", f, "--kv"],
+             ["check", "--in", f],
+             ["bound", "-q", "2", "-n", "18", "-d", "8", "-k", "9",
+              "--source", "table11"],
+             ["bound", "-q", "2"],
+             ["bound", "-q", "2", "-n", "20", "-d", "8", "-k", "9"],
+             ["rankdist", "-q", "3", "-m", "2", "-n", "2", "--delta", "1"],
+             ["check", "--in", f, "--mode", "sampled", "--seed", "7"],
+             ["check", "--in", f]]
+
+    def run(args):
+        try:
+            code = main(args)
+        except SystemExit as e:  # argparse's usage error
+            code = e.code
+        return code, capsys.readouterr()
+
+    fresh = []
+    for args in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run(args))
+    assert [code for code, _ in fresh] == [0, 0, 0, 0, 2, 0, 0, 0, 0]
+    assert "passed=true" in fresh[1][1].out and "passed=" not in fresh[2][1].out
+    assert "[th41]" in fresh[5][1].out
+    cli.build_parser.cache_clear()
+    assert [run(args) for args in calls] == fresh
+    assert cli.build_parser() is cli.build_parser()

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from cdckit.cdc import (Cdc, CdcList, CwcSet, IdVec, build_coset_cdc_lists,
@@ -230,7 +228,8 @@ def test_thm31_build_matches_the_stacked_blocks(q):
 def test_thm31_build_enforces_the_rank_restriction():
     # an unrestricted mirrored list relabelled as restricted to rank 0
     A, B, _, Bhat = tiny_lists()
-    Ahat = dataclasses.replace(Bhat, restricted_rank=0)
+    Ahat = CdcList(Bhat.q, Bhat.n, Bhat.k, Bhat.intra_d, Bhat.inter_d, Bhat.sizes,
+                   Bhat.codes, restricted_rank=0)
     with pytest.raises(RankRestrictionViolated):
         thm31_build(A, B, Ahat, Bhat)
 
