@@ -41,6 +41,7 @@ class IdVec:
     kind: str
 
     def __init__(self, bits, kind="forward"):
+        bits = tuple(bits)
         if any(b not in (0, 1, "0", "1") for b in bits):
             raise BadArguments("identifying vectors are binary")
         if kind not in ("forward", "inverse"):
@@ -60,8 +61,13 @@ class IdVec:
 
     @classmethod
     def from_pivots(cls, n, pivots, kind="forward"):
-        """The vector of length n with ones at the pivot columns."""
-        return cls(tuple(int(c in pivots) for c in range(n)), kind)
+        """The vector of length n with ones at the pivot columns, which are
+        distinct and in range(n)."""
+        pivots = tuple(pivots)
+        cols = set(pivots)
+        if len(cols) < len(pivots) or not cols <= set(range(n)):
+            raise BadArguments(f"pivots must be distinct columns in range({n})")
+        return cls(tuple(int(c in cols) for c in range(n)), kind)
 
     @property
     def n(self):
@@ -145,9 +151,9 @@ class Cdc:
         if not 1 <= k <= n:
             raise ParameterMismatch(f"need 1 <= k <= n, got k={k}, n={n}")
         if members is not None:
+            self.__dict__["members"] = members = tuple(members)
             if any((U.q, U.n, U.k) != (q, n, k) for U in members):
                 raise ParameterMismatch("member with wrong ambient or dimension")
-            self.__dict__["members"] = members = tuple(members)
             rows = [v for U in members for v in U.gen.packed]
         if len(rows := tuple(rows)) % k:
             raise ParameterMismatch(f"{len(rows)} rows do not make whole {k}-row codewords")
@@ -169,6 +175,7 @@ class Cdc:
 def union_cdcs(parts, d, provenance=""):
     """Disjoint union of labelled codes; a collision is a bug, reported
     with the labels of the two parts that hold it."""
+    parts = tuple(parts)
     shapes = {(code.q, code.n, code.k) for _, code in parts if code.size}
     if len(shapes) != 1:
         raise (ParameterMismatch("union of incompatible codes") if shapes
@@ -287,6 +294,7 @@ def multilevel(entries, delta: int) -> Cdc:
     Same-vector pairs inherit twice the rank distance; cross-vector pairs
     are separated by the Hamming distance of the vectors.
     """
+    entries = tuple(entries)
     vectors = tuple(v for v, _ in entries)
     CwcSet(vectors=vectors, min_hd=2 * delta)
     parts = []

@@ -148,6 +148,7 @@ def support_leaks(diagram: FerrersDiagram, basis):
     outside the diagram, in basis then row-major order; a matrix that is
     not m x n raises BadShape."""
     m, n = diagram.m, diagram.n
+    basis = tuple(basis)
     if any((B.rows, B.cols) != (m, n) for B in basis):
         raise BadShape(f"basis matrices must be {m}x{n}, as the diagram")
     for t, B in enumerate(basis):

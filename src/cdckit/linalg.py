@@ -17,13 +17,12 @@ codeword (``cdc.Cdc.rows``).  ``_non_rref`` tests all its k-row blocks for
 RREF of rank k at once: row i of every block side by side in one wide int,
 a block to a lane (``_side_by_side``, which also lays out the certifier's
 wide rows), and a fixed number of whole-int operations per row position.
-``_rref_shape`` serves ``rref`` alone, which returns a matrix already in
-RREF as it is.  One step, ``_Lanes.span``, grows every span:
+One step, ``_Lanes.span``, grows every span:
 ``_Lanes.points`` (the certifier's keys), ``rankmetric``'s codewords and
 subcode images, and the packed rows of each RREF generator of the
 Grassmannian (``_rref_rows``).
 Distances are taken from rows (``_pair_distance``), so a
-``Subspace`` is made only on request: ``Subspace``, ``from_blocks``,
+``Subspace`` is made only on request: ``Subspace``, ``from_matrix``,
 ``enumerate_subspaces``, ``cdc.Cdc.members``.  A rank-metric code is
 packed words too, one ``MatGF.flatten()`` per codeword
 (``rankmetric.MatrixSet.words``), and ``MatrixSet.members`` makes its
@@ -34,8 +33,8 @@ packed words too, one ``MatGF.flatten()`` per codeword
 digits only in ``_Lanes.lines``, many rows per call, each distinct row once.
 
 Subspaces are always stored by their RREF generator, so equality and hashing
-are entrywise.  Column indices are 0-based internally; file formats and CLI
-output are 1-based.
+are entrywise and the pivots are read off it.  Column indices are 0-based
+internally; file formats and CLI output are 1-based.
 """
 
 from __future__ import annotations
@@ -314,21 +313,6 @@ def _eliminate(q, n, rows, reduced=True):
             tuple([n - 1 - s // W for s in shifts]))
 
 
-@lru_cache(maxsize=1024)
-def _rref_shape(W, n, lengths):
-    """For rows of these bit lengths with leading entries 1 (of W bits) at
-    strictly increasing columns and zero rows last: the pivot-entry mask,
-    the rows' sum under it if in RREF (each keeps at least its own leading
-    1 there), and the pivot columns; else None.  Serves ``rref`` only, which
-    asks per matrix, hence the cache."""
-    shifts = [b - 1 for b in lengths if b]
-    if any(lengths[len(shifts):]) or any(s % W for s in shifts) or \
-            shifts != sorted(set(shifts))[::-1]:
-        return None
-    return (sum([((1 << W) - 1) << s for s in shifts]),
-            sum([1 << s for s in shifts]), tuple([n - 1 - s // W for s in shifts]))
-
-
 def _side_by_side(rows, k, bits, size):
     """For each row position i < k, the packed rows i, i + k, i + 2k, ...
     of at most ``bits`` bits side by side in one int, row i + b k in lane b
@@ -401,13 +385,8 @@ def _non_rref(q, n, k, rows):
 
 
 def rref(M: MatGF):
-    """Reduced row echelon form; row space preserved, pivots ascending.
-    A matrix already in RREF (``_rref_shape``) is returned as it is."""
-    rows = M.packed
-    shape = _rref_shape(lanes(M.q).W, M.cols, tuple(map(int.bit_length, rows)))
-    if shape and sum([v & shape[0] for v in rows]) == shape[1]:
-        return M, shape[2]
-    rows, pivots = _eliminate(M.q, M.cols, rows)
+    """Reduced row echelon form; row space preserved, pivots ascending."""
+    rows, pivots = _eliminate(M.q, M.cols, M.packed)
     return MatGF.from_packed(M.q, M.cols, rows), pivots
 
 
@@ -458,7 +437,7 @@ def kernel_basis(M: MatGF):
 class Subspace:
     """A k-dimensional subspace of GF(q)^n in canonical RREF form."""
 
-    __slots__ = ("q", "n", "k", "gen", "pivots", "_hash", "_mask")
+    __slots__ = ("q", "n", "k", "gen", "_hash", "_mask")
 
     def __init__(self, q, n, generator_rows):
         M = generator_rows if isinstance(generator_rows, MatGF) else MatGF(q, generator_rows)
@@ -467,22 +446,17 @@ class Subspace:
         R, pivots = rref(M)
         if len(pivots) != M.rows:
             raise BadArguments("generator rows are linearly dependent")
-        self.q, self.n, self.k, self.gen, self.pivots = q, n, R.rows, R, pivots
+        self.q, self.n, self.k, self.gen = q, n, R.rows, R
         self._hash = self._mask = None
 
     @classmethod
     def from_matrix(cls, M: MatGF):
         return cls(M.q, M.cols, M)
 
-    @classmethod
-    def from_blocks(cls, q, n, k, rows):
-        """The subspaces spanned by each k consecutive packed rows of n
-        entries in RREF of rank k, None in place of the other blocks, and
-        the indices of those (``_non_rref``)."""
-        bad = _non_rref(q, n, k, rows)
-        skip = set(bad)
-        return [None if i in skip else cls(q, n, MatGF.from_packed(q, n, b))
-                for i, b in enumerate(zip(*[iter(rows)] * k))], bad
+    @property
+    def pivots(self):
+        """The pivot columns of the RREF generator, ascending."""
+        return tuple(echelon_pivots(self.gen))
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.q == other.q

@@ -133,6 +133,7 @@ def thm32_guard(u1_vectors, uhat2_vectors, r_hat: int, d: int):
     """Distance guard mixing forward identifying vectors against mirrored
     ones carrying a rank restriction."""
     need = 2 * (r_hat + d // 2)
+    uhat2_vectors = tuple(uhat2_vectors)  # read once per u
     for u in u1_vectors:
         for v in uhat2_vectors:
             if hamming_guard(u, IdVec(v.bits, u.kind)) < need:

@@ -4,7 +4,7 @@ code at a time, kept as oracles for ``cli.write_cdc`` and ``cli.read_cdc``.
 The writer turns one row at a time into digits.  The reader walks the file
 line by line and eliminates each block on its own; whether a block is in
 RREF is decided by ``_eliminate`` (the unique RREF of its rows), not by the
-bit-length test that ``rref`` and ``Subspace.from_blocks`` share.  Only
+whole-code lane test ``_non_rref`` that ``cli.read_cdc`` runs.  Only
 ``_read_lines``, ``_header_fields`` and ``_check_order``, which read the
 header, come from ``cli``.
 """

@@ -11,16 +11,17 @@ from cdckit.cdc import (Cdc, CdcList, CwcSet, IdVec, build_coset_cdc_lists,
                         inverse_identifying_vector, lift_on_vector, multilevel,
                         pair_runs, parallel_linkage, phi_embed,
                         reorder_pairing, zip_runs)
-from cdckit.errors import (BadArguments, BadShape, DiagramMismatch,
+from cdckit.errors import (BadArguments, BadShape, CdcError, DiagramMismatch,
                            DuplicateCodeword, LengthMismatch, NotACwc, NotRref,
                            ParameterMismatch, TooLargeToEnumerate,
                            VerificationFailed)
 from cdckit.ferrers import (FdrmCode, FerrersDiagram, coset_list, nested_pair,
-                            optimal_fdrmc)
+                            optimal_fdrmc, support_leaks)
 from cdckit.gf import SUPPORTED_ORDERS
 from cdckit.linalg import MatGF, Subspace, enumerate_subspaces, rank
 from cdckit.rankmetric import (LinearMatrixCode, MatrixSet, gabidulin, lift,
                                restrict_ranks)
+from cdckit.theorems import thm32_guard
 from cdckit.verify import check_cdc
 
 E_U = [[1, 0, 0, 0, 1], [0, 0, 1, 0, 1], [0, 0, 0, 1, 0]]
@@ -43,6 +44,12 @@ def test_identifying_vectors_worked_example():
 def test_identifying_vector_lifted_shape():
     U = Subspace(2, 5, [[1, 0, 0, 1, 1], [0, 1, 0, 0, 1], [0, 0, 1, 1, 0]])
     assert str(identifying_vector(U)) == "11100"
+
+
+@pytest.mark.parametrize("pivots", [[5], [-1], [0, 0], [1, 2, 1], [0.5]])
+def test_from_pivots_refuses_columns_outside_or_repeated(pivots):
+    with pytest.raises(BadArguments, match=r"distinct columns in range\(3\)"):
+        IdVec.from_pivots(3, pivots)
 
 
 def test_ferrers_of_worked_example():
@@ -790,6 +797,41 @@ def test_every_guard_raises_its_message(call, error, message):
     with pytest.raises(error) as e:
         call()
     assert str(e.value) == message
+
+
+def _one_shot_sites():
+    """(call, items) per function that reads its iterable argument more
+    than once."""
+    U = tuple(enumerate_subspaces(2, 4, 2))[:2]
+    codes = [(s, Cdc(2, 4, 2, 4, members=(V,))) for s, V in zip("ab", U)]
+    ml = [(fw(s), optimal_fdrmc(ferrers_of(fw(s)).diagram, 2, 2))
+          for s in ("1100", "0011")]
+    guard = [fw("111100000"), fw("000011110")]  # only the second pair fails
+    dia = ferrers_of(fw("1010")).diagram  # (1, 0) is not a dot
+    return {
+        "IdVec": (IdVec, (1, 0, 1)),
+        "from_pivots": (lambda p: IdVec.from_pivots(3, p), (2, 0)),
+        "Cdc": (lambda ms: Cdc(2, 4, 2, 4, members=ms), U),
+        "union_cdcs": (lambda parts: cdc.union_cdcs(parts, d=4), codes),
+        "multilevel": (lambda entries: multilevel(entries, 2), ml),
+        "thm32_guard": (lambda vs: thm32_guard(guard, vs, 0, 8),
+                        (iv("000011110"),)),
+        "support_leaks": (lambda basis: list(support_leaks(dia, basis)),
+                          (MatGF(2, [[0, 0], [1, 0]]),)),
+    }
+
+
+@pytest.mark.parametrize("site", ["IdVec", "from_pivots", "Cdc", "union_cdcs",
+                                  "multilevel", "thm32_guard", "support_leaks"])
+def test_a_one_shot_iterable_gives_what_a_tuple_gives(site):
+    call, items = _one_shot_sites()[site]
+
+    def outcome(arg):
+        try:
+            return call(arg)
+        except CdcError as e:
+            return type(e), str(e)
+    assert outcome(x for x in items) == outcome(tuple(items))
 
 
 def test_list_bookkeeping_of_materialized_and_counted_lists():

@@ -5,8 +5,8 @@ enumerates the row span of a small matrix by trying every coefficient
 vector.  ``rank``, ``rref``, ``rrief``, ``kernel_basis``, matrix addition
 and subtraction, ``Subspace.vectors`` and ``points`` and the packed
 reshaping methods are compared with it; their results are read back
-through ``MatGF.data``.  ``rref``'s shortcut for input already in RREF is
-compared with the digit-level definition of RREF, on echelon forms and on
+through ``MatGF.data``.  ``rref`` on input already in RREF is compared
+with the digit-level definition of RREF, on echelon forms and on
 near misses of them, and so is ``_non_rref``'s test of many blocks at once,
 at row widths on both sides of every lane size it packs rows into.
 """
@@ -115,9 +115,9 @@ def is_rref(rows):
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
 def test_rref_shortcut_matches_the_definition(q):
-    """``rref`` returns its input itself exactly when it is in RREF, agrees
-    with the span oracle either way, and ``Subspace.from_matrix`` keeps a
-    generator exactly when it is in RREF with full rank."""
+    """``rref`` returns its input unchanged exactly when it is in RREF,
+    agrees with the span oracle either way, and ``Subspace.from_matrix``
+    keeps a generator exactly when it is in RREF with full rank."""
     f = field_new(q)
 
     @EXAMPLES
@@ -142,7 +142,7 @@ def test_rref_shortcut_matches_the_definition(q):
             E, pivots = rref(M)
             assert span(f, nonzero(E.data)) == span(f, nonzero(rows))
             check_echelon(E.data, pivots)
-            assert (E is M) == is_rref(rows)
+            assert (E == M) == is_rref(rows)
             if len(pivots) == M.rows:
                 assert (Subspace.from_matrix(M).gen == M) == is_rref(rows)
             else:
@@ -163,6 +163,16 @@ def combine(f, coeffs, rows):
     for c, row in zip(coeffs, rows):
         v = [f.add(a, f.mul(c, b)) for a, b in zip(v, row)]
     return tuple(v)
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_subspace_repr_reads_the_pivots_of_the_reduced_generator(q):
+    """The generator is not in RREF and its rows' leading columns are not
+    the pivots; at q = 2 the first two rows sum to a row leading at column
+    2, at every other q their difference leads at column 1."""
+    U = Subspace(q, 5, [[1, 1, 0, 1, 0], [1, q - 1, 1, 0, 0], [0, 0, 0, 1, 1]])
+    pivots = "(0, 2, 3)" if q == 2 else "(0, 1, 3)"
+    assert repr(U) == f"Subspace(q={q}, n=5, k=3, pivots={pivots})"
 
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
@@ -222,10 +232,10 @@ def test_add_sub_and_reshaping_match_the_field_tables(q):
 
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
 def test_from_blocks_keeps_exactly_the_full_rank_rref_blocks(q):
-    """``Subspace.from_blocks`` on many k x n blocks at once: random ones,
-    their RREF (zero rows last where the rank is below k) and near misses
-    of it.  A block is kept, as ``Subspace.from_matrix`` builds it and with
-    its own rows as generator, exactly when it is in RREF with rank k."""
+    """``_non_rref`` on many k x n blocks at once: random ones, their RREF
+    (zero rows last where the rank is below k) and near misses of it.  A
+    block is kept, and ``Subspace.from_matrix`` builds it with its own rows
+    as generator, exactly when it is in RREF with rank k."""
     f = field_new(q)
 
     @EXAMPLES
@@ -248,7 +258,9 @@ def test_from_blocks_keeps_exactly_the_full_rank_rref_blocks(q):
                 above[0][pivots[i]] = data.draw(st.integers(1, q - 1))
                 blocks.append(above)
         rows = [v for b in blocks for v in MatGF(q, b).packed]
-        subs, bad = Subspace.from_blocks(q, n, k, rows)
+        bad = _non_rref(q, n, k, rows)
+        subs = [None if i in bad else Subspace.from_matrix(MatGF(q, b))
+                for i, b in enumerate(blocks)]
         assert len(subs) == len(blocks)
         assert bad == [i for i, U in enumerate(subs) if U is None]
         for b, U in zip(blocks, subs):
