@@ -8,9 +8,11 @@ only), and materialization for desk-scale instances, which re-verifies the
 claimed distances downstream.  A materialized code is its packed RREF rows
 (``Cdc.rows``); ``Cdc.members`` makes its ``Subspace``s only when read.
 A rank-metric filler is placed from its packed words, a ``MatrixSet``'s
-``words`` or a linear code's spread basis, and no ``MatGF`` is made per
-codeword.  Each rule is checked at one level only: ``_place`` refuses a
-filler that repeats a word, ``union_cdcs`` a subspace placed twice, and
+``words`` or a linear code's spread basis, each row shifted straight into
+its blocks, and no ``MatGF`` is made per codeword.  Each rule is checked at
+one level only: ``_place`` refuses a filler that repeats a word,
+``union_cdcs`` a subspace placed twice, once per build over all its
+labelled parts (``thm32_build`` unions both halves' parts), and
 ``_check_block_params`` two block lists that miss a distance.
 """
 
@@ -203,10 +205,8 @@ class CwcSet:
     def __init__(self, vectors, min_hd):
         if not vectors:
             raise NotACwc("empty vector set")
-        n, w, kind = vectors[0].n, vectors[0].weight, vectors[0].kind
-        for v in vectors:
-            if v.n != n or v.weight != w or v.kind != kind:
-                raise NotACwc("mixed lengths, weights, or kinds")
+        if len({(v.n, v.weight, v.kind) for v in vectors}) > 1:
+            raise NotACwc("mixed lengths, weights, or kinds")
         for a, b in itertools.combinations(vectors, 2):
             if (hd := hamming_guard(a, b)) < min_hd:
                 raise NotACwc(f"d_H({a}, {b}) = {hd} < {min_hd}")
@@ -229,11 +229,12 @@ def _place(q, n, skeletons, cols, code):
     """The k RREF rows of each subspace spanned by a skeleton (k packed
     rows of n entries) with a codeword of ``code`` ORed into its top rows on
     ``cols``, skeleton by skeleton in ``codewords()`` order.  The flattened
-    basis, or a ``MatrixSet``'s words, are spread in one pass; one lane-wise
-    test of all blocks at once (``_non_rref``) finds those outside RREF,
-    and only they are eliminated.  Each skeleton has rank k off ``cols``, so
-    only equal words place equal subspaces on it: repeated words are
-    refused before any block is built."""
+    basis, or a ``MatrixSet``'s words, are spread in one pass, and row i of
+    every block is shifted straight out of its word; one lane-wise test of
+    all blocks at once (``_non_rref``) finds those outside RREF, and only
+    they are eliminated, one ``_eliminate`` each.  Each skeleton has rank k
+    off ``cols``, so only equal words place equal subspaces on it: repeated
+    words are refused here, and repeated blocks by the caller's union."""
     linear, m, c = isinstance(code, LinearMatrixCode), code.m, len(cols)
     if (code.q, code.n) != (q, c) or linear and any(
             (M.q, M.rows, M.cols) != (q, m, c) for M in code.basis):
@@ -245,14 +246,14 @@ def _place(q, n, skeletons, cols, code):
         words = _span(q, words, m * n)
     if len(set(words)) < len(words):  # the only repeats one skeleton places
         raise VerificationFailed("placement produced duplicate subspaces")
-    s = n * lanes(q).W  # row i of every codeword:
-    tops = [[w >> (m - 1 - i) * s & (1 << s) - 1 for w in words] for i in range(m)]
-    rows, k = [], m
-    for skeleton in skeletons:  # a codeword fills the top m of the k rows
+    s, rows, k = n * lanes(q).W, [], m
+    mask = (1 << s) - 1
+    for skeleton in skeletons:  # a codeword's row i ORed into skeleton row i < m
         k = len(skeleton)
         block = [0] * (len(words) * k)
         for i, r in enumerate(skeleton):
-            block[i::k] = [r | t for t in tops[i]] if i < m else [r] * len(words)
+            sh = (m - 1 - i) * s
+            block[i::k] = [r | w >> sh & mask for w in words] if i < m else [r] * len(words)
         rows += block
     for i in _non_rref(q, n, k, rows):
         rows[i * k:i * k + k] = _eliminate(q, n, rows[i * k:i * k + k])[0]
@@ -295,14 +296,12 @@ def multilevel(entries, delta: int) -> Cdc:
     are separated by the Hamming distance of the vectors.
     """
     entries = tuple(entries)
-    vectors = tuple(v for v, _ in entries)
-    CwcSet(vectors=vectors, min_hd=2 * delta)
-    parts = []
-    for v, code in entries:
+    CwcSet(vectors=tuple(v for v, _ in entries), min_hd=2 * delta)
+    for v, code in entries:  # every code's distance before any lift
         if code.delta < delta:
             raise BadArguments(f"code on {v} has distance {code.delta} < {delta}")
-        parts.append((f"lift[{v}]", lift_on_vector(v, code)))
-    return union_cdcs(parts, d=2 * delta, provenance="multilevel")
+    return union_cdcs([(f"lift[{v}]", lift_on_vector(v, code)) for v, code in entries],
+                      d=2 * delta, provenance="multilevel")
 
 
 # ---------------------------------------------------------------------------
@@ -345,42 +344,32 @@ class CdcList:
         return sum(c for _, c in self.sizes)
 
     def validate_codes(self):
-        if self.codes is None:
-            return
-        expanded = [s for s, c in self.sizes for _ in range(c)]
-        if [c.size for c in self.codes] != expanded:
+        if self.codes is not None and [c.size for c in self.codes] != [
+                s for s, c in self.sizes for _ in range(c)]:
             raise VerificationFailed("materialized sizes disagree with runs")
 
 
 def zip_runs(a_runs, b_runs):
     """Pair i-th with i-th across two run-length lists, truncating at the
     shorter; returns (product runs, total)."""
-    total = 0
+    a, b = ([[s, c] for s, c in runs if c][::-1] for runs in (a_runs, b_runs))
     out = []
-    a = [[s, c] for s, c in a_runs if c]
-    b = [[s, c] for s, c in b_runs if c]
-    ai = bi = 0
-    while ai < len(a) and bi < len(b):
-        take = min(a[ai][1], b[bi][1])
-        prod = a[ai][0] * b[bi][0]
-        out.append((prod, take))
-        total += prod * take
-        a[ai][1] -= take
-        b[bi][1] -= take
-        if a[ai][1] == 0:
-            ai += 1
-        if b[bi][1] == 0:
-            bi += 1
-    return tuple(out), total
+    while a and b:  # the current run of each list is its last
+        take = min(a[-1][1], b[-1][1])
+        out.append((a[-1][0] * b[-1][0], take))
+        for runs in a, b:
+            runs[-1][1] -= take
+            if not runs[-1][1]:
+                runs.pop()
+    return tuple(out), sum(s * c for s, c in out)
 
 
 def sort_runs_desc(runs):
     """(size, count) runs merged by size, largest first, zero counts dropped."""
     merged = {}
     for s, c in runs:
-        if c:
-            merged[s] = merged.get(s, 0) + c
-    return tuple(sorted(merged.items(), key=lambda t: t[0], reverse=True))
+        merged[s] = merged.get(s, 0) + c
+    return tuple(sorted(((s, c) for s, c in merged.items() if c), reverse=True))
 
 
 def _largest_first(codes):
@@ -400,11 +389,10 @@ def reorder_pairing(sizes_a, sizes_b):
 
     Index pairs refer to positions in the inputs; inputs need not be sorted.
     """
-    order_a = sorted(range(len(sizes_a)), key=lambda i: sizes_a[i], reverse=True)
-    order_b = sorted(range(len(sizes_b)), key=lambda i: sizes_b[i], reverse=True)
+    order_a, order_b = (sorted(range(len(s)), key=s.__getitem__, reverse=True)
+                        for s in (sizes_a, sizes_b))
     pairing = tuple(zip(order_a, order_b))
-    total = sum(sizes_a[i] * sizes_b[j] for i, j in pairing)
-    return pairing, total
+    return pairing, sum(sizes_a[i] * sizes_b[j] for i, j in pairing)
 
 
 def coset_cdc_sizes(v: IdVec, delta1: int, delta2: int, q: int):
@@ -431,11 +419,8 @@ def build_coset_cdc_lists(cwc: CwcSet, delta1: int, delta2: int, q: int,
         raise NotACwc(f"vector set distance {cwc.min_hd} below {2 * delta1}")
     n, k = cwc.n, cwc.weight
 
-    per = []
-    for v in cwc.vectors:
-        D, s = coset_cdc_sizes(v, delta1, delta2, q)
-        per.append((s, D, v))
-    per.sort(key=lambda t: t[0], reverse=True)
+    per = [(*coset_cdc_sizes(v, delta1, delta2, q)[::-1], v) for v in cwc.vectors]
+    per.sort(key=lambda t: t[0], reverse=True)  # (s, D, v), longest list first
 
     if r is not None and not build:
         if r != 0:
@@ -534,17 +519,20 @@ def _coset_blocks(A: CdcList, B: CdcList, H: LinearMatrixCode, label: str):
     return parts
 
 
-def parallel_linkage(U1: Cdc, U2: Cdc, M1: LinearMatrixCode, M2: MatrixSet) -> Cdc:
-    """Union of left-lifted and right-lifted blocks: {rs(U1|M1)} and
-    {rs(M2|U2)} with a rank-capped right filler."""
+def _check_linkage(U1: Cdc, U2: Cdc, left, right):
+    """``parallel_linkage``'s shape checks, on its fillers' (m, n, delta)."""
     k, d = U1.k, U1.d
     if U2.k != k or U2.d < d or U1.q != U2.q:
         raise ParameterMismatch("component codes disagree on (q, k, d)")
-    if (M1.m, M1.n) != (k, U2.n) or 2 * M1.delta < d:
-        raise ParameterMismatch(f"left filler must be {k}x{U2.n} at distance {d // 2}")
-    if (M2.m, M2.n) != (k, U1.n) or 2 * M2.delta < d:
-        raise ParameterMismatch(f"right filler must be {k}x{U1.n} at distance {d // 2}")
-    cap = k - d // 2
+    for side, (m, c, delta), n in (("left", left, U2.n), ("right", right, U1.n)):
+        if (m, c) != (k, n) or 2 * delta < d:
+            raise ParameterMismatch(f"{side} filler must be {k}x{n} at distance {d // 2}")
+
+
+def _linkage_parts(U1: Cdc, U2: Cdc, M1: LinearMatrixCode, M2: MatrixSet):
+    """The labelled left-lifted and right-lifted parts of ``parallel_linkage``."""
+    _check_linkage(U1, U2, (M1.m, M1.n, M1.delta), (M2.m, M2.n, M2.delta))
+    k, d, cap = U1.k, U1.d, U1.k - U1.d // 2
     ranks = M2.ranks if M2.ranks is not None else map(rank, M2.members)
     if max(ranks, default=0) > cap:
         raise ParameterMismatch(f"right filler rank exceeds {cap}")
@@ -552,6 +540,11 @@ def parallel_linkage(U1: Cdc, U2: Cdc, M1: LinearMatrixCode, M2: MatrixSet) -> C
     left = _place(U1.q, n, [[r << U2.n * W for r in Ua] for Ua in U1.blocks()],
                   range(U1.n, n), M1)
     right = _place(U1.q, n, U2.blocks(), range(U1.n), M2)
-    parts = [("left-lifted", Cdc(q=U1.q, n=n, k=k, d=d, rows=left)),
-             ("right-lifted", Cdc(q=U1.q, n=n, k=k, d=d, rows=right))]
-    return union_cdcs(parts, d=d, provenance="parallel-linkage")
+    return [("left-lifted", Cdc(q=U1.q, n=n, k=k, d=d, rows=left)),
+            ("right-lifted", Cdc(q=U1.q, n=n, k=k, d=d, rows=right))]
+
+
+def parallel_linkage(U1: Cdc, U2: Cdc, M1: LinearMatrixCode, M2: MatrixSet) -> Cdc:
+    """Union of left-lifted and right-lifted blocks: {rs(U1|M1)} and
+    {rs(M2|U2)} with a rank-capped right filler."""
+    return union_cdcs(_linkage_parts(U1, U2, M1, M2), U1.d, "parallel-linkage")

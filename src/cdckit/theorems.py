@@ -22,9 +22,10 @@ import os
 from functools import lru_cache
 
 from .cdc import (Cdc, CdcList, CwcSet, IdVec, _check_block_params,
-                  _coset_blocks, build_coset_cdc_lists, concat_cdc_lists,
-                  ferrers_of, hamming_guard, insertion_guard, pair_runs,
-                  parallel_linkage, sort_runs_desc, union_cdcs, zip_runs)
+                  _check_linkage, _coset_blocks, _linkage_parts,
+                  build_coset_cdc_lists, concat_cdc_lists, ferrers_of,
+                  hamming_guard, insertion_guard, pair_runs, sort_runs_desc,
+                  union_cdcs, zip_runs)
 from .errors import (BadArguments, GuardFailed, NotInRegistry, ParameterMismatch,
                      ParseError, RankRestrictionViolated, VerificationFailed, record)
 from .ferrers import singleton_bound
@@ -105,28 +106,33 @@ def thm31_count(A: CdcList, B: CdcList, Ahat: CdcList, Bhat: CdcList) -> int:
     return c3 + c4
 
 
-def _check_thm31_params(A, B, Ahat, Bhat):
+def _check_thm31_params(A, B, Ahat, Bhat, build=False):
+    """The refusals of ``thm31_count``, and with ``build`` those of
+    ``thm31_build``, all made before any block is placed."""
     _check_block_params(A, B, A.intra_d)
     _check_block_params(Ahat, Bhat, A.intra_d)
     if (A.n, A.k) != (Ahat.n, Ahat.k) or (B.n, B.k) != (Bhat.n, Bhat.k):
         raise ParameterMismatch("forward and mirrored lists disagree on shape")
+    if build and any(L.codes is None for L in (A, B, Ahat, Bhat)):
+        raise BadArguments("build mode needs materialized lists")
+    r = Ahat.restricted_rank
+    if build and r is not None and any(_content_rank(code.q, code.n, b) > r
+                                       for code in Ahat.codes for b in code.blocks()):
+        raise RankRestrictionViolated(f"mirrored-list member content rank exceeds {r}")
+
+
+def _thm31_parts(A, B, Ahat, Bhat):
+    """The labelled diag[i] and antidiag[i] parts of ``thm31_build``."""
+    zero = LinearMatrixCode(A.q, A.k, B.n - B.k, (), A.intra_d // 2)  # only word: 0
+    return _coset_blocks(A, B, zero, "diag") + _coset_blocks(Ahat, Bhat, zero, "antidiag")
 
 
 def thm31_build(A: CdcList, B: CdcList, Ahat: CdcList, Bhat: CdcList) -> Cdc:
     """Materialize both halves as the coset construction with the zero filler:
     the block-diagonal subspaces [Ua 0; 0 Ub] of (A, B) and of (Ahat, Bhat),
     the latter spanning the rows of the paper's anti-diagonal RRIEF stacks."""
-    _check_thm31_params(A, B, Ahat, Bhat)
-    if any(L.codes is None for L in (A, B, Ahat, Bhat)):
-        raise BadArguments("build mode needs materialized lists")
-    r = Ahat.restricted_rank
-    if r is not None and any(_content_rank(code.q, code.n, b) > r
-                             for code in Ahat.codes for b in code.blocks()):
-        raise RankRestrictionViolated(f"mirrored-list member content rank exceeds {r}")
-    d = A.intra_d
-    zero = LinearMatrixCode(A.q, A.k, B.n - B.k, (), d // 2)  # only word: 0
-    parts = _coset_blocks(A, B, zero, "diag") + _coset_blocks(Ahat, Bhat, zero, "antidiag")
-    return union_cdcs(parts, d=d, provenance="parallel-cosets")
+    _check_thm31_params(A, B, Ahat, Bhat, build=True)
+    return union_cdcs(_thm31_parts(A, B, Ahat, Bhat), A.intra_d, "parallel-cosets")
 
 
 def thm32_guard(u1_vectors, uhat2_vectors, r_hat: int, d: int):
@@ -153,21 +159,21 @@ def thm32_count(q, n1, n2, d, k, A, B, Ahat, Bhat, r_hat,
 
 
 def thm32_build(U1: Cdc, U2: Cdc, A, B, Ahat, Bhat, r_hat: int) -> Cdc:
-    """Materialize the full four-part union at desk scale."""
-    q, k, d = U1.q, U1.k, U1.d
-    n1, n2 = U1.n, U2.n
+    """Materialize the full four-part union at desk scale: every check runs
+    before any filler or block is built, and one union hashes each codeword."""
+    q, k, d, n1, n2 = U1.q, U1.k, U1.d, U1.n, U2.n
     u1_vectors = {IdVec.from_pivots(c.n, echelon_pivots(MatGF.from_packed(c.q, c.n, b)))
                   for c in (A.codes or ()) for b in c.blocks()}
     uhat2_vectors = {IdVec.from_pivots(c.n, rrief(MatGF.from_packed(c.q, c.n, b))[1],
                                        "inverse")
                      for c in (Ahat.codes or ()) for b in c.blocks()}
     thm32_guard(u1_vectors, uhat2_vectors, r_hat, d)
+    _check_linkage(U1, U2, (k, n2, d // 2), (k, n1, d // 2))
+    _check_thm31_params(A, B, Ahat, Bhat, build=True)
     M1 = gabidulin(q, k, n2, d // 2)
     M2 = restrict_ranks(gabidulin(q, k, n1, d // 2), k - d // 2)
-    linkage = parallel_linkage(U1, U2, M1, M2)
-    blocks = thm31_build(A, B, Ahat, Bhat)
-    return union_cdcs([("linkage", linkage), ("blocks", blocks)], d=d,
-                      provenance="combined-construction")
+    return union_cdcs(_linkage_parts(U1, U2, M1, M2) + _thm31_parts(A, B, Ahat, Bhat),
+                      d=d, provenance="combined-construction")
 
 
 # ---------------------------------------------------------------------------

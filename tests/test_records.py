@@ -233,3 +233,16 @@ def test_import_loads_neither_dataclasses_nor_inspect():
          "{'dataclasses', 'inspect', 'importlib.resources'} & set(sys.modules)))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def test_import_compiles_no_command_line_code():
+    # ``import cdckit`` alone: cli.py (about 10 ms to compile in a fresh
+    # process) and argparse load only with ``cdckit.cli``
+    src = os.path.dirname(os.path.dirname(cdckit.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", "import sys, cdckit; print(sorted("
+         "{'argparse', 'cdckit.cli', 'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
