@@ -6,7 +6,7 @@ bookkeeping.
 Every constructor works in two modes: exact big-integer counting (sizes
 only), and materialization for desk-scale instances, which re-verifies the
 claimed distances downstream.  A materialized code is its packed RREF rows
-(``Cdc.rows``); ``Cdc.members`` makes its ``Subspace``s only when read.
+(``Cdc.rows``); ``Cdc.members`` makes its ``Subspace``s on every read.
 A rank-metric filler is placed from its packed words, a ``MatrixSet``'s
 ``words`` or a linear code's spread basis, each row shifted straight into
 its blocks, and no ``MatGF`` is made per codeword.  Each rule is checked at
@@ -19,7 +19,7 @@ labelled parts (``thm32_build`` unions both halves' parts), and
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .errors import (BadArguments, BadShape, DiagramMismatch,
                      DuplicateCodeword, LengthMismatch, NotACwc,
@@ -139,8 +139,9 @@ def ferrers_of(v: IdVec) -> EchelonLayout:
 @record
 class Cdc:
     """A set of k-dimensional subspaces of GF(q)^n at pairwise distance >= d,
-    stored as ``rows``, the k packed RREF rows of each codeword in turn.  Its
-    ``members`` (``Subspace``s) are given instead, or made when first read."""
+    stored as ``rows``, the k packed RREF rows of each codeword in turn, and
+    nothing else.  ``members`` (``Subspace``s) may be given instead, and only
+    their rows are kept; read, they are made from the rows each time."""
 
     q: int
     n: int
@@ -153,7 +154,7 @@ class Cdc:
         if not 1 <= k <= n:
             raise ParameterMismatch(f"need 1 <= k <= n, got k={k}, n={n}")
         if members is not None:
-            self.__dict__["members"] = members = tuple(members)
+            members = tuple(members)
             if any((U.q, U.n, U.k) != (q, n, k) for U in members):
                 raise ParameterMismatch("member with wrong ambient or dimension")
             rows = [v for U in members for v in U.gen.packed]
@@ -161,7 +162,7 @@ class Cdc:
             raise ParameterMismatch(f"{len(rows)} rows do not make whole {k}-row codewords")
         self.__dict__.update(q=q, n=n, k=k, d=d, rows=rows, provenance=provenance)
 
-    @cached_property
+    @property
     def members(self):
         q, n = self.q, self.n
         return tuple(Subspace(q, n, MatGF.from_packed(q, n, b)) for b in self.blocks())

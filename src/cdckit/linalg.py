@@ -26,15 +26,17 @@ Distances are taken from rows (``_pair_distance``), so a
 ``enumerate_subspaces``, ``cdc.Cdc.members``.  A rank-metric code is
 packed words too, one ``MatGF.flatten()`` per codeword
 (``rankmetric.MatrixSet.words``), and ``MatrixSet.members`` makes its
-``MatGF``s only when read.  One Gauss-Jordan kernel, ``_eliminate``, serves
+``MatGF``s on every read.  One Gauss-Jordan kernel, ``_eliminate``, serves
 ``rref``, ``rank``, the blocks ``_non_rref`` rejects, pair distances,
 ``rankmetric.LinearMatrixCode.ranks`` and ``rankmetric.min_nonzero_rank``.
 ``MatGF.spread`` moves whole columns by masks and shifts.  Rows become
 digits only in ``_Lanes.lines``, many rows per call, each distinct row once.
 
 Subspaces are always stored by their RREF generator, so equality and hashing
-are entrywise and the pivots are read off it.  Column indices are 0-based
-internally; file formats and CLI output are 1-based.
+are entrywise and the pivots are read off it.  A ``MatGF`` or ``Subspace``
+holds only its packed rows and shape: hashes and member masks are computed
+on each call.  Column indices are 0-based internally; file formats and CLI
+output are 1-based.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ def lanes(q) -> _Lanes:
 class MatGF:
     """Immutable dense matrix over GF(q), one packed int per row."""
 
-    __slots__ = ("q", "rows", "cols", "packed", "_hash")
+    __slots__ = ("q", "rows", "cols", "packed")
 
     def __init__(self, q, rows_data):
         data = tuple(map(tuple, rows_data))
@@ -171,14 +173,14 @@ class MatGF:
         if any(len(s) != cols or s.strip(L.digit_chars) for s in lines):
             raise BadArguments("entry outside field range")
         self.packed = tuple(map(L.pack, lines))
-        self.q, self.rows, self.cols, self._hash = q, len(data), cols, None
+        self.q, self.rows, self.cols = q, len(data), cols
 
     @classmethod
     def from_packed(cls, q, cols, packed):
         """The matrix with these packed rows of ``cols`` entries each."""
         M = object.__new__(cls)
         M.q, M.cols, M.packed = q, cols, tuple(packed)
-        M.rows, M._hash = len(M.packed), None
+        M.rows = len(M.packed)
         return M
 
     @classmethod
@@ -203,9 +205,7 @@ class MatGF:
                 and self.cols == other.cols and self.packed == other.packed)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.q, self.cols, self.packed))
-        return self._hash
+        return hash((self.q, self.cols, self.packed))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(x) for x in r) for r in self.data)
@@ -437,7 +437,7 @@ def kernel_basis(M: MatGF):
 class Subspace:
     """A k-dimensional subspace of GF(q)^n in canonical RREF form."""
 
-    __slots__ = ("q", "n", "k", "gen", "_hash", "_mask")
+    __slots__ = ("q", "n", "k", "gen")
 
     def __init__(self, q, n, generator_rows):
         M = generator_rows if isinstance(generator_rows, MatGF) else MatGF(q, generator_rows)
@@ -447,7 +447,6 @@ class Subspace:
         if len(pivots) != M.rows:
             raise BadArguments("generator rows are linearly dependent")
         self.q, self.n, self.k, self.gen = q, n, R.rows, R
-        self._hash = self._mask = None
 
     @classmethod
     def from_matrix(cls, M: MatGF):
@@ -463,9 +462,7 @@ class Subspace:
                 and self.n == other.n and self.gen.packed == other.gen.packed)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.q, self.n, self.gen.packed))
-        return self._hash
+        return hash((self.q, self.n, self.gen.packed))
 
     def __repr__(self):
         return f"Subspace(q={self.q}, n={self.n}, k={self.k}, pivots={self.pivots})"
@@ -484,12 +481,7 @@ class Subspace:
     def member_mask(self) -> int:
         """Bitmask over vector indices of GF(q)^n marking the q^k members.
         Public API and the tests' oracle for the brute-force clique graph."""
-        if self._mask is None:
-            m = 0
-            for s in lanes(self.q).lines(self.vectors(), self.n):
-                m |= 1 << int(s, self.q)
-            self._mask = m
-        return self._mask
+        return sum(1 << int(s, self.q) for s in lanes(self.q).lines(self.vectors(), self.n))
 
 
 def subspace_distance(U: Subspace, V: Subspace) -> int:

@@ -4,8 +4,8 @@ lifting to subspaces.
 
 A codeword is one packed int, its ``MatGF.flatten()`` (rows one after
 another): ``LinearMatrixCode.words`` for a linear code and
-``MatrixSet.words`` for an explicit set, whose ``members`` are made only
-when read.  Only this module turns a word into a ``MatGF``; ``ferrers``
+``MatrixSet.words`` for an explicit set, whose ``members`` are made on
+every read.  Only this module turns a word into a ``MatGF``; ``ferrers``
 tests a word's support with one AND (``ferrers._off_mask``).  The rank
 census and the minimum-rank proof share one subcode step, ``_cuts``; it
 and ``_span`` grow their spans by ``linalg._Lanes.span``.
@@ -142,8 +142,9 @@ class MatrixSet:
     """Explicit set of m x n matrices with a claimed minimum rank distance,
     stored as ``words``, the packed ``flatten()`` of each member in turn, as
     ``LinearMatrixCode.words``; ``ranks``, not a field, holds the members'
-    ranks in order when known.  Its ``members`` (``MatGF``s) are given
-    instead, and checked for shape and field, or made when first read."""
+    ranks in order when known.  ``members`` (``MatGF``s) may be given
+    instead, checked for shape and field, and only their words are kept;
+    read, they are made from the words each time."""
 
     q: int
     m: int
@@ -158,12 +159,11 @@ class MatrixSet:
             members = tuple(members)
             if any((M.q, M.rows, M.cols) != (q, m, n) for M in members):
                 raise BadShape(f"members must be {m}x{n} over GF({q})")
-            self.__dict__["members"] = members
             words = [M.flatten() for M in members]
         self.__dict__.update(q=q, m=m, n=n, words=tuple(words), delta=delta,
                              ranks=ranks)
 
-    @cached_property
+    @property
     def members(self) -> tuple:
         q, m, n = self.q, self.m, self.n
         return tuple(MatGF.unflatten(q, m, n, w) for w in self.words)
@@ -228,20 +228,27 @@ def verify_min_rank(code: LinearMatrixCode):
         raise VerificationFailed(f"min nonzero rank {got} below claimed {code.delta}")
 
 
-@lru_cache(maxsize=None)
 def gabidulin(q: int, m: int, n: int, delta: int, verify: bool = True) -> LinearMatrixCode:
     """Linear MRD code of m x n matrices with min rank distance delta.
 
     Codewords expand evaluations of the degree-restricted q-power polynomials
     at the fixed polynomial basis points, so the code is deterministic and the
     families for different delta at the same (q, m, n) are nested.  The code
-    is immutable, so each argument tuple is built and verified once per
-    process.
+    is immutable, so each (q, m, n, delta) is built and verified once per
+    process, however a call spells it.
     """
+    return _gabidulin(q, m, n, delta, bool(verify))
+
+
+@lru_cache(maxsize=None)
+def _gabidulin(q, m, n, delta, verified):
     if delta < 1 or delta > min(m, n):
         raise BadShape(f"need 1 <= delta <= min(m, n), got delta={delta}, m={m}, n={n}")
     if m < n:
-        return gabidulin(q, n, m, delta, verify=verify).transpose()
+        return _gabidulin(q, n, m, delta, verified).transpose()
+    if verified:  # the unverified build, verified
+        verify_min_rank(code := _gabidulin(q, m, n, delta, False))
+        return code
     ext = ext_new(q, m)
     points = ext.basis()[:n]
     basis = []
@@ -251,11 +258,12 @@ def gabidulin(q: int, m: int, n: int, delta: int, verify: bool = True) -> Linear
             word = [ext.mul(b, fp) for fp in frob_pts]
             basis.append(expand_rows(ext, word))
     code = LinearMatrixCode(q, m, n, tuple(basis), delta)
-    if verify:
-        verify_min_rank(code)
-    elif not code.is_independent():
+    if not code.is_independent():
         raise VerificationFailed("basis not linearly independent")
     return code
+
+
+gabidulin.cache_clear = _gabidulin.cache_clear
 
 
 def rank_distribution(q: int, m: int, n: int, delta: int, r: int) -> int:

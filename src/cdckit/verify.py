@@ -32,8 +32,8 @@ from itertools import combinations, compress
 from .cdc import Cdc
 from .errors import BadArguments, TooLarge, record
 from .ferrers import FdrmCode, singleton_bound, support_leaks
-from .linalg import (_pair_distance, _rref_rows, _side_by_side, gaussian_binomial,
-                     lanes)
+from .linalg import (_non_rref, _pair_distance, _rref_rows, _side_by_side,
+                     gaussian_binomial, lanes)
 from .rankmetric import min_nonzero_rank
 
 EXHAUSTIVE_PAIR_CAP = 10 ** 6   # table entries hashed or pairs compared
@@ -223,12 +223,16 @@ def check_cdc(code, mode: str = "exhaustive", seed: int = 2024,
     caps that work, the smaller of the two counts; above distance 2k every
     pair is too close, so the work is every pair.
     Sampled mode checks a seed-deterministic set of distinct pairs.
+    Both modes first refuse rows not in RREF blocks of rank k (``BadArguments``).
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown mode {mode!r}")
     if pairs < 0:
         raise BadArguments(f"pairs must be >= 0, got {pairs}")
-    M, k, declared = code.size, code.k, code.d
+    M, k, declared, rows = code.size, code.k, code.d, code.rows
+    if rows and (min(rows) < 0 or max(rows) >> code.n * lanes(code.q).W
+                 or _non_rref(code.q, code.n, k, rows)):
+        raise BadArguments(f"rows are not RREF blocks of rank {k} in GF({code.q})^{code.n}")
     target = f"({code.n},{M},{code.d},{code.k})_{code.q}-CDC"
     label = mode if mode == "exhaustive" else f"sampled(seed={seed})"
     total_pairs = M * (M - 1) // 2

@@ -442,7 +442,8 @@ def test_a_code_made_from_rows_equals_one_made_from_members(q):
                provenance=code.provenance)
     assert same == code and hash(same) == hash(code)
     assert same.size == code.size == q ** 3 and same.rows == code.rows
-    assert code.members == members and code.members is code.members
+    assert code.members == members == code.members and "members" not in vars(code)
+    assert same.members == members and "members" not in vars(same)
     for wrong in ((q, code.n + 1, code.k), (q, code.n, code.k + 1),
                   (5 - q % 2, code.n, code.k)):
         with pytest.raises(ParameterMismatch):
@@ -458,7 +459,8 @@ def test_a_matrix_set_made_from_words_equals_one_made_from_members(q):
     assert "members" not in vars(same)
     assert same == made and hash(same) == hash(made)
     assert same.size == made.size == q ** 3 and same.words == made.words
-    assert same.members == members and same.members is same.members
+    assert same.members == members == same.members and "members" not in vars(same)
+    assert made.members == members and "members" not in vars(made)
     with pytest.raises(BadShape):
         MatrixSet(q, 3, 2, members, 2)
 

@@ -14,10 +14,12 @@ from functools import reduce
 from itertools import combinations, islice
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cdckit.cdc import Cdc, IdVec, ferrers_of, multilevel
+from cdckit.errors import BadArguments
 from cdckit.ferrers import optimal_fdrmc
+from cdckit.gf import field_new
 from cdckit.linalg import (MatGF, Subspace, _eliminate, _Lanes, _rref_rows,
                            gaussian_binomial, lanes, rank, subspace_distance)
 from cdckit.rankmetric import gabidulin, lift
@@ -55,6 +57,10 @@ def rref_rows(rnd, q, n, k):
 
 @st.composite
 def small_codes(draw, q):
+    """A code and whether ``check_cdc`` must refuse it: built from its
+    members, from their canonical rows, or from those rows with one block
+    broken, though it spans the same subspace (a row scaled by c != 1, two
+    rows swapped, one row added to another) or not (a row wider than n)."""
     rnd = draw(st.randoms(use_true_random=False))
     n = rnd.randint(2, MAX_N[q])
     k = rnd.randint(1, n - 1)
@@ -69,14 +75,50 @@ def small_codes(draw, q):
             members.insert(rnd.randint(0, len(members)),
                            Subspace(q, n, rows))
     d = rnd.randint(1, 2 * k + 1)
-    return Cdc(q=q, n=n, k=k, d=d, members=tuple(members))
+    how = rnd.choice(("members", "rows", "broken"))
+    if how == "members":
+        return Cdc(q=q, n=n, k=k, d=d, members=tuple(members)), False
+    blocks = [[list(r) for r in U.gen.data] for U in members]
+    wide = None
+    if how == "broken":
+        F, b = field_new(q), rnd.randrange(len(blocks))
+        block = blocks[b]
+        i, j = rnd.sample(range(k), 2) if k > 1 else (0, 0)
+        breaks = ["wide"] + ["scale"] * (q > 2) + ["swap", "add"] * (k > 1)
+        kind = rnd.choice(breaks)
+        if kind == "scale":
+            c = rnd.randrange(2, q)
+            block[i] = [F.mul(c, x) for x in block[i]]
+        elif kind == "swap":
+            block[i], block[j] = block[j], block[i]
+        elif kind == "add":
+            block[i] = [F.add(x, y) for x, y in zip(block[i], block[j])]
+        else:
+            wide = b * k + i
+    rows = [v for b in blocks for v in MatGF(q, b).packed]
+    if wide is not None:  # an entry left of column 0
+        rows[wide] |= 1 << n * lanes(q).W
+    return Cdc(q=q, n=n, k=k, d=d, rows=rows), how == "broken"
+
+
+# non-canonical codes that the distance keys alone pass at min_distance=2:
+# two blocks spanning one plane (distance 0), blocks 100 and 200 at q = 3
+# (one point), and a 5-bit row in a 4-column code
+REFUSED = {2: [Cdc(2, 4, 2, 2, rows=(8, 4, 12, 4)), Cdc(2, 4, 1, 2, rows=(16, 8))],
+           3: [Cdc(3, 3, 1, 2, rows=(256, 512))]}
 
 
 @pytest.mark.parametrize("q", SUPPORTED_Q)
 def test_certifier_matches_pairwise_oracle(q):
     @settings(max_examples=40, derandomize=True, deadline=None)
     @given(small_codes(q))
-    def check(code):
+    def check(drawn):
+        code, refused = drawn
+        if refused:
+            for mode in ("exhaustive", "sampled"):
+                with pytest.raises(BadArguments):
+                    check_cdc(code, mode)
+            return
         rep = check_cdc(code)
         found, violations = oracle(code)
         assert rep.min_distance_found == found
@@ -88,6 +130,8 @@ def test_certifier_matches_pairwise_oracle(q):
             for budget in (math.inf, 0):
                 assert _certify(code, budget) == (
                     found, violations)
+    for code in REFUSED.get(q, ()):
+        check = example((code, True))(check)
     check()
 
 

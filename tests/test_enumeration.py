@@ -54,6 +54,22 @@ def test_gabidulin_is_built_and_verified_once(monkeypatch):
     assert calls == [first]
 
 
+def test_gabidulin_is_built_and_verified_once_however_it_is_called(monkeypatch):
+    gabidulin.cache_clear()
+    calls = counting(monkeypatch, rankmetric)
+    builds, real = [], rankmetric.ext_new  # one extension field per build
+    monkeypatch.setattr(rankmetric, "ext_new", lambda *a: builds.append(a) or real(*a))
+    wide = gabidulin(2, 4, 5, 2)
+    tall = gabidulin(2, 5, 4, 2)
+    assert gabidulin(2, 5, 4, 2, True) is tall
+    assert gabidulin(2, 5, 4, 2, verify=False) is tall
+    assert wide == tall.transpose() and wide.words == tall.transpose().words
+    assert builds == [(2, 5)] and calls == [tall]
+    gabidulin.cache_clear()
+    assert gabidulin(2, 5, 4, 2, verify=False) == tall
+    assert builds == [(2, 5)] * 2 and calls == [tall]
+
+
 def test_optimal_fdrmc_is_built_and_verified_once(monkeypatch):
     optimal_fdrmc.cache_clear()
     calls = counting(monkeypatch, ferrers)

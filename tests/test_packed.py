@@ -9,6 +9,9 @@ through ``MatGF.data``.  ``rref`` on input already in RREF is compared
 with the digit-level definition of RREF, on echelon forms and on
 near misses of them, and so is ``_non_rref``'s test of many blocks at once,
 at row widths on both sides of every lane size it packs rows into.
+``_Lanes.points`` on the codewords' rows side by side (``_side_by_side``,
+the certifier's keys) is compared with each codeword's points, combined
+and packed from the field tables and the digits of each element.
 """
 
 import random
@@ -19,8 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 from cdckit.errors import BadArguments
 from cdckit.gf import SUPPORTED_ORDERS, field_new
-from cdckit.linalg import (MatGF, Subspace, _non_rref, kernel_basis, lanes,
-                           rank, rref, rrief)
+from cdckit.linalg import (MatGF, Subspace, _non_rref, _side_by_side,
+                           kernel_basis, lanes, rank, rref, rrief)
 
 EXAMPLES = settings(max_examples=15, derandomize=True, deadline=None)
 
@@ -334,3 +337,45 @@ def test_non_rref_matches_the_definition_at_every_lane_width(q):
             assert _non_rref(q, n, k, rows) == want, (n, k)
             assert want and len(want) < len(blocks)
             assert _non_rref(q, n, k, []) == []
+
+
+def packed(f, row):
+    """A row of field elements packed from their base-p digits alone: digit
+    i of an entry in lane i, 1 bit wide for p = 2 and 4 bits otherwise, the
+    entry padded to a power-of-two width, column 0 the most significant."""
+    w = 1 if f.p == 2 else 4
+    W = 1 << (f.e * w - 1).bit_length()
+    v = 0
+    for x in row:
+        v = v << W | sum(x // f.p ** i % f.p << i * w for i in range(f.e))
+    return v, W
+
+
+# (lane bytes, row bits): a full lane and a half-full one, for lanes of 1,
+# 2, 4 and 8 bytes and of two and three 64-bit words (rows over 64 bits)
+LANES = [(1, 8), (1, 4), (2, 16), (2, 9), (4, 32), (4, 17), (8, 64), (8, 33),
+         (16, 128), (16, 65), (24, 192), (24, 129)]
+
+
+@pytest.mark.parametrize("q", SUPPORTED_ORDERS)
+def test_points_of_side_by_side_lanes_match_the_field_tables(q):
+    """Row i of every codeword in one int, codeword b in lane b of ``size``
+    bytes; the lane-wise ``points`` of those k ints hold, lane by lane, the
+    combinations of each codeword's rows whose first nonzero coefficient is
+    1, by that coefficient's row and then the later coefficients read base
+    q, the first slowest."""
+    f, L, rng = field_new(q), lanes(q), random.Random(q)
+    W = packed(f, [0])[1]
+    for size, bits in LANES:
+        n = max(1, bits // W)
+        k = min(n, 3 if q <= 4 else 2)
+        codewords = [[[rng.choice((0, 1, q - 1, rng.randrange(q))) for _ in range(n)]
+                      for _ in range(k)] for _ in range(5)]
+        rows = [packed(f, row)[0] for C in codewords for row in C]
+        wide = list(_side_by_side(rows, k, n * W, size))
+        got = L.points(wide, len(codewords) * 8 * size // W)
+        lane = (1 << 8 * size) - 1
+        for b, C in enumerate(codewords):
+            want = [packed(f, combine(f, (0,) * i + (1,) + tail, C))[0]
+                    for i in range(k) for tail in product(range(q), repeat=k - 1 - i)]
+            assert [x >> 8 * size * b & lane for x in got] == want, (size, n, b)

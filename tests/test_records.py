@@ -16,7 +16,7 @@ from cdckit.errors import BadArguments, NotACwc
 from cdckit.ferrers import (FdrmCode, FerrersDiagram, NestedPair, nested_pair,
                             optimal_fdrmc)
 from cdckit.gf import ExtFieldCtx, FieldCtx, field_new
-from cdckit.linalg import MatGF
+from cdckit.linalg import MatGF, Subspace
 from cdckit.rankmetric import LinearMatrixCode, MatrixSet
 from cdckit.theorems import BoundResult
 from cdckit.verify import VerifyReport
@@ -217,9 +217,20 @@ def test_cached_properties_and_given_members_are_kept():
     assert code.words is code.words and "words" in vars(code)
     assert code.transpose().ranks == code.ranks
     cdc = Cdc(2, 2, 1, 2, rows=(1, 2))
-    assert cdc.members is cdc.members and Cdc(2, 2, 1, 2, cdc.members) == cdc
+    assert cdc.members == cdc.members and Cdc(2, 2, 1, 2, cdc.members) == cdc
+    assert "members" not in vars(cdc) and "members" not in vars(Cdc(2, 2, 1, 2, cdc.members))
     ms = MatrixSet(2, 1, 2, words=(1, 2), delta=1)
-    assert MatrixSet(2, 1, 2, ms.members, 1) == ms and "members" in vars(ms)
+    assert MatrixSet(2, 1, 2, ms.members, 1) == ms and ms.members == ms.members
+    assert "members" not in vars(ms) and "members" not in vars(MatrixSet(2, 1, 2, ms.members, 1))
+
+
+def test_matrices_and_subspaces_keep_no_memo():
+    # hashes and member masks are computed on each read, into no slot
+    U = Subspace(3, 3, [[2, 0, 1]])
+    assert hash(U) == hash(Subspace(3, 3, [[1, 0, 2]])) and hash(U.gen) == hash(U.gen)
+    assert U.member_mask() == U.member_mask() == 1 | 1 << 11 | 1 << 19  # 000, 102, 201
+    assert Subspace.__slots__ == ("q", "n", "k", "gen")
+    assert MatGF.__slots__ == ("q", "rows", "cols", "packed")
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
